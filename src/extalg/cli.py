@@ -299,7 +299,7 @@ def cmd_exterior_verify(args):
               totals == {w: scale * m for w, m in kl.items()})
         okay = True
         for lam in orders.enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
-            bound = scale * weyl_oracle.freudenthal(datum, lam).zero_multiplicity()
+            bound = scale * weyl_oracle.dominant_multiplicities(datum, lam).get(datum.zero, 0)
             total = totals.get(lam, 0)
             if orders.is_small(datum, lam):
                 okay = okay and total == bound

@@ -58,7 +58,8 @@ def _case_a(datum, c):
     """Case A: every c_i even; build rows from index n down to 1."""
     n = datum.rank
     rows = _Rows(n)
-    assert all(x % 2 == 0 for x in c)
+    if not all(x % 2 == 0 for x in c):
+        raise ArithmeticError(f"Case A needs every gap even, got {c}")
     rows.mi[n] = 0 if c[n - 1] == 0 else 2
     for i in range(n, 1, -1):
         # build row i-1 from row i
@@ -148,7 +149,8 @@ def construct(datum, lam, force_case=None):
             lam_prime = [x + (1 if i in odd else 0) for i, x in enumerate(lam_half, start=1)]
             c_prime = [abs(r2) - abs(x) for r2, x in zip(datum.rho.coords2, lam_prime)]
             rows = _case_a(datum, c_prime)
-            assert all(rows.mi.get(i, 0) == 0 for i in range(1, n + 1))
+            if not all(rows.mi.get(i, 0) == 0 for i in range(1, n + 1)):
+                raise ArithmeticError("Case C base rows have a nonzero barred entry")
             for i in odd:
                 rows.mi[i] = 1
 

@@ -2,16 +2,18 @@
 
 The graded character of Lambda(M) for a module M with weight system
 ``{mu: mult}`` is the product over weight lines of ``(1 + t e^mu)**mult``.
-Decomposing it by repeated highest-weight peeling against Freudenthal
-characters gives every graded multiplicity polynomial ``P(V_nu, Lambda M, t)``
-exactly; the closed reference formulas these are checked against live in
-:func:`reference_polynomials`.
+That character is Weyl-invariant, so its dominant entries determine it.
+:func:`graded_decompose` checks the invariance once and then peels highest
+weights in the dominant chamber alone, subtracting the dominant Freudenthal
+table of each component; this gives every graded multiplicity polynomial
+``P(V_nu, Lambda M, t)`` exactly.  The closed reference formulas these are
+checked against live in :func:`reference_polynomials`.
 """
 
 from dataclasses import dataclass
 
 from .genexp import PolyT
-from .weyl_oracle import ResourceCapError, freudenthal
+from .weyl_oracle import ResourceCapError, dominant_multiplicities, freudenthal
 
 __all__ = [
     "GradedCharacter",
@@ -68,27 +70,38 @@ def _dominance_key(datum, coords2):
 def graded_decompose(datum, gc):
     """Peel a graded character into irreducible multiplicity polynomials.
 
-    Raises ArithmeticError if peeling ever produces a negative coefficient,
-    which means the input was not a genuine character.
+    The character must be Weyl-invariant: every weight of its support carries
+    the polynomial of its dominant chamber representative, and the support is
+    exactly the union of the Weyl orbits of its dominant weights.  Both are
+    checked once, up front.  The peel then works on the dominant entries
+    only: it takes the highest remaining dominant weight and subtracts its
+    polynomial times the dominant Freudenthal table of that weight.
+
+    Raises ArithmeticError if the character is not Weyl-invariant, or if
+    peeling reaches a negative coefficient; either way the input was not a
+    genuine character.
     """
-    work = {w.coords2: p for w, p in gc.table.items() if not p.is_zero()}
+    support = {w.coords2: p for w, p in gc.table.items() if not p.is_zero()}
+    work = {v: p for v, p in support.items() if datum.is_dominant2(v)}
+    for v, p in support.items():
+        if work.get(datum.chamber_rep2(v)) != p:
+            raise ArithmeticError(f"character is not Weyl-invariant at {datum.weight(v)}")
+    if len(support) != sum(len(datum.orbit2(v)) for v in work):
+        raise ArithmeticError("character support is not a union of Weyl orbits")
     out = {}
     while work:
-        dominant = [v for v in work if datum.is_dominant2(v)]
-        if not dominant:
-            raise ArithmeticError("nonzero character with no dominant support")
-        top = max(dominant, key=lambda v: _dominance_key(datum, v))
+        top = max(work, key=lambda v: _dominance_key(datum, v))
         poly = work[top]
         if any(c < 0 for c in poly.c.values()):
             raise ArithmeticError(f"negative multiplicity polynomial at {top}")
-        system = freudenthal(datum, datum.weight(top))
-        for w, m in system.mult.items():
+        highest = datum.weight(top)
+        for w, m in dominant_multiplicities(datum, highest).items():
             cur = work.get(w.coords2, PolyT.zero()) - poly * m
             if cur.is_zero():
                 work.pop(w.coords2, None)
             else:
                 work[w.coords2] = cur
-        out[datum.weight(top)] = poly
+        out[highest] = poly
     return out
 
 

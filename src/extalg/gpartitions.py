@@ -175,7 +175,8 @@ def _L_last(datum, p, t, barred):
     if fam == "C":
         s = -sum(p.M(i, n) for i in range(1, t + 1))
         half = p.mi(t + 1) if barred else p.mi(t)
-        assert half % 2 == 0
+        if half % 2:
+            raise ArithmeticError(f"type-C barred entry {half} is odd")
         return s + half // 2
     # D: hat-involution image of L_{n-1}, swapping m and mp in column n
     if barred:

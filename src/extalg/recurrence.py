@@ -379,7 +379,8 @@ def _omega0_closed_for(m, j):
     if m == 2 * j:
         return 1
     num = m * comb(m - j - 1, j - 1)
-    assert num % j == 0
+    if num % j:
+        raise ArithmeticError(f"omega_0 count {num}/{j} is not an integer")
     return num // j
 
 

@@ -20,6 +20,7 @@ from .rootdata import build_root_datum
 __all__ = [
     "ResourceCapError",
     "WeightMultMap",
+    "dominant_multiplicities",
     "freudenthal",
     "weyl_dim",
     "klimyk_tensor",
@@ -65,8 +66,16 @@ def _cache_path(datum, lam):
     return os.path.join(root, f"freud_{datum.family}{datum.rank}_{tag}.pkl")
 
 
-def _dominant_multiplicities(datum, lam):
-    """Freudenthal recursion over the dominant weights below lam."""
+def dominant_multiplicities(datum, lam):
+    """Multiplicities of the dominant weights of V_lam, by the Freudenthal recursion.
+
+    Returns a ``{Weight: multiplicity}`` table over the dominant weights
+    below ``lam``; every other weight of V_lam is a Weyl image of one of them
+    with the same multiplicity.  The table is memoised and must not be mutated.
+    """
+    datum.check_weight(lam)
+    if not datum.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
     key = (datum.family, datum.rank, lam.coords2)
     if key in _dominant_cache:
         return _dominant_cache[key]
@@ -115,10 +124,7 @@ def _dominant_multiplicities(datum, lam):
 
 def freudenthal(datum, lam, cap=DEFAULT_CELL_CAP):
     """Full weight system of V_lam with multiplicities (all Weyl images)."""
-    datum.check_weight(lam)
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    table = _dominant_multiplicities(datum, lam)
+    table = dominant_multiplicities(datum, lam)
     full = {}
     cells = 0
     for mu, m in table.items():

@@ -30,9 +30,9 @@ from extalg.weyl_oracle import freudenthal, klimyk_tensor, lusztig_E, weyl_dim
 
 @contextmanager
 def budget(name, seconds):
-    start = time.time()
+    start = time.perf_counter()
     yield
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     print(f"[{name}] PASS ({elapsed:.2f}s / budget {seconds}s)")
     assert elapsed < seconds, f"{name} exceeded its {seconds}s budget ({elapsed:.1f}s)"
 

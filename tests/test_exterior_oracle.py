@@ -1,14 +1,38 @@
 import itertools
+from dataclasses import replace
 from math import comb
 
 import pytest
 
-from extalg.exterior_oracle import (exterior_decomposition, graded_decompose,
+from extalg.exterior_oracle import (_dominance_key, exterior_decomposition, graded_decompose,
                                     graded_exterior_character, reference_polynomials)
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import enumerate_dominant_below, is_small, two_rho_minus_delta
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import ResourceCapError, freudenthal, klimyk_tensor, weyl_dim
+
+
+def reference_graded_decompose(datum, gc):
+    """Full-orbit peel: subtract the whole Freudenthal weight system per component."""
+    work = {w.coords2: p for w, p in gc.table.items() if not p.is_zero()}
+    out = {}
+    while work:
+        dominant = [v for v in work if datum.is_dominant2(v)]
+        if not dominant:
+            raise ArithmeticError("nonzero character with no dominant support")
+        top = max(dominant, key=lambda v: _dominance_key(datum, v))
+        poly = work[top]
+        if any(c < 0 for c in poly.c.values()):
+            raise ArithmeticError(f"negative multiplicity polynomial at {top}")
+        system = freudenthal(datum, datum.weight(top))
+        for w, m in system.mult.items():
+            cur = work.get(w.coords2, PolyT.zero()) - poly * m
+            if cur.is_zero():
+                work.pop(w.coords2, None)
+            else:
+                work[w.coords2] = cur
+        out[datum.weight(top)] = poly
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +71,38 @@ def test_decompose_rejects_non_character(b2):
     gc = graded_exterior_character(b2, {b2.theta: 1})
     broken = dict(gc.table)
     broken[b2.theta] = broken[b2.theta] - PolyT({1: 2})
-    from dataclasses import replace
     with pytest.raises(ArithmeticError):
         graded_decompose(b2, replace(gc, table=broken))
+
+
+@pytest.mark.parametrize("decompose", [graded_decompose, reference_graded_decompose])
+@pytest.mark.parametrize("breakage", ["drop", "add_t3"])
+def test_decompose_rejects_non_invariant_character(b2, decompose, breakage):
+    gc = graded_exterior_character(b2, freudenthal(b2, b2.theta).mult)
+    victim = min((w for w in gc.table if not b2.is_dominant(w)), key=lambda w: w.coords2)
+    broken = dict(gc.table)
+    if breakage == "drop":
+        del broken[victim]
+    else:
+        broken[victim] = broken[victim] + PolyT.t(3)
+    with pytest.raises(ArithmeticError):
+        decompose(b2, replace(gc, table=broken))
+
+
+def _modules():
+    for family, rank in [("B", 2), ("C", 2), ("G2", 2), ("B", 3), ("C", 3), ("D", 3)]:
+        yield family, rank, "adjoint"
+        if family != "D":
+            yield family, rank, "little_adjoint"
+    yield "D", 4, "adjoint"
+
+
+@pytest.mark.parametrize("family,rank,module", list(_modules()))
+def test_dominant_peel_matches_full_orbit_peel(family, rank, module):
+    datum = build_root_datum(family, rank)
+    highest = datum.theta if module == "adjoint" else datum.theta_short
+    gc = graded_exterior_character(datum, freudenthal(datum, highest).mult, cap=28)
+    assert graded_decompose(datum, gc) == reference_graded_decompose(datum, gc)
 
 
 def test_invariants_product(b2, b2_adjoint):

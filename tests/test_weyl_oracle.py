@@ -3,8 +3,8 @@ import pytest
 from extalg.genexp import PolyT, t_analog
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
-from extalg.weyl_oracle import (ResourceCapError, freudenthal, klimyk_tensor,
-                                lusztig_E, q_kostant, weyl_dim)
+from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freudenthal,
+                                klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,21 @@ def test_freudenthal_weyl_invariance(b3):
     for w, m in fr.mult.items():
         image = b3.apply_simple(1, w.coords2)
         assert fr.mult[b3.weight(image)] == m
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_dominant_zero_multiplicity_matches_full_system(family, rank):
+    datum = build_root_datum(family, rank)
+    for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
+        assert dominant_multiplicities(datum, lam)[datum.zero] == \
+            freudenthal(datum, lam).zero_multiplicity()
+
+
+def test_dominant_multiplicities_preconditions(c2, b3):
+    with pytest.raises(ValueError):
+        dominant_multiplicities(b3, b3.weight_from_coords([0, 1, 0]))
+    with pytest.raises(ValueError):
+        dominant_multiplicities(b3, c2.theta)  # DatumMismatchError
 
 
 def test_weyl_dim_examples(c2, b3):
