@@ -119,7 +119,7 @@ def cmd_lr(args):
     if args.nu:
         nu = weight_from_fundamental(datum, _parse_coeffs(args.nu, datum.rank))
         count, wits = gpartitions.count_lr(datum, lam, mu, nu,
-                                           want_witnesses=args.witnesses)
+                                           want_witnesses=args.witnesses, cap=args.cap)
         report["nu"] = _weight_json(datum, nu)
         report["count"] = count
         if args.witnesses:
@@ -131,7 +131,7 @@ def cmd_lr(args):
     else:
         comps = []
         for nu in orders.enumerate_dominant_below(datum, lam + mu, "dominance"):
-            count, _ = gpartitions.count_lr(datum, lam, mu, nu)
+            count, _ = gpartitions.count_lr(datum, lam, mu, nu, cap=args.cap)
             if count:
                 entry = {"nu": _weight_json(datum, nu), "count": count}
                 if oracle is not None:
@@ -354,7 +354,7 @@ def build_parser():
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--cap", type=int, default=weyl_oracle.DEFAULT_CELL_CAP,
-                       help="resource cap on oracle cells")
+                       help="resource cap on oracle cells and lr enumeration steps")
         p.add_argument("--force-cap", action="store_true",
                        help="acknowledge a cap larger than the default")
 
@@ -412,8 +412,16 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def run(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # built on first use, not at import, and reused: parse_args starts
+        # every call from a fresh namespace, so no option carries over
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

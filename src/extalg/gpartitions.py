@@ -9,7 +9,10 @@ unassigned.  Counting admissible partitions associated to
 ``lam + mu - nu`` computes the tensor multiplicity of V_nu in V_lam (x) V_mu.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+
+from .weyl_oracle import DEFAULT_CELL_CAP, ResourceCapError
 
 __all__ = [
     "GPartition",
@@ -76,7 +79,7 @@ class GPartition:
     def mi(self, i):
         if not 1 <= i <= self.n:
             return 0
-        return self.flat[2 * len(pair_slots(self.n)) + i - 1]
+        return self.flat[self.n * (self.n - 1) + i - 1]
 
     def M(self, i, j):
         return self.m(i, j) - self.mp(i, j)
@@ -287,33 +290,42 @@ def _suffix_feasible(family, res):
     return True
 
 
+def _start_residual(family, target):
+    """Halved coordinates of ``target``, or None when no g-partition is associated to it."""
+    if any(c % 2 for c in target.coords2):
+        return None
+    res = [c // 2 for c in target.coords2]
+    if family in ("C", "D") and sum(res) % 2:
+        return None
+    if not _suffix_feasible(family, res):
+        return None
+    return res
+
+
+def _row_end(family, r):
+    """The m_i that closes row i with residual r (only m_i still feeds coordinate i), or None."""
+    if family == "B":
+        return r if r >= 0 else None
+    if family == "C":
+        return r if r >= 0 and r % 2 == 0 else None
+    return r if r == 0 else None
+
+
 def enumerate_associated(datum, target):
     """All g-partitions associated to the weight ``target`` (no admissibility filter).
 
-    Deterministic lexicographic order in the canonical flat layout.
+    Deterministic lexicographic order in the enumeration order of the slots:
+    row i's pairs ``(m_ij, mp_ij)``, then ``m_i``, row by row.
     """
     datum.check_weight(target)
     n = datum.rank
     fam = datum.family
-    if any(c % 2 for c in target.coords2):
-        return
-    res = [c // 2 for c in target.coords2]
-    if fam in ("C", "D") and sum(res) % 2:
-        return
-    if not _suffix_feasible(fam, res):
+    res = _start_residual(fam, target)
+    if res is None:
         return
 
     slots = pair_slots(n)
     values = {}
-
-    def close_row(i):
-        # after row i's pair slots, coordinate i only receives m_i
-        r = res[i - 1]
-        if fam == "B":
-            return r if r >= 0 else None
-        if fam == "C":
-            return r if r >= 0 and r % 2 == 0 else None
-        return r if r == 0 else None
 
     def rec_row(i):
         if i > n:
@@ -324,7 +336,7 @@ def enumerate_associated(datum, target):
 
     def rec_pair(i, row_pairs, idx):
         if idx == len(row_pairs):
-            mi = close_row(i)
+            mi = _row_end(fam, res[i - 1])
             if mi is None:
                 return
             values[("s", i)] = mi
@@ -362,11 +374,95 @@ def enumerate_associated(datum, target):
     yield from rec_row(1)
 
 
-def count_lr(datum, lam, mu, nu, want_witnesses=False):
+# -- compiled forms: the polytope count without per-candidate partitions -----
+
+#: slot kinds in the enumeration order: m_ij, mp_ij, and the m_i closing row i
+_M, _MP, _ROW_END = 0, 1, 2
+
+
+class _Compiled(namedtuple("_Compiled", "forms bound_of rows slots steps")):
+    """The admitted forms of one (family, rank) as integer rows, and the walk order.
+
+    ``forms[f]`` names form f as ``(kind, key)``, as in ``FormValues``.
+    ``rows[f][k]`` is form f evaluated on ``2 * e_k`` over the flat layout, so
+    ``sum(rows[f][k] * flat[k])`` is twice the form's value (type C halves
+    ``m_i``) and is compared with twice the bound ``bound_of[f]``: ``(0, j)``
+    for ``a[j]``, ``(1, i)`` for ``b[i]``.  ``slots[d]`` is the slot fixed at
+    depth d, as ``(flat index, kind, i, j)`` with 0-based row indices, in the
+    order of ``enumerate_associated``.  ``steps[d]`` holds ``(terms, upper,
+    lower)``: the ``(form, coefficient)`` pairs of that slot, and those among
+    them, positive and negative, whose coefficients on every later slot are
+    >= 0.  Such a form can only grow once the slot is fixed, so its partial
+    sum bounds the slot's value from above (positive coefficient) or below
+    (negative).  A form whose last nonzero slot is at depth d is in
+    ``upper``/``lower`` at depth d, so every form is checked on the way down.
+    """
+
+    __slots__ = ()
+
+
+_COMPILED = {}
+
+
+def _compiled(datum):
+    key = (datum.family, datum.rank)
+    table = _COMPILED.get(key)
+    if table is None:
+        table = _COMPILED[key] = _compile(datum)
+    return table
+
+
+def _compile(datum):
+    fam = datum.family
+    n = datum.rank
+    keys = form_keys(datum)
+    # (kind, bound vector: 0 for a, 1 for b, evaluator of the rearranged form)
+    kinds = (("L", 0, _L_value), ("N0", 1, _N0), ("N1", 1, _N1_value))
+    forms, bound_of, evaluators = [], [], []
+    for kind, side, value in kinds:
+        for j, (t, barred) in keys[kind]:
+            forms.append((kind, (j, (t, barred))))
+            bound_of.append((side, j - 1))
+            evaluators.append((value, j, t, barred))
+
+    pairs = n * (n - 1) // 2
+    size = 2 * pairs + n
+    # type D has m_i = 0 throughout, so those slots carry no coefficient
+    live = range(2 * pairs) if fam == "D" else range(size)
+    rows = [[0] * size for _ in forms]
+    for k in live:
+        unit = GPartition(fam, n, tuple(2 if x == k else 0 for x in range(size)))
+        for f, (value, j, t, barred) in enumerate(evaluators):
+            rows[f][k] = value(datum, unit, j, t, barred)
+
+    base = {pair: 2 * idx for idx, pair in enumerate(pair_slots(n))}
+    slots = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            slots.append((base[(i, j)], _M, i - 1, j - 1))
+            slots.append((base[(i, j)] + 1, _MP, i - 1, j - 1))
+        slots.append((2 * pairs + i - 1, _ROW_END, i - 1, None))
+
+    steps = []
+    for d, (k, _, _, _) in enumerate(slots):
+        later = [k2 for k2, _, _, _ in slots[d + 1:]]
+        terms = tuple((f, row[k]) for f, row in enumerate(rows) if row[k])
+        grows = [all(rows[f][k2] >= 0 for k2 in later) for f in range(len(rows))]
+        upper = tuple((f, c) for f, c in terms if c > 0 and grows[f])
+        lower = tuple((f, c) for f, c in terms if c < 0 and grows[f])
+        steps.append((terms, upper, lower))
+    return _Compiled(tuple(forms), tuple(bound_of), tuple(tuple(r) for r in rows),
+                     tuple(slots), tuple(steps))
+
+
+def count_lr(datum, lam, mu, nu, want_witnesses=False, cap=DEFAULT_CELL_CAP):
     """Number of admissible g-partitions for (lam, mu) associated to lam+mu-nu.
 
     This equals the multiplicity of V_nu inside V_lam (x) V_mu.  Witnesses are
-    returned in lexicographic flat order when requested.
+    returned in lexicographic flat order when requested.  The walk fixes the
+    slots in the order of ``enumerate_associated`` and cuts a branch as soon
+    as a form that can only grow exceeds its bound; ``cap`` bounds the number
+    of slot values it tries (``ResourceCapError`` beyond it).
     """
     for w in (lam, mu, nu):
         datum.check_weight(w)
@@ -375,15 +471,81 @@ def count_lr(datum, lam, mu, nu, want_witnesses=False):
     a = datum.fundamental_coefficients(lam)
     b = datum.fundamental_coefficients(mu)
     target = lam + mu - nu
+    datum.check_weight(target)
+    fam = datum.family
+    res = _start_residual(fam, target)
+    if res is None:
+        return 0, []
+    comp = _compiled(datum)
+    bounds = (a, b)
+    limit = [2 * bounds[side][idx] for side, idx in comp.bound_of]
+    acc = [0] * len(limit)
+    n = datum.rank
+    flat = [0] * (n * n)
+    slots, steps = comp.slots, comp.steps
+    depth = len(slots)
+    found = []
     count = 0
-    witnesses = []
-    for p in enumerate_associated(datum, target):
-        if is_admissible(datum, p, a, b):
-            count += 1
-            if want_witnesses:
-                witnesses.append(p)
-    witnesses.sort(key=lambda q: q.flat)
-    return count, witnesses
+    tried = 0
+
+    def walk(d):
+        nonlocal count, tried
+        if d == depth:
+            if all(x <= y for x, y in zip(acc, limit)):
+                count += 1
+                if want_witnesses:
+                    found.append(tuple(flat))
+            return
+        k, kind, i, j = slots[d]
+        terms, upper, lower = steps[d]
+        if kind == _ROW_END:
+            lo = hi = _row_end(fam, res[i])
+            if lo is None:
+                return
+        else:
+            lo, hi = 0, res[i]
+        for f, c in upper:
+            q = (limit[f] - acc[f]) // c
+            if q < hi:
+                hi = q
+        for f, c in lower:
+            q = -((limit[f] - acc[f]) // -c)
+            if q > lo:
+                lo = q
+        if lo > hi:
+            return
+        tried += hi - lo + 1
+        if tried > cap:
+            raise ResourceCapError(f"lr enumeration tried more than {cap} slot values")
+        for v in range(lo, hi + 1):
+            for f, c in terms:
+                acc[f] += c * v
+            flat[k] = v
+            if kind == _M:
+                res[i] -= v
+                res[j] += v
+                walk(d + 1)
+                res[i] += v
+                res[j] -= v
+            elif kind == _MP:
+                res[i] -= v
+                res[j] -= v
+                walk(d + 1)
+                res[i] += v
+                res[j] += v
+            else:
+                res[i] = 0
+                if _suffix_feasible(fam, res[i + 1:]):
+                    walk(d + 1)
+                res[i] = v
+            for f, c in terms:
+                acc[f] -= c * v
+        flat[k] = 0
+
+    # the walk meets witnesses in flat order already: each m_i is fixed by the
+    # pairs before it, so two witnesses first differ in a pair slot
+    walk(0)
+    return count, [GPartition.from_flat(fam, n, values) for values in found]
 
 
 # -- original interleaved definitions, used only as a randomized cross-check --

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import extalg
 from extalg import cli, genexp
 
 
@@ -50,6 +54,38 @@ def test_lr_single_component_with_witnesses():
     assert code == 0
     assert rep["count"] == rep["oracle_count"] == len(rep["witnesses"])
     assert [1, 1, 1, 1, 1, 1, 0, 0, 0] in rep["witnesses"]
+
+
+def test_lr_resource_cap():
+    argv = ["lr", "--family", "C", "--rank", "3", "--lam", "1,1,1", "--mu", "1,1,1"]
+    code, out, err = run_cli(argv + ["--cap", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: ")
+    code, _, err = run_cli(argv)
+    assert code == 0 and err == ""
+
+
+def test_parser_reuse_matches_fresh_processes():
+    # one parser serves every run() call: options given to one call must not
+    # reach the next, so each call answers as a fresh `gexp` process does
+    lr = ["lr", "--family", "C", "--rank", "3", "--lam", "1,1,1", "--mu", "1,1,1"]
+    sequence = [
+        lr + ["--nu", "0,0,2", "--witnesses", "--oracle"],
+        lr,
+        lr + ["--cap", "3"],
+        lr + ["--nu", "0,0,2"],
+        ["genexp", "--family", "B", "--rank", "3", "--format", "csv"],
+        ["genexp", "--family", "B", "--rank", "3"],
+        ["roots", "--family", "B", "--rank", "3", "--cap", str(10 ** 9)],
+        ["no-such-command"],
+        ["roots", "--family", "B", "--rank", "2"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extalg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in sequence:
+        proc = subprocess.run([sys.executable, "-m", "extalg.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert run_cli(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_kostant_verify():

@@ -1,14 +1,36 @@
+import itertools
 import random
 
 import pytest
 
-from extalg.gpartitions import (GPartition, count_lr, enumerate_associated,
+from extalg.gpartitions import (GPartition, _compiled, count_lr, enumerate_associated,
                                 evaluate_forms, form_keys, forms_original_L,
                                 forms_original_N0, is_admissible, pair_slots,
                                 weight_of)
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
-from extalg.weyl_oracle import klimyk_tensor, weyl_dim
+from extalg.weyl_oracle import ResourceCapError, klimyk_tensor, weyl_dim
+
+
+def reference_count_lr(datum, lam, mu, nu):
+    """The polytope count as one admissibility test per associated partition.
+
+    The unpruned enumeration that ``count_lr`` replaced; the pruned walk must
+    give the same count and the same witnesses in the same order.
+    """
+    a = datum.fundamental_coefficients(lam)
+    b = datum.fundamental_coefficients(mu)
+    witnesses = [p for p in enumerate_associated(datum, lam + mu - nu)
+                 if is_admissible(datum, p, a, b)]
+    witnesses.sort(key=lambda q: q.flat)
+    return len(witnesses), witnesses
+
+
+def grid(datum, total=2):
+    """Dominant weights with fundamental coefficients summing to at most ``total``."""
+    return [weight_from_fundamental(datum, c)
+            for c in itertools.product(range(total + 1), repeat=datum.rank)
+            if sum(c) <= total]
 
 
 @pytest.fixture(scope="module")
@@ -155,9 +177,7 @@ def test_oracle_equivalence_rank_two(family, rank):
     # exact agreement with the Brauer-Klimyk rule on every pair with
     # coefficient sum <= 2 (the full sweep runs in the acceptance suite)
     datum = build_root_datum(family, rank)
-    import itertools
-    weights = [weight_from_fundamental(datum, c)
-               for c in itertools.product(range(3), repeat=rank) if sum(c) <= 2]
+    weights = grid(datum)
     for lam in weights:
         for mu in weights:
             dec = klimyk_tensor(datum, lam, mu)
@@ -178,3 +198,72 @@ def test_family_guard():
     a2 = build_root_datum("A", 2)
     with pytest.raises(ValueError):
         form_keys(a2)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("C", 2),
+                                         ("C", 3), ("C", 4), ("D", 4)])
+def test_compiled_rows_match_evaluate_forms(family, rank):
+    datum = build_root_datum(family, rank)
+    table = _compiled(datum)
+    rng = random.Random(1729)
+    for _ in range(40):
+        p = _random_partition(family, rank, rng, bound=4)
+        fv = evaluate_forms(datum, p)
+        expected = [2 * getattr(fv, kind)[key] for kind, key in table.forms]
+        got = [sum(c * x for c, x in zip(row, p.flat)) for row in table.rows]
+        assert got == expected, p
+    assert len(table.forms) == sum(len(v) for v in form_keys(datum).values())
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4)])
+def test_count_lr_matches_reference_enumeration(family, rank):
+    datum = build_root_datum(family, rank)
+    weights = grid(datum)
+    for lam in weights:
+        for mu in weights:
+            for nu in enumerate_dominant_below(datum, lam + mu, "dominance"):
+                count, wits = count_lr(datum, lam, mu, nu, want_witnesses=True)
+                ref_count, ref_wits = reference_count_lr(datum, lam, mu, nu)
+                assert count == ref_count, (lam, mu, nu)
+                assert [p.flat for p in wits] == [p.flat for p in ref_wits], (lam, mu, nu)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("C", 4)])
+def test_count_lr_matches_klimyk_rank_four(family, rank):
+    datum = build_root_datum(family, rank)
+    weights = grid(datum)
+    for lam in weights:
+        for mu in weights:
+            dec = klimyk_tensor(datum, lam, mu)
+            for nu in enumerate_dominant_below(datum, lam + mu, "dominance"):
+                assert count_lr(datum, lam, mu, nu)[0] == dec.get(nu, 0), (lam, mu, nu)
+
+
+def test_count_lr_resource_cap():
+    b3 = build_root_datum("B", 3)
+    with pytest.raises(ResourceCapError):
+        count_lr(b3, b3.rho, b3.rho, b3.zero, cap=5)
+    assert count_lr(b3, b3.rho, b3.rho, b3.zero)[0] == klimyk_tensor(b3, b3.rho, b3.rho)[b3.zero]
+
+
+def test_count_lr_matches_klimyk_random():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def triples(draw):
+        family, rank = draw(st.sampled_from([("B", 2), ("C", 2), ("B", 3), ("C", 3),
+                                             ("D", 3), ("B", 4), ("C", 4), ("D", 4)]))
+        datum = build_root_datum(family, rank)
+        coeffs = st.lists(st.integers(0, 2), min_size=rank, max_size=rank)
+        lam, mu = (weight_from_fundamental(datum, draw(coeffs)) for _ in range(2))
+        below = enumerate_dominant_below(datum, lam + mu, "dominance")
+        return datum, lam, mu, draw(st.sampled_from(below))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(triples())
+    def check(case):
+        datum, lam, mu, nu = case
+        assert count_lr(datum, lam, mu, nu)[0] == klimyk_tensor(datum, lam, mu).get(nu, 0)
+
+    check()
