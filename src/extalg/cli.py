@@ -216,7 +216,7 @@ def cmd_genexp(args):
     rows = []
     all_agree = True
     for lam in genexp.covered_small_weights(datum):
-        oracle = weyl_oracle.lusztig_E(datum, lam)
+        oracle = weyl_oracle.lusztig_E(datum, lam, cap=args.cap)
         agree = closed_table[lam] == recur_table[lam] == oracle
         all_agree = all_agree and agree
         for source, poly in (("closed", closed_table[lam]),

@@ -12,9 +12,11 @@ Weyl vector of ``B_n`` stay integral; every public API speaks doubled units
 internally and halves only on display.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 
 __all__ = [
     "ConfigurationError",
@@ -182,16 +184,82 @@ class RootDatum:
         self.check_weight(w)
         return self.is_dominant2(w.coords2)
 
+    def _chamber2(self, x2):
+        """Dominant representative of x2 and the sign of a Weyl element reaching it.
+
+        Returns ``(rep, sign)`` with ``w(x2) = rep`` dominant and
+        ``sign = det(w) = (-1)**length(w)``.  The sign depends on x2 alone only
+        when ``rep`` is regular: on a wall the stabilizer of ``rep`` holds
+        reflections, so callers read it only for regular ``rep``.
+
+        For A-D the Weyl group acts by (signed) permutations and every
+        reflection has determinant -1, so a descending insertion sort of the
+        entries (of their absolute values outside A) finds ``rep``, and the
+        sign is the parity of the swaps and, in B and C, of the sign changes.
+        In D the sign changes come in pairs, of determinant 1, and an odd
+        number of negative entries leaves the smallest entry negative.  G2
+        walks down by simple reflections.
+        """
+        f = self.family
+        if f == "G2":
+            v = tuple(x2)
+            sign = 1
+            while True:
+                for i in (1, 2):
+                    if self.pairing2(i, v) < 0:
+                        v = self.apply_simple(i, v)
+                        sign = -sign
+                        break
+                else:
+                    return v, sign
+        v = list(x2)
+        neg = 0
+        if f != "A":
+            for i, c in enumerate(v):
+                if c < 0:
+                    v[i] = -c
+                    neg += 1
+        swaps = 0
+        for i in range(1, len(v)):
+            c = v[i]
+            j = i
+            while j and v[j - 1] < c:
+                v[j] = v[j - 1]
+                j -= 1
+            v[j] = c
+            swaps += i - j
+        sign = -1 if swaps & 1 else 1
+        if f == "D":
+            if neg & 1:
+                v[-1] = -v[-1]
+        elif neg & 1:
+            sign = -sign
+        return tuple(v), sign
+
+    def _regular2(self, v):
+        """Whether a dominant vector lies on no wall (every simple pairing > 0)."""
+        f = self.family
+        if f == "G2":
+            return bool(self.pairing2(1, v) and self.pairing2(2, v))
+        # sorted by absolute value, so only a last entry of D can tie with
+        # the negative of its neighbour
+        if len(set(v)) < len(v):
+            return False
+        return f == "A" or (v[-2] + v[-1] if f == "D" else v[-1]) != 0
+
+    def _reduce2(self, shifted2):
+        """:meth:`reduce_to_dominant` on doubled coordinates, given ``mu + rho``.
+
+        Returns ``None`` or ``(lam2, sign)``.
+        """
+        rep, sign = self._chamber2(shifted2)
+        if not self._regular2(rep):
+            return None
+        return tuple(a - b for a, b in zip(rep, self.rho.coords2)), sign
+
     def chamber_rep2(self, x2):
         """Dominant Weyl-chamber representative of x2 (no rho shift, no sign)."""
-        v = tuple(x2)
-        while True:
-            for i in range(1, self.rank + 1):
-                if self.pairing2(i, v) < 0:
-                    v = self.apply_simple(i, v)
-                    break
-            else:
-                return v
+        return self._chamber2(x2)[0]
 
     def reduce_to_dominant(self, mu):
         """Chamber reduction with sign after the rho shift.
@@ -201,35 +269,54 @@ class RootDatum:
         element ``sigma`` and ``sign = (-1)**length(sigma)``.
         """
         self.check_weight(mu)
-        v = tuple(a + b for a, b in zip(mu.coords2, self.rho.coords2))
-        sign = 1
-        while True:
-            for i in range(1, self.rank + 1):
-                if self.pairing2(i, v) < 0:
-                    v = self.apply_simple(i, v)
-                    sign = -sign
-                    break
-            else:
-                break
-        if any(self.pairing2(i, v) == 0 for i in range(1, self.rank + 1)):
+        red = self._reduce2(tuple(a + b for a, b in zip(mu.coords2, self.rho.coords2)))
+        if red is None:
             return None
-        lam = tuple(a - b for a, b in zip(v, self.rho.coords2))
-        return self.weight(lam), sign
+        return Weight(self.family, self.rank, red[0]), red[1]
 
     def orbit2(self, x2):
-        """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism."""
-        seen = {tuple(x2)}
-        frontier = [tuple(x2)]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, self.rank + 1):
-                    w = self.apply_simple(i, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return sorted(seen)
+        """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism.
+
+        For A-D the orbit is every arrangement of the entries of the dominant
+        representative (of their absolute values outside A) with, outside A,
+        every sign pattern on the nonzero entries; in D without a zero entry
+        the number of negative signs keeps the parity it has in x2.  G2 runs
+        a breadth-first search over the simple reflections.
+        """
+        f = self.family
+        if f == "G2":
+            seen = {tuple(x2)}
+            frontier = [tuple(x2)]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for i in (1, 2):
+                        w = self.apply_simple(i, v)
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+                frontier = nxt
+            return sorted(seen)
+        rep = self._chamber2(x2)[0]
+        cells = [[None] * len(rep)]
+        for value, mult in Counter(rep if f == "A" else map(abs, rep)).items():
+            placed = []
+            for cell in cells:
+                for slots in combinations([i for i, c in enumerate(cell) if c is None], mult):
+                    new = cell.copy()
+                    for i in slots:
+                        new[i] = value
+                    placed.append(new)
+            cells = placed
+        if f == "A":
+            return sorted(map(tuple, cells))
+        odd = rep[-1] < 0 if f == "D" and rep[-1] else None
+        orbit = []
+        for cell in cells:
+            for signed in product(*[(c, -c) if c else (0,) for c in cell]):
+                if odd is None or (sum(c < 0 for c in signed) & 1) == odd:
+                    orbit.append(signed)
+        return sorted(orbit)
 
     def stabilizer_simples(self, x2):
         """Simple reflections generating the stabilizer of a dominant vector."""

@@ -9,13 +9,14 @@ combinatorial constructions are checked against.
 """
 
 import itertools
+import math
 import os
 import pickle
 from dataclasses import dataclass
 
 from .genexp import PolyT
 from .orders import enumerate_dominant_below
-from .rootdata import build_root_datum
+from .rootdata import Weight, build_root_datum
 
 __all__ = [
     "ResourceCapError",
@@ -102,7 +103,7 @@ def dominant_multiplicities(datum, lam):
             k = 1
             while True:
                 v2 = tuple(a + k * b for a, b in zip(mu.coords2, alpha.coords2))
-                rep = datum.weight(datum.chamber_rep2(v2))
+                rep = Weight(datum.family, datum.rank, datum.chamber_rep2(v2))
                 m = table.get(rep, 0)
                 if m == 0:
                     break
@@ -133,7 +134,7 @@ def freudenthal(datum, lam, cap=DEFAULT_CELL_CAP):
         if cells > cap:
             raise ResourceCapError(f"weight system of {lam} exceeds cap {cap}")
         for v in orbit:
-            full[datum.weight(v)] = m
+            full[Weight(datum.family, datum.rank, v)] = m
     return WeightMultMap(datum.family, datum.rank, lam, full)
 
 
@@ -155,15 +156,17 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     datum.check_weight(lam)
     datum.check_weight(mu)
     system = freudenthal(datum, mu, cap=cap)
+    shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
     out = {}
     for nu, m in system.mult.items():
-        red = datum.reduce_to_dominant(lam + nu)
+        red = datum._reduce2(tuple(a + b for a, b in zip(shifted, nu.coords2)))
         if red is None:
             continue
         target, sign = red
         out[target] = out.get(target, 0) + sign * m
     result = {}
-    for w, m in out.items():
+    for v, m in out.items():
+        w = Weight(datum.family, datum.rank, v)
         if m < 0:
             raise ArithmeticError(f"negative multiplicity {m} at {w} in Klimyk rule")
         if m:
@@ -219,6 +222,14 @@ def q_kostant(datum, beta):
     return rec(len(roots), beta.coords2)
 
 
+def _weyl_group_order(datum):
+    """|W| for A-D: (n+1)! in A_n, n! 2^n in B_n and C_n, n! 2^(n-1) in D_n."""
+    n = datum.rank
+    if datum.family == "A":
+        return math.factorial(n + 1)
+    return math.factorial(n) * 2 ** (n - 1 if datum.family == "D" else n)
+
+
 def _weyl_elements(datum):
     """Iterate (coordinate action, determinant) over the full Weyl group (A/B/C/D)."""
     n = datum.dim
@@ -264,8 +275,7 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
         raise ValueError(f"{lam} is not in the root lattice")
     if datum.family == "G2":
         raise ValueError("the Weyl-sum oracle is wired for the classical families only")
-    import math
-    order = math.factorial(datum.dim) * (2 ** datum.rank)
+    order = _weyl_group_order(datum)
     if order > cap:
         raise ResourceCapError(f"|W| = {order} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))

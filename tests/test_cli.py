@@ -65,6 +65,15 @@ def test_lr_resource_cap():
     assert code == 0 and err == ""
 
 
+def test_genexp_resource_cap():
+    argv = ["genexp", "--family", "D", "--rank", "4"]   # |W(D4)| = 192
+    code, out, err = run_cli(argv + ["--cap", "50"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: ")
+    code, _, err = run_cli(argv + ["--cap", "192"])
+    assert code == 0 and err == ""
+
+
 def test_parser_reuse_matches_fresh_processes():
     # one parser serves every run() call: options given to one call must not
     # reach the next, so each call answers as a fresh `gexp` process does

@@ -6,6 +6,7 @@ from extalg.recurrence import (LaurentQS, a_integers, chain_weight,
                                exterior_specialization, minuscule_row,
                                omega0_count, verify_aggregate)
 from extalg.rootdata import build_root_datum
+from extalg.weyl_oracle import ResourceCapError
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,32 @@ def test_row_preconditions(b3):
         minuscule_row(build_root_datum("C", 3), build_root_datum("C", 3).theta_short)
     with pytest.raises(ValueError):
         minuscule_row(b3, b3.weight_from_coords([0, 1, 0]))
+
+
+def test_row_orbit_cap(b3):
+    lam = chain_weight(b3, 2)   # orbit of (1,1,0): 12 points
+    with pytest.raises(ResourceCapError):
+        minuscule_row(b3, lam, cap=5)
+    assert minuscule_row(b3, lam, cap=12).entries
+
+
+def test_failing_zero_count_reports_on_every_k(monkeypatch):
+    # the zero-conjugation counts are memoised per (family, rank, k); a count
+    # that fails raises, is not cached, and fails again for every later k
+    from extalg import recurrence
+    closed = recurrence._omega0_closed
+    monkeypatch.setattr(recurrence, "_omega0_closed",
+                        lambda datum, k: closed(datum, k) + (k == 1))
+    recurrence._omega0_cached.cache_clear()
+    try:
+        d6 = build_root_datum("D", 6)
+        for k in (1, 2, 3):
+            checks = {c["name"]: c for c in verify_aggregate(d6, k)["checks"]}
+            assert not checks["cardG0_closed_form_k1"]["pass"]
+            assert "closed 7" in checks["cardG0_closed_form_k1"]["detail"]
+            assert all(checks[f"cardG0_closed_form_k{j}"]["pass"] for j in range(2, k + 1))
+    finally:
+        recurrence._omega0_cached.cache_clear()
 
 
 def test_row_entries_strictly_below(b3):

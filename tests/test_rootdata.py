@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
 
@@ -172,3 +175,138 @@ def test_g2_realization():
     assert g2.theta_short == g2.fundamental_weights[0] == g2.rho_short
     assert g2.theta == g2.fundamental_weights[1]
     assert g2.num_short_simple == 1
+
+
+# -- the closed-form Weyl-group kernel against the reflection references ----
+#
+# For A-D the library reduces to the dominant chamber by a signed sort and
+# lists orbits directly; these are the simple-reflection loop and the
+# breadth-first orbit search it replaced (G2 still runs both in the library).
+
+
+def reference_chamber2(datum, x2):
+    """Walk down by simple reflections; the sign flips at every step."""
+    v, sign = tuple(x2), 1
+    while True:
+        for i in range(1, datum.rank + 1):
+            if datum.pairing2(i, v) < 0:
+                v, sign = datum.apply_simple(i, v), -sign
+                break
+        else:
+            return v, sign
+
+
+def reference_reduce(datum, mu):
+    rho2 = datum.rho.coords2
+    v, sign = reference_chamber2(datum, tuple(a + b for a, b in zip(mu.coords2, rho2)))
+    if any(datum.pairing2(i, v) == 0 for i in range(1, datum.rank + 1)):
+        return None
+    return datum.weight(tuple(a - b for a, b in zip(v, rho2))), sign
+
+
+def reference_orbit2(datum, x2):
+    seen = {tuple(x2)}
+    frontier = [tuple(x2)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(1, datum.rank + 1):
+                w = datum.apply_simple(i, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
+
+
+KERNEL_GRID = ([("A", r) for r in range(1, 5)] + [("B", r) for r in range(2, 6)]
+               + [("C", r) for r in range(2, 6)] + [("D", r) for r in range(3, 7)]
+               + [("G2", 2)])
+
+
+def assert_kernel_matches(datum, x2):
+    rep, sign = datum._chamber2(x2)
+    ref_rep, ref_sign = reference_chamber2(datum, x2)
+    assert rep == ref_rep == datum.chamber_rep2(x2), x2
+    # on a wall the stabilizer of rep holds reflections: only a regular
+    # representative fixes the sign
+    if all(datum.pairing2(i, rep) for i in range(1, datum.rank + 1)):
+        assert sign == ref_sign, x2
+    mu = datum.weight(x2)
+    assert datum.reduce_to_dominant(mu) == reference_reduce(datum, mu), x2
+
+
+def random_weyl_image(datum, x2, rng):
+    """x2 under a random (signed) permutation of the Weyl group of A-D."""
+    v = list(x2)
+    rng.shuffle(v)
+    if datum.family == "A":
+        return tuple(v)
+    signs = [rng.choice((1, -1)) for _ in v]
+    if datum.family == "D" and signs.count(-1) % 2:
+        signs[0] = -signs[0]
+    return tuple(s * c for s, c in zip(signs, v))
+
+
+def random_vector(datum, rng):
+    """Small entries, so ties, zeros and walls are common."""
+    if datum.family == "G2":
+        a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+        return (a, b, -a - b)
+    return tuple(rng.randint(-4, 4) for _ in range(datum.dim))
+
+
+@pytest.mark.parametrize("family,rank", KERNEL_GRID)
+def test_kernel_matches_reflection_references(family, rank):
+    # up to rank 4 every Weyl image of every dominant weight below 2 rho (at
+    # most 30,249 points, in B4); above, the images below 2 rho number 0.3M
+    # to 19M, so those weights are reduced on sampled images, and orbits are
+    # compared below rho (D6: 0, the fundamental weights and rho)
+    datum = build_root_datum(family, rank)
+    below = enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+    rng = random.Random(f"{family}{rank}")
+    if rank <= 4:
+        for w in below:
+            orbit = datum.orbit2(w.coords2)
+            assert orbit == reference_orbit2(datum, w.coords2), w
+            for x2 in orbit:
+                assert_kernel_matches(datum, x2)
+    else:
+        for w in below:
+            for _ in range(8):
+                assert_kernel_matches(datum, random_weyl_image(datum, w.coords2, rng))
+        if rank == 5:
+            orbit_weights = enumerate_dominant_below(datum, datum.rho, "dominance")
+        else:
+            orbit_weights = [datum.zero, *datum.fundamental_weights, datum.rho]
+        for w in orbit_weights:
+            assert datum.orbit2(w.coords2) == reference_orbit2(datum, w.coords2), w
+    for _ in range(300):
+        x2 = random_vector(datum, rng)
+        assert_kernel_matches(datum, x2)
+        if rank <= 4:
+            assert datum.orbit2(x2) == reference_orbit2(datum, x2), x2
+
+
+def test_kernel_matches_reflection_references_random():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def vectors(draw):
+        family, rank = draw(st.sampled_from(KERNEL_GRID))
+        datum = build_root_datum(family, rank)
+        x2 = draw(st.lists(st.integers(-7, 7), min_size=datum.dim, max_size=datum.dim))
+        if family == "G2":
+            x2[2] = -x2[0] - x2[1]
+        return datum, tuple(x2)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(vectors())
+    def check(case):
+        datum, x2 = case
+        assert_kernel_matches(datum, x2)
+        if datum.rank <= 4:
+            assert datum.orbit2(x2) == reference_orbit2(datum, x2)
+
+    check()

@@ -162,6 +162,17 @@ def test_lusztig_preconditions(b3):
         lusztig_E(b3, b3.theta, cap=5)
 
 
+def test_weyl_group_order_and_lusztig_cap():
+    from extalg.weyl_oracle import _weyl_elements, _weyl_group_order
+    for family, rank in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("D", 4)]:
+        datum = build_root_datum(family, rank)
+        assert _weyl_group_order(datum) == sum(1 for _ in _weyl_elements(datum))
+    d4 = build_root_datum("D", 4)           # |W(D4)| = 4! 2^3 = 192
+    assert lusztig_E(d4, d4.theta, cap=192) == lusztig_E(d4, d4.theta)
+    with pytest.raises(ResourceCapError):
+        lusztig_E(d4, d4.theta, cap=191)
+
+
 def test_freudenthal_cap(b3):
     with pytest.raises(ResourceCapError):
         freudenthal(b3, 2 * b3.rho, cap=10)
