@@ -253,9 +253,10 @@ def cmd_recurrence_verify(args):
     reports = []
     ok = True
     for k in ks:
-        rep = recurrence.verify_aggregate(datum, k)
+        rep = recurrence.verify_aggregate(datum, k, cap=args.cap)
         if args.exterior_specialization:
-            row = recurrence.minuscule_row(datum, recurrence.chain_weight(datum, k))
+            row = recurrence.minuscule_row(datum, recurrence.chain_weight(datum, k),
+                                           cap=args.cap)
             rep["exterior_specialization"] = {
                 datum.fund_string(w): repr(recurrence.exterior_specialization(entry))
                 for w, entry in sorted(row.entries.items(), key=lambda kv: kv[0].coords2)
@@ -354,7 +355,8 @@ def build_parser():
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--cap", type=int, default=weyl_oracle.DEFAULT_CELL_CAP,
-                       help="resource cap on oracle cells and lr enumeration steps")
+                       help="resource cap on oracle cells, lr enumeration steps "
+                            "and recurrence orbit points")
         p.add_argument("--force-cap", action="store_true",
                        help="acknowledge a cap larger than the default")
 

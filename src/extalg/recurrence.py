@@ -1,7 +1,7 @@
 """Minuscule-recurrence engine over two-variable Laurent polynomials.
 
 Rows are computed from first principles: the Weyl orbit of a dominant weight
-``lam`` is traversed together with the images of the stabilizer orbit of the
+``lam`` is listed together with the images of the stabilizer orbit of the
 minuscule coweight ``e_1``, every orbit point is conjugated back into the
 dominant chamber with its sign, and the contributions aggregate into a map
 {dominant weight -> Laurent polynomial in q and s}, where s**2 = t carries
@@ -12,13 +12,14 @@ The engine supports types B and D, the two families in which e_1 pairs to
 roots 2 e_i is 2, so e_1 is not a minuscule coweight there.)
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .genexp import PolyT
 from .orders import dominance_leq
-from .rootdata import build_root_datum
+from .rootdata import Weight, build_root_datum
 from .weyl_oracle import ResourceCapError
 
 __all__ = [
@@ -178,12 +179,37 @@ def chain_weight(datum, k):
     return datum.weight((2,) * ones + (0,) * (n - ones))
 
 
-def minuscule_row(datum, lam, cap=200_000):
+#: default guard on the number of Weyl-orbit points a row or zero count may scan
+DEFAULT_ORBIT_CAP = 200_000
+
+
+def _check_orbit_cap(datum, lam, cap):
+    """Raise ResourceCapError when the orbit of ``lam`` (B, D) has over cap + 1 points.
+
+    The size is counted without listing the orbit: the arrangements of the
+    absolute values times the sign patterns of the nonzero entries, half of
+    them in D when no entry is zero.
+    """
+    counts = Counter(abs(c) for c in lam.coords2)
+    size = factorial(datum.dim)
+    for m in counts.values():
+        size //= factorial(m)
+    nonzero = datum.dim - counts[0]
+    size <<= nonzero - (datum.family == "D" and nonzero == datum.dim)
+    if size > cap + 1:
+        raise ResourceCapError(f"orbit of {lam} exceeds cap {cap}")
+
+
+def minuscule_row(datum, lam, cap=DEFAULT_ORBIT_CAP):
     """One reduced recurrence row for a dominant weight, from first principles.
 
-    Enumerate the distinct images w(lam) together with the transported
+    Enumerate the distinct images v = w(lam) together with the transported
     stabilizer orbit of e_1, reduce each image into the dominant chamber with
-    its sign, and aggregate the inner Laurent sums.  Supported families: B, D.
+    its sign, and aggregate the inner Laurent sums.  The stabilizer of lam
+    moves e_1 to the e_j with lam_j = +-lam_1, and any w with w(lam) = v
+    sends such an e_j to +-e_i with |v_i| = lam_1 and the sign of v_i, so the
+    transported images at v are {sign(v_i) e_i : |v_i| = lam_1}.  Supported
+    families: B, D.
     """
     if datum.family not in ("B", "D"):
         raise ValueError(
@@ -195,57 +221,29 @@ def minuscule_row(datum, lam, cap=200_000):
         raise ValueError("the recurrence row for the zero weight is vacuous")
     if lam.coords2[0] % 2:
         raise ValueError("the q-exponent (lam, e_1) must be an integer")
-    q_exp = lam.coords2[0] // 2
-
-    e1 = (2,) + (0,) * (datum.dim - 1)
-    # orbit of e_1 under the stabilizer of lam (a standard parabolic)
-    stab = datum.stabilizer_simples(lam.coords2)
-    orbit = {e1}
-    frontier = [e1]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in stab:
-                w = datum.apply_simple(i, v)
-                if w not in orbit:
-                    orbit.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    psis = tuple(sorted(orbit))
-
-    # traverse the full orbit of lam, transporting the psi images alongside
-    start = (lam.coords2, psis)
-    seen = {lam.coords2: psis}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for vec, imgs in frontier:
-            for i in range(1, datum.rank + 1):
-                w = datum.apply_simple(i, vec)
-                if w not in seen:
-                    if len(seen) > cap:
-                        raise ResourceCapError(f"orbit of {lam} exceeds cap {cap}")
-                    moved = tuple(datum.apply_simple(i, p) for p in imgs)
-                    seen[w] = moved
-                    nxt.append((w, moved))
-        frontier = sorted(nxt)
+    _check_orbit_cap(datum, lam, cap)
+    top = lam.coords2[0]
+    q_exp = top // 2
 
     rho2 = datum.rho.coords2
-    entries = {}
-    for vec, imgs in sorted(seen.items()):
-        red = datum.reduce_to_dominant(datum.weight(vec))
+    sums = {}  # reduced doubled coordinates -> {(q, s) exponent: coefficient}
+    for vec in datum.orbit2(lam.coords2):
+        red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
         if red is None:
             continue
         target, sign = red
-        inner = LaurentQS()
-        for psi in imgs:
-            s_exp = datum.dot2(rho2, psi) // 2
-            inner = inner + LaurentQS({(0, -s_exp): 1, (q_exp, s_exp): -1})
-        entry = entries.get(target, LaurentQS()) + sign * inner
-        if entry.is_zero():
-            entries.pop(target, None)
-        else:
-            entries[target] = entry
+        acc = sums.setdefault(target, {})
+        for c, r in zip(vec, rho2):
+            if c == top or c == -top:
+                # psi = sign(c) e_i contributes s^-(rho, psi) - q s^(rho, psi)
+                s_exp = r if c > 0 else -r
+                acc[(0, -s_exp)] = acc.get((0, -s_exp), 0) + sign
+                acc[(q_exp, s_exp)] = acc.get((q_exp, s_exp), 0) - sign
+    entries = {}
+    for target, acc in sums.items():
+        entry = LaurentQS(acc)
+        if entry:
+            entries[Weight(datum.family, datum.rank, target)] = entry
 
     for key in entries:
         if key != lam and not dominance_leq(datum, key, lam):
@@ -254,9 +252,10 @@ def minuscule_row(datum, lam, cap=200_000):
 
 
 @lru_cache(maxsize=None)
-def _row_cached(family, rank, k):
+def _row_cached(family, rank, k, cap):
+    # the cap is part of the key, so a cached row never bypasses a smaller cap
     datum = build_root_datum(family, rank)
-    return minuscule_row(datum, chain_weight(datum, k))
+    return minuscule_row(datum, chain_weight(datum, k), cap=cap)
 
 
 # -- counting the weights conjugated to zero ----------------------------------
@@ -309,19 +308,22 @@ def _omega0_closed(datum, k):
     return num // k
 
 
-def omega0_count(datum, k):
+def omega0_count(datum, k, cap=DEFAULT_ORBIT_CAP):
     """|Omega_0|: orbit points of the k-th chain weight conjugated to zero.
 
     Counted three ways (brute-force orbit scan, classification shapes, closed
-    binomial form); all three must agree.
+    binomial form); all three must agree.  The scan raises ResourceCapError
+    on an orbit of more than cap + 1 points.
     """
     if datum.family not in ("B", "D"):
         raise ValueError("zero-conjugation counts cover families B and D")
     lam = chain_weight(datum, k)
+    _check_orbit_cap(datum, lam, cap)
+    rho2 = datum.rho.coords2
     brute = 0
     for vec in datum.orbit2(lam.coords2):
-        red = datum.reduce_to_dominant(datum.weight(vec))
-        if red is not None and red[0].is_zero():
+        red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
+        if red is not None and not any(red[0]):
             brute += 1
     shapes = 0
     for v in _shape_vectors(datum, k) if k > 0 else [tuple([0] * datum.rank)]:
@@ -338,9 +340,9 @@ def omega0_count(datum, k):
 
 
 @lru_cache(maxsize=None)
-def _omega0_cached(family, rank, k):
+def _omega0_cached(family, rank, k, cap):
     # a failing count raises and is not cached, so it reports on every call
-    return omega0_count(build_root_datum(family, rank), k)
+    return omega0_count(build_root_datum(family, rank), k, cap=cap)
 
 
 # -- aggregation coefficients --------------------------------------------------
@@ -468,7 +470,7 @@ def _b_cleared_d(n, i, m):
 # -- the verification sweep ----------------------------------------------------
 
 
-def _aggregate(datum, k):
+def _aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
     n = datum.rank
     table = a_integers(datum, k)
     acc = {}
@@ -476,7 +478,7 @@ def _aggregate(datum, k):
         coeff = table[i]
         if coeff == 0:
             continue
-        row = _row_cached(datum.family, n, i)
+        row = _row_cached(datum.family, n, i, cap)
         for key, val in row.entries.items():
             cur = acc.get(key, LaurentQS()) + coeff * val
             if cur.is_zero():
@@ -486,7 +488,7 @@ def _aggregate(datum, k):
     return acc
 
 
-def _verify_b(datum, k):
+def _verify_b(datum, k, cap):
     n = datum.rank
     checks = []
 
@@ -495,17 +497,17 @@ def _verify_b(datum, k):
 
     for j in range(1, k + 1):
         try:
-            _omega0_cached(datum.family, n, j)
+            _omega0_cached(datum.family, n, j, cap)
             check(f"omega0_closed_form_k{j}", True)
         except AssertionError as exc:
             check(f"omega0_closed_form_k{j}", False, str(exc))
 
-    row_k = _row_cached("B", n, k)
+    row_k = _row_cached("B", n, k, cap)
     diag = _clear_b(n, row_k.entries[chain_weight(datum, k)])
     check("rem_lambdak_diag", diag == _diag_cleared_b(n, k))
 
     # aggregated identity of the simplified theorem
-    agg = _aggregate(datum, k)
+    agg = _aggregate(datum, k, cap)
     expected = {chain_weight(datum, k): _diag_cleared_b(n, k)}
     if k >= 1:
         expected[chain_weight(datum, k - 1)] = _gamma1_cleared_b(n)
@@ -537,7 +539,7 @@ def _verify_b(datum, k):
         if kk == 0:
             return LaurentQS() if hh == 0 else None
         d = build_root_datum("B", nn)
-        row = _row_cached("B", nn, kk)
+        row = _row_cached("B", nn, kk, cap)
         return row.entries.get(chain_weight(d, hh), LaurentQS())
 
     def lam_diag_closed(nn, hh):
@@ -572,7 +574,7 @@ def _verify_b(datum, k):
     return checks
 
 
-def _verify_d(datum, k):
+def _verify_d(datum, k, cap):
     n = datum.rank
     checks = []
 
@@ -581,16 +583,16 @@ def _verify_d(datum, k):
 
     for j in range(1, k + 1):
         try:
-            _omega0_cached(datum.family, n, j)
+            _omega0_cached(datum.family, n, j, cap)
             check(f"cardG0_closed_form_k{j}", True)
         except AssertionError as exc:
             check(f"cardG0_closed_form_k{j}", False, str(exc))
 
-    row_k = _row_cached("D", n, k)
+    row_k = _row_cached("D", n, k, cap)
     diag = _clear_d(n, row_k.entries[chain_weight(datum, k)])
     check("lambda_diag", diag == _diag_cleared_d(n, k))
 
-    agg = _aggregate(datum, k)
+    agg = _aggregate(datum, k, cap)
     expected = {chain_weight(datum, k): _diag_cleared_d(n, k)}
     for i in range(1, k + 1):
         expected[chain_weight(datum, k - i)] = -_b_cleared_d(n, i, n - 2 * (k - i))
@@ -604,22 +606,23 @@ def _verify_d(datum, k):
     return checks
 
 
-def verify_aggregate(datum, k):
+def verify_aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
     """Check every covered coefficient identity for the k-th chain weight.
 
     Returns a report dict with one pass/fail entry per identity; the engine
     rows are computed from first principles and compared against the closed
-    forms after clearing the common denominator.
+    forms after clearing the common denominator.  ``cap`` bounds every Weyl
+    orbit the rows and zero counts scan (ResourceCapError beyond it).
     """
     n = datum.rank
     if datum.family == "B":
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in 1..{n}")
-        checks = _verify_b(datum, k)
+        checks = _verify_b(datum, k, cap)
     elif datum.family == "D":
         if not 1 <= k <= n // 2:
             raise ValueError(f"k must lie in 1..{n // 2}")
-        checks = _verify_d(datum, k)
+        checks = _verify_d(datum, k, cap)
     else:
         raise ValueError("verification covers families B and D")
     return {

@@ -318,10 +318,6 @@ class RootDatum:
                     orbit.append(signed)
         return sorted(orbit)
 
-    def stabilizer_simples(self, x2):
-        """Simple reflections generating the stabilizer of a dominant vector."""
-        return [i for i in range(1, self.rank + 1) if self.pairing2(i, x2) == 0]
-
     # -- lattice geometry ----------------------------------------------------
 
     def dot2(self, x2, y2):

@@ -3,16 +3,17 @@
 Everything here is deliberately independent of the polytope machinery in
 ``gpartitions``: weight multiplicities come from the Freudenthal recursion,
 tensor products from the Brauer-Klimyk rho-shift rule, and the
-generalized-exponent oracle from the full signed Weyl-group sum over the
-graded partition function.  These are the reference implementations that the
-combinatorial constructions are checked against.
+generalized-exponent oracle from the signed Weyl-group sum over the graded
+partition function (skipping the terms whose argument leaves the positive
+root cone, where the partition function vanishes).  These are the reference
+implementations that the combinatorial constructions are checked against.
 """
 
-import itertools
 import math
 import os
 import pickle
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .genexp import PolyT
 from .orders import enumerate_dominant_below
@@ -181,45 +182,64 @@ def dimension_of_decomposition(datum, decomposition):
 _kostant_memo = {}
 
 
+@lru_cache(maxsize=None)
+def _kostant_roots(family, rank):
+    """Simple-root coefficient vectors of the positive roots, in peeling order.
+
+    The recursion of :func:`q_kostant` peels the roots from the end of the
+    list, so the roots are listed by descending index of their first nonzero
+    coefficient, the simple root first within each block.  Then the roots
+    left at any step have no support below the first coefficient of the last
+    of them, and a remainder with support there vanishes at once.  Returns
+    the vectors and, per vector, the index of its first nonzero coefficient.
+    """
+    datum = build_root_datum(family, rank)
+    vectors = [datum.root_coefficients2(alpha.coords2) for alpha in datum.positive_roots]
+    first = [next(j for j, c in enumerate(v) if c) for v in vectors]
+    order = sorted(range(len(vectors)), key=lambda r: (-first[r], sum(vectors[r])))
+    return tuple(vectors[r] for r in order), tuple(first[r] for r in order)
+
+
 def q_kostant(datum, beta):
-    """Graded Kostant partition function: sum over k of (#ways as k positive roots) t^k."""
+    """Graded Kostant partition function: sum over k of (#ways as k positive roots) t^k.
+
+    Works on simple-root coefficients: ``beta`` is converted once, and the
+    recursion peels multiples of one positive root at a time off the
+    coefficient tuple, which stays in the positive cone by construction.
+    """
     datum.check_weight(beta)
     coeffs = datum.root_coefficients2(beta.coords2)
     if coeffs is None or any(c < 0 for c in coeffs):
         return PolyT.zero()
-    roots = datum.positive_roots
+    roots, first = _kostant_roots(datum.family, datum.rank)
     memo_key_base = (datum.family, datum.rank)
+    zero = PolyT.zero()
 
-    def rec(i, v2):
-        if all(c == 0 for c in v2):
-            if i == 0:
-                return PolyT.one()
-        elif i == 0:
-            return PolyT.zero()
-        cs = datum.root_coefficients2(v2)
-        if cs is None or any(c < 0 for c in cs):
-            return PolyT.zero()
-        key = (memo_key_base, i, v2)
+    def rec(i, c):
+        if i == 0:
+            return zero if any(c) else PolyT.one()
+        if any(c[:first[i - 1]]):
+            return zero
+        key = (memo_key_base, i, c)
         hit = _kostant_memo.get(key)
         if hit is not None:
             return hit
-        alpha = roots[i - 1].coords2
-        out = PolyT.zero()
+        alpha = roots[i - 1]
+        acc = {}
         k = 0
-        w2 = v2
         while True:
-            sub = rec(i - 1, w2)
-            if sub:
-                out = out + sub.shift(k)
-            cs = datum.root_coefficients2(tuple(a - b for a, b in zip(w2, alpha)))
-            if cs is None or any(c < 0 for c in cs):
+            for e, v in rec(i - 1, c).c.items():
+                acc[e + k] = acc.get(e + k, 0) + v
+            c = tuple(a - b for a, b in zip(c, alpha))
+            if any(a < 0 for a in c):
                 break
-            w2 = tuple(a - b for a, b in zip(w2, alpha))
             k += 1
+        out = PolyT()
+        out.c = acc
         _kostant_memo[key] = out
         return out
 
-    return rec(len(roots), beta.coords2)
+    return rec(len(roots), coeffs)
 
 
 def _weyl_group_order(datum):
@@ -230,36 +250,49 @@ def _weyl_group_order(datum):
     return math.factorial(n) * 2 ** (n - 1 if datum.family == "D" else n)
 
 
-def _weyl_elements(datum):
-    """Iterate (coordinate action, determinant) over the full Weyl group (A/B/C/D)."""
-    n = datum.dim
-    f = datum.family
-    for perm in itertools.permutations(range(n)):
-        base_sign = _perm_sign(perm)
-        if f == "A":
-            yield perm, (1,) * n, base_sign
-            continue
-        for signs in itertools.product((1, -1), repeat=n):
-            neg = signs.count(-1)
-            if f == "D" and neg % 2:
-                continue
-            yield perm, signs, base_sign * (1 if neg % 2 == 0 else -1)
+def _cone_images(datum, shifted):
+    """The pairs ``(w(shifted) - rho, det(w))``, w in W (A-D), that may lie in the positive cone.
 
+    W acts by permutations, with sign changes outside A (an even number of
+    them in D).  The walk places one coordinate of ``w(shifted)`` at a time
+    and carries ``det(w)``: placing index ``j`` passes over the unused indices
+    below it, one transposition each, and in B and C each sign change is a
+    reflection.  A branch is cut as soon as a coordinate of ``beta = w(shifted)
+    - rho`` is odd (off the root lattice, in doubled units) or a prefix sum of
+    its coordinates is negative: each prefix sum is a simple-root coefficient
+    of beta (A, B, C), the sum a + b of the last two (D), twice the last one
+    (the full sum in C and D), or 0 (the full sum in A).  Survivors still need
+    the full test of :meth:`RootDatum.root_coefficients2`.
+    """
+    rho2 = datum.rho.coords2
+    dim = datum.dim
+    signs = (1,) if datum.family == "A" else (1, -1)
+    flip_det = -1 if datum.family in ("B", "C") else 1
+    even_flips = datum.family == "D"
+    found = []
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
+    def walk(pos, unused, prefix, beta, det, flips):
+        if pos == dim:
+            if not (even_flips and flips & 1):
+                found.append((tuple(beta), det))
+            return
+        for below, j in enumerate(unused):
+            rest = unused[:below] + unused[below + 1:]
+            d = -det if below & 1 else det
+            for s in signs:
+                b = s * shifted[j] - rho2[pos]
+                if b & 1:
+                    continue
+                p = prefix + b
+                if p < 0:
+                    continue
+                beta.append(b)
+                flip = s < 0
+                walk(pos + 1, rest, p, beta, d * flip_det if flip else d, flips + flip)
+                beta.pop()
+
+    walk(0, tuple(range(dim)), 0, [], 1, 0)
+    return found
 
 
 def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
@@ -267,6 +300,8 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
 
     Computes sum over w in W of (-1)^length(w) * q_kostant(w(lam+rho) - rho),
     which for lam in the root lattice is the generalized-exponent polynomial.
+    Only the terms with w(lam+rho) - rho in the positive root cone are
+    visited (see :func:`_cone_images`); every other term is zero.
     """
     datum.check_weight(lam)
     if not datum.is_dominant(lam):
@@ -279,14 +314,12 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
     if order > cap:
         raise ResourceCapError(f"|W| = {order} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    rho2 = datum.rho.coords2
     out = PolyT.zero()
-    for perm, signs, det in _weyl_elements(datum):
-        img = tuple(signs[i] * shifted[perm[i]] for i in range(datum.dim))
-        beta2 = tuple(a - b for a, b in zip(img, rho2))
-        part = q_kostant(datum, datum.weight(beta2))
-        if part:
-            out = out + det * part
+    for beta2, det in _cone_images(datum, shifted):
+        coeffs = datum.root_coefficients2(beta2)
+        if coeffs is None or any(c < 0 for c in coeffs):
+            continue
+        out = out + det * q_kostant(datum, datum.weight(beta2))
     if any(v < 0 for v in out.c.values()):
         raise ArithmeticError(f"negative coefficient in E-polynomial for {lam}")
     return out

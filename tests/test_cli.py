@@ -74,6 +74,17 @@ def test_genexp_resource_cap():
     assert code == 0 and err == ""
 
 
+def test_recurrence_verify_resource_cap():
+    argv = ["recurrence-verify", "--family", "B", "--rank", "3"]   # orbit of (1,1,0): 12 points
+    code, out, err = run_cli(argv + ["--cap", "5"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: ")
+    code, out, err = run_cli(argv + ["--cap", "5", "--k", "1"])    # orbit of (1,0,0): 6 points
+    assert code == 0 and err == "" and json.loads(out)["all_pass"]
+    code, _, err = run_cli(argv + ["--cap", "11", "--exterior-specialization"])
+    assert code == 0 and err == ""
+
+
 def test_parser_reuse_matches_fresh_processes():
     # one parser serves every run() call: options given to one call must not
     # reach the next, so each call answers as a fresh `gexp` process does

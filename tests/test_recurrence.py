@@ -1,12 +1,63 @@
 import pytest
 
 from extalg.genexp import PolyT, closed_E
-from extalg.orders import dominance_leq
+from extalg.orders import dominance_leq, enumerate_dominant_below
 from extalg.recurrence import (LaurentQS, a_integers, chain_weight,
                                exterior_specialization, minuscule_row,
                                omega0_count, verify_aggregate)
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import ResourceCapError
+
+
+def reference_minuscule_row_entries(datum, lam):
+    """Row entries by breadth-first search over the simple reflections.
+
+    Walks the orbit of e_1 under the stabilizer of lam, then the orbit of lam,
+    carrying every e_1 image through each reflection.
+    """
+    q_exp = lam.coords2[0] // 2
+    e1 = (2,) + (0,) * (datum.dim - 1)
+    stab = [i for i in range(1, datum.rank + 1) if datum.pairing2(i, lam.coords2) == 0]
+    orbit = {e1}
+    frontier = [e1]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in stab:
+                w = datum.apply_simple(i, v)
+                if w not in orbit:
+                    orbit.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    seen = {lam.coords2: tuple(sorted(orbit))}
+    frontier = [lam.coords2]
+    while frontier:
+        nxt = []
+        for vec in frontier:
+            for i in range(1, datum.rank + 1):
+                w = datum.apply_simple(i, vec)
+                if w not in seen:
+                    seen[w] = tuple(datum.apply_simple(i, p) for p in seen[vec])
+                    nxt.append(w)
+        frontier = nxt
+
+    rho2 = datum.rho.coords2
+    entries = {}
+    for vec, imgs in seen.items():
+        red = datum.reduce_to_dominant(datum.weight(vec))
+        if red is None:
+            continue
+        target, sign = red
+        inner = LaurentQS()
+        for psi in imgs:
+            s_exp = datum.dot2(rho2, psi) // 2
+            inner = inner + LaurentQS({(0, -s_exp): 1, (q_exp, s_exp): -1})
+        entry = entries.get(target, LaurentQS()) + sign * inner
+        if entry.is_zero():
+            entries.pop(target, None)
+        else:
+            entries[target] = entry
+    return entries
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +108,59 @@ def test_row_orbit_cap(b3):
     with pytest.raises(ResourceCapError):
         minuscule_row(b3, lam, cap=5)
     assert minuscule_row(b3, lam, cap=12).entries
+
+
+@pytest.mark.parametrize("family,rank,coords", [
+    ("B", 3, (2, 2, 0)), ("B", 4, (2, 2, 2, 2)), ("B", 4, (4, 2, 2, 0)),
+    ("D", 4, (2, 2, 2, 2)), ("D", 4, (2, 2, 2, -2)), ("D", 5, (2, 2, 0, 0, 0)),
+    ("D", 6, (4, 2, 2, 2, 2, 0)),
+])
+def test_orbit_cap_counts_the_orbit(family, rank, coords):
+    # the cap needs the orbit size before listing it; it raises from cap + 1
+    # points on, exactly when the orbit has more than cap + 1 points
+    datum = build_root_datum(family, rank)
+    lam = datum.weight(coords)
+    size = len(datum.orbit2(coords))
+    assert minuscule_row(datum, lam, cap=size - 1).entries
+    with pytest.raises(ResourceCapError):
+        minuscule_row(datum, lam, cap=size - 2)
+
+
+def test_zero_counts_and_verification_honour_the_cap(b3):
+    assert omega0_count(b3, 2, cap=11) == 2
+    with pytest.raises(ResourceCapError):
+        omega0_count(b3, 2, cap=10)
+    assert verify_aggregate(b3, 2, cap=11)["all_pass"]
+    with pytest.raises(ResourceCapError):
+        verify_aggregate(b3, 2, cap=10)    # row and zero count of (1,1,0)
+    # a row cached under the default cap is not reused under a smaller one
+    assert verify_aggregate(b3, 1)["all_pass"]
+    with pytest.raises(ResourceCapError):
+        verify_aggregate(b3, 1, cap=4)     # orbit of (1,0,0): 6 points
+
+
+@pytest.mark.parametrize("family,ranks", [("B", range(2, 8)), ("D", range(4, 9))])
+def test_row_matches_reflection_search_on_chain_weights(family, ranks):
+    for rank in ranks:
+        datum = build_root_datum(family, rank)
+        for k in range(1, (rank if family == "B" else rank // 2) + 1):
+            lam = chain_weight(datum, k)
+            assert minuscule_row(datum, lam).entries == \
+                reference_minuscule_row_entries(datum, lam), (rank, k)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("D", 4)])
+def test_row_matches_reflection_search_below_two_rho(family, rank):
+    # includes weights such as (1,1,1,-1) in D4, whose stabilizer holds s_n
+    datum = build_root_datum(family, rank)
+    weights = [lam for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+               if not lam.is_zero() and lam.coords2[0] % 2 == 0]
+    assert weights
+    if family == "D":
+        assert datum.weight((2, 2, 2, -2)) in weights
+    for lam in weights:
+        assert minuscule_row(datum, lam).entries == \
+            reference_minuscule_row_entries(datum, lam), lam
 
 
 def test_failing_zero_count_reports_on_every_k(monkeypatch):

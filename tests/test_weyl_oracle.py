@@ -1,10 +1,58 @@
+import itertools
+
 import pytest
 
-from extalg.genexp import PolyT, t_analog
+from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
-from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freudenthal,
-                                klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
+from extalg.weyl_oracle import (ResourceCapError, _weyl_group_order, dominant_multiplicities,
+                                freudenthal, klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, ln = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        if ln % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _weyl_elements(datum):
+    """Iterate (coordinate action, determinant) over the full Weyl group (A/B/C/D)."""
+    n = datum.dim
+    f = datum.family
+    for perm in itertools.permutations(range(n)):
+        base_sign = _perm_sign(perm)
+        if f == "A":
+            yield perm, (1,) * n, base_sign
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            neg = signs.count(-1)
+            if f == "D" and neg % 2:
+                continue
+            yield perm, signs, base_sign * (1 if neg % 2 == 0 else -1)
+
+
+def reference_lusztig_E(datum, lam):
+    """The signed sum over every element of W, with no term skipped."""
+    shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
+    rho2 = datum.rho.coords2
+    out = PolyT.zero()
+    for perm, signs, det in _weyl_elements(datum):
+        img = tuple(signs[i] * shifted[perm[i]] for i in range(datum.dim))
+        beta2 = tuple(a - b for a, b in zip(img, rho2))
+        part = q_kostant(datum, datum.weight(beta2))
+        if part:
+            out = out + det * part
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +152,14 @@ def test_q_kostant_examples(c2):
     assert q_kostant(c2, c2.weight_from_coords([-1, 1])).is_zero()
 
 
-def test_q_kostant_counts_by_brute_force():
-    # independent check: enumerate multisets of positive roots directly
-    b2 = build_root_datum("B", 2)
-    beta = b2.weight_from_coords([2, 1])
-    roots = [r.coords2 for r in b2.positive_roots]
+def _kostant_by_multisets(datum, beta):
+    """Count multisets of positive roots summing to beta directly, graded by size."""
+    roots = [r.coords2 for r in datum.positive_roots]
     counts = {}
+
+    def in_cone(w):
+        cs = datum.root_coefficients2(w)
+        return cs is not None and all(c >= 0 for c in cs)
 
     def rec(idx, v, k):
         if all(c == 0 for c in v):
@@ -125,12 +175,27 @@ def test_q_kostant_counts_by_brute_force():
             rec(idx + 1, w, k + j)
             w = tuple(a - b for a, b in zip(w, r))
             j += 1
-            if b2.root_coefficients2(w) is None or any(c < 0 for c in b2.root_coefficients2(w)):
+            if not in_cone(w):
                 return
 
-    rec(0, beta.coords2, 0)
+    if in_cone(beta.coords2):
+        rec(0, beta.coords2, 0)
     counts.pop(0, None)
-    assert q_kostant(b2, beta) == PolyT(counts)
+    return PolyT(counts)
+
+
+def test_q_kostant_counts_by_brute_force():
+    # independent check: enumerate multisets of positive roots directly
+    for family, rank, coords in [
+        ("B", 2, [2, 1]), ("B", 2, [3, 2]),
+        ("C", 3, [2, 0, 0]), ("C", 3, [2, 2, 0]), ("C", 3, [3, 2, 1]), ("C", 3, [4, 1, -1]),
+        ("D", 4, [1, 1, 0, 0]), ("D", 4, [2, 1, 1, 0]), ("D", 4, [3, 2, 1, 0]),
+        ("D", 4, [2, 2, 0, 0]), ("D", 4, [1, 1, 1, -1]), ("D", 4, [2, 1, 0, -1]),
+    ]:
+        datum = build_root_datum(family, rank)
+        beta = datum.weight_from_coords(coords)
+        expected = _kostant_by_multisets(datum, beta)
+        assert expected and q_kostant(datum, beta) == expected, (family, rank, coords)
 
 
 def test_lusztig_examples(b3):
@@ -163,7 +228,6 @@ def test_lusztig_preconditions(b3):
 
 
 def test_weyl_group_order_and_lusztig_cap():
-    from extalg.weyl_oracle import _weyl_elements, _weyl_group_order
     for family, rank in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("D", 4)]:
         datum = build_root_datum(family, rank)
         assert _weyl_group_order(datum) == sum(1 for _ in _weyl_elements(datum))
@@ -171,6 +235,27 @@ def test_weyl_group_order_and_lusztig_cap():
     assert lusztig_E(d4, d4.theta, cap=192) == lusztig_E(d4, d4.theta)
     with pytest.raises(ResourceCapError):
         lusztig_E(d4, d4.theta, cap=191)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4),
+])
+def test_lusztig_matches_full_weyl_sum_below_two_rho(family, rank):
+    # the pruned walk skips only terms whose partition function vanishes
+    datum = build_root_datum(family, rank)
+    weights = [lam for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+               if datum.in_root_lattice(lam)]
+    assert weights
+    for lam in weights:
+        assert lusztig_E(datum, lam) == reference_lusztig_E(datum, lam), lam
+
+
+@pytest.mark.parametrize("family,rank", [("B", 5), ("C", 5), ("D", 5), ("D", 6)])
+def test_lusztig_matches_full_weyl_sum_on_covered_weights(family, rank):
+    datum = build_root_datum(family, rank)
+    for lam in covered_small_weights(datum):
+        assert lusztig_E(datum, lam) == reference_lusztig_E(datum, lam), lam
 
 
 def test_freudenthal_cap(b3):
