@@ -1,8 +1,10 @@
 """Batch command-line frontend: deterministic JSON/CSV verification sweeps.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical cross-check failed
-(the report is still written), 2 = usage or configuration error.  Reports are
-byte-stable across runs for a fixed configuration.
+(the report is still written), 2 = usage or configuration error or an
+exceeded resource cap, 3 = an I/O error (for example an unwritable
+``--output`` path).  Reports are byte-stable across runs for a fixed
+configuration.
 """
 
 import argparse
@@ -255,8 +257,8 @@ def cmd_recurrence_verify(args):
     for k in ks:
         rep = recurrence.verify_aggregate(datum, k, cap=args.cap)
         if args.exterior_specialization:
-            row = recurrence.minuscule_row(datum, recurrence.chain_weight(datum, k),
-                                           cap=args.cap)
+            # the row verify_aggregate has just built
+            row = recurrence._row_cached(datum.family, datum.rank, k, args.cap)
             rep["exterior_specialization"] = {
                 datum.fund_string(w): repr(recurrence.exterior_specialization(entry))
                 for w, entry in sorted(row.entries.items(), key=lambda kv: kv[0].coords2)
@@ -439,6 +441,9 @@ def run(argv=None):
     except weyl_oracle.ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 2
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 def main():

@@ -11,6 +11,7 @@ checked against live in :func:`reference_polynomials`.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .genexp import PolyT
 from .weyl_oracle import ResourceCapError, dominant_multiplicities, freudenthal
@@ -44,23 +45,30 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
     d = sum(module_mult.values())
     if d > cap:
         raise ResourceCapError(f"module dimension {d} exceeds cap {cap}")
-    table = {datum.zero.coords2: PolyT.one()}
+    # {weight coords2: {degree: coefficient}}; every coefficient stays positive
+    table = {datum.zero.coords2: {0: 1}}
     lines = sorted(module_mult.items(), key=lambda kv: kv[0].coords2)
     for w, mult in lines:
+        w2 = w.coords2
         for _ in range(mult):
-            new = {}
+            # times 1
+            new = {supp: dict(poly) for supp, poly in table.items()}
+            # times t * e^w
             for supp, poly in table.items():
-                # times 1
-                acc = new.get(supp)
-                new[supp] = poly if acc is None else acc + poly
-                # times t * e^w
-                shifted = tuple(a + b for a, b in zip(supp, w.coords2))
-                bumped = poly.shift(1)
+                shifted = tuple(map(add, supp, w2))
                 acc = new.get(shifted)
-                new[shifted] = bumped if acc is None else acc + bumped
-            table = {k: v for k, v in new.items() if not v.is_zero()}
-    return GradedCharacter(datum.family, datum.rank, d,
-                           {datum.weight(k): v for k, v in table.items()})
+                if acc is None:
+                    new[shifted] = {e + 1: c for e, c in poly.items()}
+                else:
+                    for e, c in poly.items():
+                        acc[e + 1] = acc.get(e + 1, 0) + c
+            table = new
+    out = {}
+    for k, v in table.items():
+        poly = PolyT()
+        poly.c = v
+        out[datum.weight(k)] = poly
+    return GradedCharacter(datum.family, datum.rank, d, out)
 
 
 def _dominance_key(datum, coords2):

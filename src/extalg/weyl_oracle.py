@@ -1,7 +1,8 @@
 """Brute-force representation-theoretic oracles.
 
 Everything here is deliberately independent of the polytope machinery in
-``gpartitions``: weight multiplicities come from the Freudenthal recursion,
+``gpartitions``: weight multiplicities come from the Freudenthal recursion
+(in its orbit-weighted form, from the root data alone),
 tensor products from the Brauer-Klimyk rho-shift rule, and the
 generalized-exponent oracle from the signed Weyl-group sum over the graded
 partition function (skipping the terms whose argument leaves the positive
@@ -10,10 +11,9 @@ implementations that the combinatorial constructions are checked against.
 """
 
 import math
-import os
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .genexp import PolyT
 from .orders import enumerate_dominant_below
@@ -58,22 +58,59 @@ class WeightMultMap:
 
 
 _dominant_cache = {}
+#: per (family, rank), the dominant representative of every string point met
+_chamber_reps = {}
 
 
-def _cache_path(datum, lam):
-    root = os.environ.get("GEXP_CACHE_DIR")
-    if not root:
-        return None
-    tag = "_".join(str(c) for c in lam.coords2)
-    return os.path.join(root, f"freud_{datum.family}{datum.rank}_{tag}.pkl")
+@lru_cache(maxsize=None)
+def _root_orbits(family, rank, fixed):
+    """The orbits of the parabolic subgroup W_J on the roots that meet the positive roots.
+
+    ``fixed`` is J, the tuple of simple-root indices whose reflections
+    generate W_J.  Each orbit O is searched breadth-first over those
+    reflections, acting on the whole root system (a reflection may turn a
+    positive root negative), and is returned as ``(rep, |O ∩ Φ⁺|, (rep, rep))``
+    with ``rep`` a positive root of O, in doubled coordinates.  The counts sum
+    to the number of positive roots.
+    """
+    datum = build_root_datum(family, rank)
+    positive = [alpha.coords2 for alpha in datum.positive_roots]
+    positive_set = set(positive)
+    seen = set()
+    orbits = []
+    for rep in positive:
+        if rep in seen:
+            continue
+        seen.add(rep)
+        frontier = [rep]
+        count = 0
+        while frontier:
+            v = frontier.pop()
+            count += v in positive_set
+            for i in fixed:
+                w = datum.apply_simple(i, v)
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        orbits.append((rep, count, datum.dot2(rep, rep)))
+    return tuple(orbits)
 
 
 def dominant_multiplicities(datum, lam):
     """Multiplicities of the dominant weights of V_lam, by the Freudenthal recursion.
 
     Returns a ``{Weight: multiplicity}`` table over the dominant weights
-    below ``lam``; every other weight of V_lam is a Weyl image of one of them
-    with the same multiplicity.  The table is memoised and must not be mutated.
+    below ``lam``, in order of height below ``lam``; every other weight of
+    V_lam is a Weyl image of one of them with the same multiplicity.  The
+    table is memoised and must not be mutated.
+
+    The sum over the positive roots is orbit-weighted (Moody-Patera, "Fast
+    recursion formula for weight multiplicities", Bull. AMS 7, 1982): the
+    subgroup W_J generated by the simple reflections fixing mu permutes the
+    terms f(alpha) = sum_k m(mu + k alpha) (mu + k alpha, alpha), and
+    f(-alpha) = f(alpha) when alpha is orthogonal to mu, so f is constant on
+    every W_J-orbit of roots and each orbit is evaluated once, weighted by
+    its number of positive roots (:func:`_root_orbits`).
     """
     datum.check_weight(lam)
     if not datum.is_dominant(lam):
@@ -81,46 +118,50 @@ def dominant_multiplicities(datum, lam):
     key = (datum.family, datum.rank, lam.coords2)
     if key in _dominant_cache:
         return _dominant_cache[key]
-    path = _cache_path(datum, lam)
-    if path and os.path.exists(path):
-        with open(path, "rb") as fh:
-            table = {datum.weight(c): m for c, m in pickle.load(fh).items()}
-        _dominant_cache[key] = table
-        return table
 
     doms = enumerate_dominant_below(datum, lam, "dominance")
-    order = sorted(doms, key=lambda w: datum.height2(
-        tuple(a - b for a, b in zip(lam.coords2, w.coords2))))
+    lam2 = lam.coords2
+    order = sorted((w.coords2 for w in doms), key=lambda v: datum.height2(
+        tuple(a - b for a, b in zip(lam2, v))))
     rho2 = datum.rho.coords2
-    lam_norm = datum.dot2(tuple(a + b for a, b in zip(lam.coords2, rho2)),
-                          tuple(a + b for a, b in zip(lam.coords2, rho2)))
+    shifted = tuple(a + b for a, b in zip(lam2, rho2))
+    lam_norm = datum.dot2(shifted, shifted)
+    chamber = datum._chamber2
+    simples = range(1, datum.rank + 1)
     table = {}
+    reps = _chamber_reps.setdefault((datum.family, datum.rank), {})
     for mu in order:
-        if mu == lam:
+        if mu == lam2:
             table[mu] = 1
             continue
+        fixed = tuple(i for i in simples if datum.pairing2(i, mu) == 0)
         acc = 0
-        for alpha in datum.positive_roots:
-            k = 1
+        for alpha, count, norm in _root_orbits(datum.family, datum.rank, fixed):
+            # the string mu + k alpha, k >= 1, adds m_k (mu + k alpha, alpha)
+            # = m_k ((mu, alpha) + k (alpha, alpha)) for as long as m_k > 0
+            v = mu
+            k = total = weighted = 0
             while True:
-                v2 = tuple(a + k * b for a, b in zip(mu.coords2, alpha.coords2))
-                rep = Weight(datum.family, datum.rank, datum.chamber_rep2(v2))
+                v = tuple(map(add, v, alpha))
+                rep = reps.get(v)
+                if rep is None:
+                    rep = reps[v] = chamber(v)[0]
                 m = table.get(rep, 0)
                 if m == 0:
                     break
-                acc += m * datum.dot2(v2, alpha.coords2)
                 k += 1
-        shifted = tuple(a + b for a, b in zip(mu.coords2, rho2))
+                total += m
+                weighted += k * m
+            if total:
+                acc += count * (total * datum.dot2(mu, alpha) + weighted * norm)
+        shifted = tuple(a + b for a, b in zip(mu, rho2))
         denom = lam_norm - datum.dot2(shifted, shifted)
         num = 2 * acc
         if denom <= 0 or num % denom:
-            raise ArithmeticError(f"Freudenthal recursion failed at {mu}")
+            raise ArithmeticError(f"Freudenthal recursion failed at {datum.weight(mu)}")
         table[mu] = num // denom
+    table = {Weight(datum.family, datum.rank, v): m for v, m in table.items()}
     _dominant_cache[key] = table
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "wb") as fh:
-            pickle.dump({w.coords2: m for w, m in table.items()}, fh)
     return table
 
 

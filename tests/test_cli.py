@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import extalg
-from extalg import cli, genexp
+from extalg import cli, genexp, recurrence
 
 
 def run_cli(argv):
@@ -157,6 +158,39 @@ def test_recurrence_verify():
                             "--k", "2", "--exterior-specialization"])
     rep = json.loads(out)
     assert code == 0 and rep["k"] == 2 and "exterior_specialization" in rep
+
+
+def test_exterior_specialization_reuses_cached_rows(monkeypatch):
+    # D8 covers k = 1..4: one minuscule_row call per row, none repeated for
+    # the specialization column
+    real = recurrence.minuscule_row
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recurrence, "minuscule_row", counting)
+    recurrence._row_cached.cache_clear()
+    code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "8",
+                              "--exterior-specialization"])
+    assert code == 0 and err == ""
+    assert len(calls) == 4 and len(set(calls)) == 4
+    # the same bytes as a run that recomputes each row for the column
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "384ee9b722cb6511ce4cab30856878192dd07bc1d3148db70f3e693e3aa370f7"
+
+
+def test_unwritable_output_exits_three(tmp_path):
+    target = str(tmp_path / "missing" / "report.json")
+    code, out, err = run_cli(["roots", "--family", "B", "--rank", "2", "--output", target])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(target)
+    code, out, err = run_cli(["roots", "--family", "B", "--rank", "2",
+                              "--output", str(tmp_path / "report.json")])
+    assert code == 0 and out == "" and err == ""
+    assert json.loads((tmp_path / "report.json").read_text())["rank"] == 2
 
 
 def test_exterior_verify():

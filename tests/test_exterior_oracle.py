@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from extalg.exterior_oracle import (_dominance_key, exterior_decomposition, graded_decompose,
-                                    graded_exterior_character, reference_polynomials)
+from extalg.exterior_oracle import (GradedCharacter, _dominance_key, exterior_decomposition,
+                                    graded_decompose, graded_exterior_character,
+                                    reference_polynomials)
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import enumerate_dominant_below, is_small, two_rho_minus_delta
 from extalg.rootdata import build_root_datum
@@ -33,6 +34,24 @@ def reference_graded_decompose(datum, gc):
                 work[w.coords2] = cur
         out[datum.weight(top)] = poly
     return out
+
+
+def reference_graded_exterior_character(datum, module_mult):
+    """The weight-line product with a ``PolyT`` at every weight (no dimension cap)."""
+    table = {datum.zero.coords2: PolyT.one()}
+    for w, mult in sorted(module_mult.items(), key=lambda kv: kv[0].coords2):
+        for _ in range(mult):
+            new = {}
+            for supp, poly in table.items():
+                acc = new.get(supp)
+                new[supp] = poly if acc is None else acc + poly
+                shifted = tuple(a + b for a, b in zip(supp, w.coords2))
+                bumped = poly.shift(1)
+                acc = new.get(shifted)
+                new[shifted] = bumped if acc is None else acc + bumped
+            table = {k: v for k, v in new.items() if not v.is_zero()}
+    return GradedCharacter(datum.family, datum.rank, sum(module_mult.values()),
+                           {datum.weight(k): v for k, v in table.items()})
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +114,15 @@ def _modules():
         if family != "D":
             yield family, rank, "little_adjoint"
     yield "D", 4, "adjoint"
+
+
+@pytest.mark.parametrize("family,rank,module", list(_modules()))
+def test_character_matches_polynomial_product(family, rank, module):
+    datum = build_root_datum(family, rank)
+    highest = datum.theta if module == "adjoint" else datum.theta_short
+    mult = freudenthal(datum, highest).mult
+    assert graded_exterior_character(datum, mult, cap=28) == \
+        reference_graded_exterior_character(datum, mult)
 
 
 @pytest.mark.parametrize("family,rank,module", list(_modules()))

@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
-from extalg.rootdata import build_root_datum, weight_from_fundamental
-from extalg.weyl_oracle import (ResourceCapError, _weyl_group_order, dominant_multiplicities,
-                                freudenthal, klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
+from extalg.rootdata import Weight, build_root_datum, weight_from_fundamental
+from extalg.weyl_oracle import (ResourceCapError, _root_orbits, _weyl_group_order,
+                                dominant_multiplicities, freudenthal, klimyk_tensor, lusztig_E,
+                                q_kostant, weyl_dim)
 
 
 def _perm_sign(perm):
@@ -53,6 +55,39 @@ def reference_lusztig_E(datum, lam):
         if part:
             out = out + det * part
     return out
+
+
+def reference_dominant_multiplicities(datum, lam):
+    """The Freudenthal recursion with every positive root walked for every weight."""
+    doms = enumerate_dominant_below(datum, lam, "dominance")
+    order = sorted(doms, key=lambda w: datum.height2(
+        tuple(a - b for a, b in zip(lam.coords2, w.coords2))))
+    rho2 = datum.rho.coords2
+    lam_norm = datum.dot2(tuple(a + b for a, b in zip(lam.coords2, rho2)),
+                          tuple(a + b for a, b in zip(lam.coords2, rho2)))
+    table = {}
+    for mu in order:
+        if mu == lam:
+            table[mu] = 1
+            continue
+        acc = 0
+        for alpha in datum.positive_roots:
+            k = 1
+            while True:
+                v2 = tuple(a + k * b for a, b in zip(mu.coords2, alpha.coords2))
+                rep = Weight(datum.family, datum.rank, datum.chamber_rep2(v2))
+                m = table.get(rep, 0)
+                if m == 0:
+                    break
+                acc += m * datum.dot2(v2, alpha.coords2)
+                k += 1
+        shifted = tuple(a + b for a, b in zip(mu.coords2, rho2))
+        denom = lam_norm - datum.dot2(shifted, shifted)
+        num = 2 * acc
+        if denom <= 0 or num % denom:
+            raise ArithmeticError(f"Freudenthal recursion failed at {mu}")
+        table[mu] = num // denom
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -263,13 +298,37 @@ def test_freudenthal_cap(b3):
         freudenthal(b3, 2 * b3.rho, cap=10)
 
 
-def test_cache_dir_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEXP_CACHE_DIR", str(tmp_path))
-    import extalg.weyl_oracle as wo
-    wo._dominant_cache.clear()
-    b2 = build_root_datum("B", 2)
-    first = freudenthal(b2, b2.theta).mult
-    assert any(tmp_path.iterdir())
-    wo._dominant_cache.clear()
-    second = freudenthal(b2, b2.theta).mult
-    assert first == second
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+    ("D", 3), ("D", 4), ("G2", 2),
+])
+def test_dominant_multiplicities_match_root_walk_below_two_rho(family, rank):
+    # same keys, values and insertion order (the height order) as the
+    # recursion over every positive root
+    datum = build_root_datum(family, rank)
+    for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
+        got = list(dominant_multiplicities(datum, lam).items())
+        assert got == list(reference_dominant_multiplicities(datum, lam).items()), lam
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_dominant_multiplicities_match_root_walk_rank_four(family):
+    datum = build_root_datum(family, 4)
+    below_rho = enumerate_dominant_below(datum, datum.rho, "dominance")
+    below_two_rho = enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+    for lam in below_rho + random.Random(9).sample(below_two_rho, 10):
+        got = list(dominant_multiplicities(datum, lam).items())
+        assert got == list(reference_dominant_multiplicities(datum, lam).items()), lam
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_root_orbits_cover_the_positive_roots(family, rank):
+    datum = build_root_datum(family, rank)
+    positive = {alpha.coords2 for alpha in datum.positive_roots}
+    for size in range(rank + 1):
+        for fixed in itertools.combinations(range(1, rank + 1), size):
+            orbits = _root_orbits(family, rank, fixed)
+            assert sum(count for _, count, _ in orbits) == len(positive), fixed
+            for rep, count, norm in orbits:
+                assert rep in positive and count >= 1
+                assert norm == datum.dot2(rep, rep)
