@@ -1,13 +1,15 @@
 """Graded decomposition of exterior algebras at tiny rank.
 
-Decomposes Lambda(g) for so(5) and Lambda(V_theta_s) for the non-simply-laced
-ranks, then compares against every closed reference formula: the invariants
-product, the adjoint multiplicity polynomial, the 2*rho - delta_I family, the
-scaled tensor-square identities and the small-representation bound.
+Decomposes Lambda(g) for so(5), then prints the records of the shared check
+battery (``extalg.checks``) on the adjoint of B2 and the little adjoints of
+the non-simply-laced ranks: the invariants product, the adjoint multiplicity
+polynomial, the 2*rho - delta_I family, the scaled tensor-square identities,
+the small-representation bound and the support iff below 2*rho_s.  Exits 1
+if a check fails.
 """
 
-from extalg import (build_root_datum, enumerate_dominant_below, exterior_decomposition,
-                    freudenthal, is_small, klimyk_tensor, reference_polynomials)
+from extalg import build_root_datum, exterior_decomposition, is_small
+from extalg.checks import exterior_checks
 
 b2 = build_root_datum("B", 2)
 dec = exterior_decomposition(b2, b2.theta)
@@ -15,33 +17,15 @@ print("Lambda g for so(5), graded multiplicity polynomials:")
 for w, poly in sorted(dec.items(), key=lambda kv: kv[0].coords2):
     tag = " small" if is_small(b2, w) else ""
     print(f"  P(V_{b2.fund_string(w):6s}) = {poly}{tag}")
-print("invariants == prod (1 + t^(2e_i+1)):",
-      dec[b2.zero] == reference_polynomials(b2, "hks_invariants"))
-print("adjoint ==  closed adjoint formula:",
-      dec[b2.theta] == reference_polynomials(b2, "bazlov_adjoint"))
 
-totals = {w: p(1) for w, p in dec.items()}
-tensor = klimyk_tensor(b2, b2.rho, b2.rho)
-print("total multiplicities == 2^rk x (V_rho (x) V_rho):",
-      totals == {w: 4 * m for w, m in tensor.items()})
-print("equality with 2^rk dim V^0 exactly on small weights:",
-      all((totals.get(w, 0) == 4 * freudenthal(b2, w).zero_multiplicity())
-          == is_small(b2, w)
-          for w in enumerate_dominant_below(b2, 2 * b2.rho, "dominance")))
-
-print("\nlittle adjoint, scaled tensor squares (types B and C):")
-for family, rank in [("B", 2), ("B", 3), ("C", 2), ("C", 3)]:
-    datum = build_root_datum(family, rank)
-    dec_s = exterior_decomposition(datum, datum.theta_short)
-    tot = {w: p(1) for w, p in dec_s.items()}
-    kl = klimyk_tensor(datum, datum.rho_short, datum.rho_short)
-    scale = 2 ** datum.num_short_simple
-    below = enumerate_dominant_below(datum, 2 * datum.rho_short, "dominance")
-    print(f"  {family}{rank}: identity {tot == {w: scale * m for w, m in kl.items()}}, "
-          f"support iff vs <= 2*rho_s: {set(tot) == set(below)}")
-
-g2 = build_root_datum("G2", 2)
-dec_g = exterior_decomposition(g2, g2.theta_short)
-below = enumerate_dominant_below(g2, 2 * g2.rho_short, "dominance")
-print(f"  G2: support iff {set(dec_g) == set(below)} "
-      "(the scaled-tensor-square identity itself does not extend to G2)")
+print("\nreference checks (the scaled-tensor-square identity does not extend to G2):")
+failed = 0
+for family, rank, module in [("B", 2, "adjoint"), ("B", 2, "little-adjoint"),
+                             ("B", 3, "little-adjoint"), ("C", 2, "little-adjoint"),
+                             ("C", 3, "little-adjoint"), ("G2", 2, "little-adjoint")]:
+    label = family if family == "G2" else f"{family}{rank}"
+    for c in exterior_checks(build_root_datum(family, rank), module):
+        failed += not c["pass"]
+        print(f"  {label} {module}: {c['name']}: {'pass' if c['pass'] else 'FAIL'}"
+              f"{' ' + c['detail'] if c['detail'] else ''}")
+raise SystemExit(1 if failed else 0)

@@ -18,6 +18,8 @@ The package provides, in pure exact integer arithmetic:
 * closed formulas and recurrences for generalized exponents (``genexp``),
 * the minuscule-recurrence engine and its coefficient identities
   (``recurrence``),
+* the check batteries shared by the CLI, the tests and the demos
+  (``checks``),
 * a deterministic verification CLI (``cli``, installed as ``gexp``).
 """
 

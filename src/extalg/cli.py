@@ -1,10 +1,13 @@
 """Batch command-line frontend: deterministic JSON/CSV verification sweeps.
 
-Exit codes: 0 = all checks passed, 1 = a mathematical cross-check failed
-(the report is still written), 2 = usage or configuration error or an
-exceeded resource cap, 3 = an I/O error (for example an unwritable
-``--output`` path).  Reports are byte-stable across runs for a fixed
-configuration.
+Exit codes: 0 = all checks passed, 1 = a mathematical mismatch (a failed
+cross-check, with the report still written, or a library invariant raising
+``ArithmeticError``, with one ``mismatch:`` line on stderr), 2 = usage or
+configuration error or an exceeded resource cap, 3 = an I/O error (for
+example an unwritable ``--output`` path, one ``error:`` line) or any other
+exception, ``ZeroDivisionError`` and ``OverflowError`` included (one
+``internal error:`` line).  Reports are byte-stable across
+runs for a fixed configuration.  The check batteries live in ``checks``.
 """
 
 import argparse
@@ -13,7 +16,7 @@ import itertools
 import json
 import sys
 
-from . import exterior_oracle, gpartitions, genexp, orders, recurrence, weyl_oracle
+from . import checks, exterior_oracle, gpartitions, genexp, orders, recurrence, weyl_oracle
 from .constructor import certify_theorem
 from .rootdata import ConfigurationError, build_root_datum, weight_from_fundamental
 
@@ -164,51 +167,11 @@ def cmd_kostant_verify(args):
     return 1 if bad else 0
 
 
-def short_kostant_verify(family, rank):
-    """Decompose V_rho_s (x) V_rho_s and test the support against 2*rho_s.
-
-    For type B the little-adjoint exterior algebra is additionally compared
-    (at tiny rank) against the scaled tensor square.  The type-C outcome is
-    reported as conjecture status, never asserted as a theorem.
-    """
-    if family not in ("B", "C", "G2"):
-        raise ConfigurationError("short-root check needs a non-simply-laced family (B, C, G2)")
-    datum = build_root_datum(family, rank)
-    two_rho_s = 2 * datum.rho_short
-    decomposition = weyl_oracle.klimyk_tensor(datum, datum.rho_short, datum.rho_short)
-    below = orders.enumerate_dominant_below(datum, two_rho_s, "dominance")
-    iff = set(decomposition) == set(below)
-    status = {"B": "proved-case-check", "G2": "computed-case-check",
-              "C": "conjecture-check"}[family]
-    report = {
-        "schema": SCHEMA,
-        "family": family,
-        "rank": rank,
-        "status": status,
-        "count_below_2rho_short": len(below),
-        "tensor_support": len(decomposition),
-        "iff_holds": iff,
-        "missing": sorted(list(w.coords2) for w in set(below) - set(decomposition)),
-        "extra": sorted(list(w.coords2) for w in set(decomposition) - set(below)),
-    }
-    if family == "B" and rank <= 3:
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short)
-        totals = {w: p(1) for w, p in dec.items()}
-        scale = 2 ** datum.num_short_simple
-        report["panyushev_identity"] = totals == {w: scale * m
-                                                  for w, m in decomposition.items()}
-    return report
-
-
 def cmd_short_kostant(args):
-    report = short_kostant_verify(args.family, args.rank)
-    bad = False
-    if args.family in ("B", "G2") and not report["iff_holds"]:
-        bad = True
-    if not report.get("panyushev_identity", True):
-        bad = True
+    report, ok = checks.short_kostant_verify(args.family, args.rank)
+    report["schema"] = SCHEMA
     _emit(report, args)
-    return 1 if bad else 0
+    return 0 if ok else 1
 
 
 def cmd_genexp(args):
@@ -277,70 +240,10 @@ def cmd_recurrence_verify(args):
 
 def cmd_exterior_verify(args):
     datum = _datum(args)
-    checks = []
-
-    def check(name, okay, detail=""):
-        checks.append({"name": name, "pass": bool(okay), "detail": detail})
-
-    if args.module == "adjoint":
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=args.dim_cap)
-        check("hks_invariants",
-              dec[datum.zero] == exterior_oracle.reference_polynomials(datum, "hks_invariants"))
-        check("bazlov_adjoint",
-              dec[datum.theta] == exterior_oracle.reference_polynomials(datum, "bazlov_adjoint"))
-        okay = True
-        for r in range(0, datum.rank + 1):
-            for subset in itertools.combinations(range(1, datum.rank + 1), r):
-                w, _ = orders.two_rho_minus_delta(datum, subset)
-                want = exterior_oracle.reference_polynomials(datum, "reeder_deltaI", subset=subset)
-                okay = okay and dec.get(w, genexp.PolyT.zero()) == want
-        check("reeder_delta_I_all_subsets", okay)
-        totals = {w: p(1) for w, p in dec.items()}
-        kl = weyl_oracle.klimyk_tensor(datum, datum.rho, datum.rho)
-        scale = 2 ** datum.rank
-        check("kostant_scaled_tensor_square",
-              totals == {w: scale * m for w, m in kl.items()})
-        okay = True
-        for lam in orders.enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
-            bound = scale * weyl_oracle.dominant_multiplicities(datum, lam).get(datum.zero, 0)
-            total = totals.get(lam, 0)
-            if orders.is_small(datum, lam):
-                okay = okay and total == bound
-            else:
-                okay = okay and total < bound
-        check("reeder_small_equality_iff", okay)
-        if datum.family == "B":
-            okay = True
-            for lam in genexp.covered_small_weights(datum):
-                ones = sum(1 for c in lam.coords2 if c)
-                if ones % 2 or ones == datum.rank:
-                    continue  # factorization checked for the w_{2s} columns
-                s = ones // 2
-                rhs = genexp.PolyT({0: 1, -1: 1})
-                for e in datum.exponents[:datum.rank - s]:
-                    rhs = rhs * genexp.PolyT({0: 1, 2 * e + 1: 1})
-                for e in datum.exponents[:s - 1]:
-                    rhs = rhs * genexp.PolyT({0: 1, 2 * e + 1: 1})
-                rhs = rhs * genexp.closed_E(datum, lam).subs_power(2)
-                okay = okay and dec.get(lam, genexp.PolyT.zero()) == rhs
-            check("graded_multiplicity_factorization", okay)
-    else:
-        if datum.theta_short is None:
-            raise ConfigurationError("little adjoint needs a non-simply-laced family")
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short, cap=args.dim_cap)
-        totals = {w: p(1) for w, p in dec.items()}
-        below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short, "dominance")
-        iff = set(totals) == set(below)
-        label = "conjecture-check" if datum.family == "C" else "verified-case-check"
-        check(f"support_iff_below_2rho_short ({label})", iff)
-        if datum.family in ("B", "C"):
-            kl = weyl_oracle.klimyk_tensor(datum, datum.rho_short, datum.rho_short)
-            scale = 2 ** datum.num_short_simple
-            check("panyushev_scaled_tensor_square",
-                  totals == {w: scale * m for w, m in kl.items()})
-    ok = all(c["pass"] for c in checks)
+    records = checks.exterior_checks(datum, args.module, args.dim_cap)
+    ok = all(c["pass"] for c in records)
     report = {"schema": SCHEMA, "family": datum.family, "rank": datum.rank,
-              "module": args.module, "checks": checks, "all_pass": ok}
+              "module": args.module, "checks": records, "all_pass": ok}
     _emit(report, args)
     return 0 if ok else 1
 
@@ -444,6 +347,19 @@ def run(argv=None):
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Exception as exc:  # noqa: BLE001
+        # the library's invariant failures are verdicts; Python's own
+        # arithmetic faults and every other exception are bugs
+        if isinstance(exc, ArithmeticError) and \
+                not isinstance(exc, (ZeroDivisionError, OverflowError)):
+            sys.stderr.write(f"mismatch: {_one_line(exc)}\n")
+            return 1
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {_one_line(exc)}\n")
+        return 3
+
+
+def _one_line(exc):
+    return " ".join(str(exc).split())
 
 
 def main():

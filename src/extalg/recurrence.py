@@ -247,7 +247,7 @@ def minuscule_row(datum, lam, cap=DEFAULT_ORBIT_CAP):
 
     for key in entries:
         if key != lam and not dominance_leq(datum, key, lam):
-            raise AssertionError(f"row entry {key} is not below {lam}")
+            raise ArithmeticError(f"row entry {key} is not below {lam}")
     return RecurrenceRow(lam, entries)
 
 
@@ -329,11 +329,11 @@ def omega0_count(datum, k, cap=DEFAULT_ORBIT_CAP):
     for v in _shape_vectors(datum, k) if k > 0 else [tuple([0] * datum.rank)]:
         red = datum.reduce_to_dominant(datum.weight(tuple(2 * c for c in v)))
         if red is None or not red[0].is_zero():
-            raise AssertionError(f"classified shape {v} is not conjugated to zero")
+            raise ArithmeticError(f"classified shape {v} is not conjugated to zero")
         shapes += 1
     closed = _omega0_closed(datum, k)
     if not brute == shapes == closed:
-        raise AssertionError(
+        raise ArithmeticError(
             f"zero-conjugation counts disagree at k={k}: brute {brute}, "
             f"shapes {shapes}, closed {closed}")
     return closed
@@ -412,12 +412,6 @@ def _p_qt(n):
                       (0, -(2 * n - 3)): 1, (1, 2 * n - 3): -1})
 
 
-def _r_qt(n):
-    """r(n; q, t) = (t - q)(t^(2n-3) + 1) / t^(n-1), as a Laurent polynomial."""
-    return LaurentQS({(0, 2 * (n - 1)): 1, (1, -2 * (n - 1)): -1,
-                      (0, -2 * (n - 2)): 1, (1, 2 * (n - 2)): -1})
-
-
 def _clear_b(n, entry):
     """Multiply by t^((2n-1)/2) (t - 1)."""
     return entry.scale_s(2 * n - 1) * LaurentQS({(0, 2): 1, (0, 0): -1})
@@ -488,23 +482,29 @@ def _aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
     return acc
 
 
-def _verify_b(datum, k, cap):
-    n = datum.rank
+def _omega0_checks(datum, k, cap, name):
+    """One record per j <= k: do the three zero-conjugation counts agree?"""
+    from .checks import check  # the record format lives with the batteries
     checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
     for j in range(1, k + 1):
         try:
-            _omega0_cached(datum.family, n, j, cap)
-            check(f"omega0_closed_form_k{j}", True)
-        except AssertionError as exc:
-            check(f"omega0_closed_form_k{j}", False, str(exc))
+            _omega0_cached(datum.family, datum.rank, j, cap)
+            check(checks, f"{name}_k{j}", True)
+        except (ZeroDivisionError, OverflowError):
+            raise  # Python's own arithmetic faults are bugs, not failed counts
+        except ArithmeticError as exc:
+            check(checks, f"{name}_k{j}", False, str(exc))
+    return checks
+
+
+def _verify_b(datum, k, cap):
+    from .checks import check
+    n = datum.rank
+    checks = _omega0_checks(datum, k, cap, "omega0_closed_form")
 
     row_k = _row_cached("B", n, k, cap)
     diag = _clear_b(n, row_k.entries[chain_weight(datum, k)])
-    check("rem_lambdak_diag", diag == _diag_cleared_b(n, k))
+    check(checks, "rem_lambdak_diag", diag == _diag_cleared_b(n, k))
 
     # aggregated identity of the simplified theorem
     agg = _aggregate(datum, k, cap)
@@ -518,21 +518,21 @@ def _verify_b(datum, k, cap):
     for key, closed in sorted(expected.items(), key=lambda kv: kv[0].coords2):
         got = _clear_b(n, agg.get(key, LaurentQS()))
         idx = sum(1 for c in key.coords2 if c)
-        check(f"aggregate_coeff_C{idx}", got == closed)
+        check(checks, f"aggregate_coeff_C{idx}", got == closed)
     residual = set(agg) - set(expected)
-    check("aggregate_no_residual_terms", not residual,
+    check(checks, "aggregate_no_residual_terms", not residual,
           f"unexpected keys {sorted(w.coords2 for w in residual)}" if residual else "")
 
     # integer-table identities
     okay = all(_a_int_b(k, n, h + 1) == _a_int_b(k - 1, n - 1, h)
                for h in range(1, k + 1))
-    check("lem_relA_shift", okay)
+    check(checks, "lem_relA_shift", okay)
     okay = all(_a_int_b(kk, kk, h) == _a_int_b(kk - 1, kk - 1, h) + _a_int_b(kk - 2, kk - 1, h)
                for kk in range(2, k + 1) for h in range(1, kk))
-    check("lem_relA_diagonal", okay)
+    check(checks, "lem_relA_diagonal", okay)
     okay = all(_a_int_b(kk, n, h) == _a_int_b(kk, n - 1, h) + _a_int_b(kk - 2, n - 1, h)
                for kk in range(2, min(k, n - 1) + 1) for h in range(1, kk))
-    check("lem_relA_rank_drop", okay)
+    check(checks, "lem_relA_rank_drop", okay)
 
     # raw-row expansion relations
     def lam_coeff(kk, nn, hh):
@@ -557,7 +557,7 @@ def _verify_b(datum, k, cap):
         sign = (-1) ** s2 if rem == 0 else (-1) ** (s2 + 1)
         rhs = sign * _comb0(n - k + s2, s2) * lam_diag_closed(n, h)
         rhs = rhs + lam_coeff(k - h, n - h, 0)
-        check(f"lem_expansion_h{h}", lhs == rhs)
+        check(checks, f"lem_expansion_h{h}", lhs == rhs)
     if k <= n - 1:
         if k % 2 == 0:
             s = k // 2
@@ -569,28 +569,19 @@ def _verify_b(datum, k, cap):
             rhs = ((-1) ** (s + 1)) * _comb0(n - s - 2, s - 1) * _p_qt(n)
             rhs = rhs - (lam_coeff(k - 2, n - 2, 0) if k - 2 > 0 else LaurentQS())
             rhs = rhs + lam_coeff(k, n - 1, 0)
-        check("lem_expansion_h0", lam_coeff(k, n, 0) == rhs)
+        check(checks, "lem_expansion_h0", lam_coeff(k, n, 0) == rhs)
 
     return checks
 
 
 def _verify_d(datum, k, cap):
+    from .checks import check
     n = datum.rank
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
-    for j in range(1, k + 1):
-        try:
-            _omega0_cached(datum.family, n, j, cap)
-            check(f"cardG0_closed_form_k{j}", True)
-        except AssertionError as exc:
-            check(f"cardG0_closed_form_k{j}", False, str(exc))
+    checks = _omega0_checks(datum, k, cap, "cardG0_closed_form")
 
     row_k = _row_cached("D", n, k, cap)
     diag = _clear_d(n, row_k.entries[chain_weight(datum, k)])
-    check("lambda_diag", diag == _diag_cleared_d(n, k))
+    check(checks, "lambda_diag", diag == _diag_cleared_d(n, k))
 
     agg = _aggregate(datum, k, cap)
     expected = {chain_weight(datum, k): _diag_cleared_d(n, k)}
@@ -599,9 +590,9 @@ def _verify_d(datum, k, cap):
     for key, closed in sorted(expected.items(), key=lambda kv: kv[0].coords2):
         got = _clear_d(n, agg.get(key, LaurentQS()))
         idx = sum(1 for c in key.coords2 if c) // 2
-        check(f"aggregate_coeff_C{idx}", got == closed)
+        check(checks, f"aggregate_coeff_C{idx}", got == closed)
     residual = set(agg) - set(expected)
-    check("aggregate_no_residual_terms", not residual,
+    check(checks, "aggregate_no_residual_terms", not residual,
           f"unexpected keys {sorted(w.coords2 for w in residual)}" if residual else "")
     return checks
 

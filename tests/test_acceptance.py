@@ -16,13 +16,13 @@ from contextlib import contextmanager
 
 import pytest
 
+from extalg.checks import exterior_checks, short_kostant_verify
 from extalg.constructor import certify_theorem, construct
-from extalg.exterior_oracle import exterior_decomposition, reference_polynomials
 from extalg.genexp import (PolyT, closed_E, covered_small_weights, recur_E,
                            t_analog, t_binomial)
 from extalg.gpartitions import count_lr
 from extalg.orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
-                           is_small, two_rho_minus_delta)
+                           two_rho_minus_delta)
 from extalg.recurrence import (LaurentQS, chain_weight, minuscule_row, verify_aggregate)
 from extalg.rootdata import build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import freudenthal, klimyk_tensor, lusztig_E, weyl_dim
@@ -199,51 +199,16 @@ def test_criterion_7_recurrence_identities():
 
 def test_criterion_8_exterior_reference_checks():
     with budget("criterion 8 exterior reference checks", 600.0):
-        # adjoint battery at rank 2
-        for family in ("B", "C"):
-            datum = build_root_datum(family, 2)
-            dec = exterior_decomposition(datum, datum.theta)
-            assert dec[datum.zero] == reference_polynomials(datum, "hks_invariants")
-            assert dec[datum.theta] == reference_polynomials(datum, "bazlov_adjoint")
-            for r in range(0, 3):
-                for subset in itertools.combinations((1, 2), r):
-                    w, _ = two_rho_minus_delta(datum, subset)
-                    assert dec.get(w, PolyT.zero()) == \
-                        reference_polynomials(datum, "reeder_deltaI", subset=subset)
-            totals = {w: p(1) for w, p in dec.items()}
-            tensor = klimyk_tensor(datum, datum.rho, datum.rho)
-            assert totals == {w: 4 * m for w, m in tensor.items()}
-            for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
-                bound = 4 * freudenthal(datum, lam).zero_multiplicity()
-                if is_small(datum, lam):
-                    assert totals.get(lam, 0) == bound
-                else:
-                    assert totals.get(lam, 0) < bound
-        # little adjoint: scaled-tensor-square identity on its published scope
-        # (types B and C; for G2 the identity provably fails, dim 128 vs 98,
-        # and the paper instead claims the support iff, which is checked)
-        for family, rank in [("B", 2), ("B", 3), ("C", 2), ("C", 3)]:
-            datum = build_root_datum(family, rank)
-            dec = exterior_decomposition(datum, datum.theta_short)
-            totals = {w: p(1) for w, p in dec.items()}
-            tensor = klimyk_tensor(datum, datum.rho_short, datum.rho_short)
-            scale = 2 ** datum.num_short_simple
-            assert totals == {w: scale * m for w, m in tensor.items()}, (family, rank)
-            below = enumerate_dominant_below(datum, 2 * datum.rho_short, "dominance")
-            assert set(totals) == set(below), (family, rank)
-        g2 = build_root_datum("G2", 2)
-        dec = exterior_decomposition(g2, g2.theta_short)
-        below = enumerate_dominant_below(g2, 2 * g2.rho_short, "dominance")
-        assert set(dec) == set(below)
-        tensor = klimyk_tensor(g2, g2.rho_short, g2.rho_short)
-        assert set(tensor) == set(below)
-        # the factorization check on the rank-3 odd-orthogonal adjoint (dim 21)
-        b3 = build_root_datum("B", 3)
-        dec = exterior_decomposition(b3, b3.theta)
-        w2 = b3.weight((2, 2, 0))
-        rhs = PolyT({0: 1, -1: 1}) * PolyT({0: 1, 3: 1}) * PolyT({0: 1, 7: 1})
-        rhs = rhs * closed_E(b3, w2).subs_power(2)
-        assert dec[w2] == rhs
+        # the B3 adjoint battery includes the factorization at (2,2,0);
+        # for G2 the little-adjoint claim is the support iff alone
+        cases = [("B", 2, "adjoint"), ("C", 2, "adjoint"), ("B", 3, "adjoint")] + \
+            [(family, rank, "little-adjoint")
+             for family, rank in [("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G2", 2)]]
+        for family, rank, module in cases:
+            records = exterior_checks(build_root_datum(family, rank), module)
+            assert all(c["pass"] for c in records), (family, rank, module, records)
+        report, ok = short_kostant_verify("G2", 2)
+        assert ok, report
 
 
 def test_criterion_9_property_suites():

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import extalg
-from extalg import cli, genexp, recurrence
+from extalg import checks, cli, genexp, recurrence
 
 
 def run_cli(argv):
@@ -251,4 +251,56 @@ def test_fault_injection_exterior(monkeypatch):
                             "--module", "adjoint"])
     assert code == 1
     rep = json.loads(out)
-    assert any(c["name"] == "bazlov_adjoint" and not c["pass"] for c in rep["checks"])
+    b2 = extalg.build_root_datum("B", 2)
+    want = f"got {real(b2, 'bazlov_adjoint')}, want {corrupted(b2, 'bazlov_adjoint')}"
+    assert [(c["name"], c["detail"]) for c in rep["checks"] if not c["pass"]] == \
+        [("bazlov_adjoint", want)]
+    assert all(c["detail"] == "" for c in rep["checks"] if c["pass"])
+
+
+def test_error_taxonomy(monkeypatch):
+    # a library invariant failure is a mismatch (exit 1); Python's own
+    # arithmetic faults and any other exception are internal errors (exit 3);
+    # either way one stderr line and no traceback
+    argv = ["exterior-verify", "--family", "B", "--rank", "2", "--module", "adjoint"]
+    for exc, code, line in [(ArithmeticError("negative\npeel"), 1, "mismatch: negative peel"),
+                            (RuntimeError("x"), 3, "internal error: RuntimeError: x"),
+                            (ZeroDivisionError("y"), 3, "internal error: ZeroDivisionError: y"),
+                            (OverflowError("z"), 3, "internal error: OverflowError: z")]:
+        def failing(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(checks, "exterior_checks", failing)
+        assert run_cli(argv) == (code, "", line + "\n")
+
+
+def test_zero_division_in_zero_count_is_internal_error(monkeypatch):
+    # the omega0 checks record a library ArithmeticError as a failed count,
+    # but a ZeroDivisionError there is a bug and escapes to exit 3
+    def failing(datum, k):
+        raise ZeroDivisionError("w")
+
+    monkeypatch.setattr(recurrence, "_omega0_closed", failing)
+    recurrence._omega0_cached.cache_clear()
+    try:
+        assert run_cli(["recurrence-verify", "--family", "D", "--rank", "4", "--k", "1"]) == \
+            (3, "", "internal error: ZeroDivisionError: w\n")
+    finally:
+        recurrence._omega0_cached.cache_clear()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("exterior-verify --family B --rank 3 --module adjoint --dim-cap 28",
+     "807caf15a448bf05d3a2a9713943aff9f0af2e06545794f8496ead3f87eff98b"),
+    ("exterior-verify --family C --rank 3 --module little-adjoint",
+     "e286009990536c685646ade7b1a4d023b487eb9120ccf7c0a18164579e5f96ef"),
+    ("exterior-verify --family G2 --rank 2 --module little-adjoint",
+     "bdce186eab73f30ec55a43abf9079f6359ce1b056bf9cbcf7f961ec00923c290"),
+    ("short-kostant-verify --family B --rank 2",
+     "e47eaa02e1ff7d7171b8534c41f19087a4b96b2c472112e1b19ecc8ccd0c1d67"),
+    ("short-kostant-verify --family C --rank 4",
+     "f2743618f02c4356a8ca7c45aa01158548f8a0b25919d72defeeab8759d7f99b"),
+])
+def test_check_report_bytes_pinned(argv, digest):
+    code, out, _ = run_cli(argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from extalg import exterior_oracle, genexp, orders, weyl_oracle
+from extalg.checks import exterior_checks
 from extalg.exterior_oracle import (GradedCharacter, _dominance_key, exterior_decomposition,
                                     graded_decompose, graded_exterior_character,
                                     reference_polynomials)
@@ -62,6 +64,12 @@ def b2():
 @pytest.fixture(scope="module")
 def b2_adjoint(b2):
     return exterior_decomposition(b2, b2.theta)
+
+
+@pytest.fixture(scope="module")
+def b2_checks(b2):
+    # the shared battery's records, asserted beside each direct comparison
+    return {c["name"]: c for c in exterior_checks(b2, "adjoint")}
 
 
 def test_single_zero_line():
@@ -133,17 +141,19 @@ def test_dominant_peel_matches_full_orbit_peel(family, rank, module):
     assert graded_decompose(datum, gc) == reference_graded_decompose(datum, gc)
 
 
-def test_invariants_product(b2, b2_adjoint):
+def test_invariants_product(b2, b2_adjoint, b2_checks):
     assert b2_adjoint[b2.zero] == reference_polynomials(b2, "hks_invariants")
+    assert b2_checks["hks_invariants"]["pass"]
     assert reference_polynomials(b2, "hks_invariants") == \
         PolyT({0: 1, 3: 1, 7: 1, 10: 1})
 
 
-def test_bazlov_adjoint(b2, b2_adjoint):
+def test_bazlov_adjoint(b2, b2_adjoint, b2_checks):
     assert b2_adjoint[b2.theta] == reference_polynomials(b2, "bazlov_adjoint")
+    assert b2_checks["bazlov_adjoint"]["pass"]
 
 
-def test_reeder_delta_subsets(b2, b2_adjoint):
+def test_reeder_delta_subsets(b2, b2_adjoint, b2_checks):
     assert reference_polynomials(b2, "reeder_deltaI", subset=()) == \
         (PolyT({0: 1, 1: 1}) ** 2).shift(4)
     assert reference_polynomials(b2, "reeder_deltaI", subset=(1, 2)) == \
@@ -152,15 +162,17 @@ def test_reeder_delta_subsets(b2, b2_adjoint):
         for subset in itertools.combinations((1, 2), r):
             w, _ = two_rho_minus_delta(b2, subset)
             assert b2_adjoint[w] == reference_polynomials(b2, "reeder_deltaI", subset=subset)
+    assert b2_checks["reeder_delta_I_all_subsets"]["pass"]
 
 
-def test_kostant_scaled_tensor_square(b2, b2_adjoint):
+def test_kostant_scaled_tensor_square(b2, b2_adjoint, b2_checks):
     totals = {w: p(1) for w, p in b2_adjoint.items()}
     kl = klimyk_tensor(b2, b2.rho, b2.rho)
     assert totals == {w: 4 * m for w, m in kl.items()}
+    assert b2_checks["kostant_scaled_tensor_square"]["pass"]
 
 
-def test_reeder_small_equality_iff(b2, b2_adjoint):
+def test_reeder_small_equality_iff(b2, b2_adjoint, b2_checks):
     totals = {w: p(1) for w, p in b2_adjoint.items()}
     for lam in enumerate_dominant_below(b2, 2 * b2.rho, "dominance"):
         bound = 4 * freudenthal(b2, lam).zero_multiplicity()
@@ -168,6 +180,7 @@ def test_reeder_small_equality_iff(b2, b2_adjoint):
             assert totals.get(lam, 0) == bound
         else:
             assert totals.get(lam, 0) < bound
+    assert b2_checks["reeder_small_equality_iff"]["pass"]
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("B", 3), ("C", 3)])
@@ -179,6 +192,8 @@ def test_panyushev_little_adjoint(family, rank):
     assert totals == {w: (2 ** datum.num_short_simple) * m for w, m in kl.items()}
     below = enumerate_dominant_below(datum, 2 * datum.rho_short, "dominance")
     assert set(totals) == set(below)
+    records = exterior_checks(datum, "little-adjoint")
+    assert len(records) == 2 and all(c["pass"] for c in records)
 
 
 def test_g2_little_adjoint_conjecture():
@@ -188,6 +203,7 @@ def test_g2_little_adjoint_conjecture():
     dec = exterior_decomposition(g2, g2.theta_short)
     below = enumerate_dominant_below(g2, 2 * g2.rho_short, "dominance")
     assert set(dec) == set(below)
+    assert [c["pass"] for c in exterior_checks(g2, "little-adjoint")] == [True]
     total_dim = sum(p(1) * weyl_dim(g2, w) for w, p in dec.items())
     assert total_dim == 2 ** 7
     kl = klimyk_tensor(g2, g2.rho_short, g2.rho_short)
@@ -202,3 +218,71 @@ def test_b3_adjoint_factorization():
     rhs = PolyT({0: 1, -1: 1}) * PolyT({0: 1, 3: 1}) * PolyT({0: 1, 7: 1})
     rhs = rhs * closed_E(b3, w2).subs_power(2)
     assert dec[w2] == rhs
+
+
+def _bump_at(monkeypatch, module, name, key):
+    # wrap module.name so that its table gains 1 at weight key(datum)
+    real = getattr(module, name)
+
+    def corrupted(datum, *args, **kwargs):
+        out = dict(real(datum, *args, **kwargs))
+        out[key(datum)] = out.get(key(datum), 0) + 1
+        return out
+
+    monkeypatch.setattr(module, name, corrupted)
+
+
+def _corrupt_delta(monkeypatch):
+    real = exterior_oracle.reference_polynomials
+
+    def corrupted(datum, name, subset=None):
+        if name != "reeder_deltaI":
+            return real(datum, name)
+        return real(datum, name, subset=subset) + PolyT.one() * (subset == (1,))
+
+    monkeypatch.setattr(exterior_oracle, "reference_polynomials", corrupted)
+
+
+def _corrupt_small(monkeypatch):
+    real = orders.is_small
+    monkeypatch.setattr(orders, "is_small", lambda datum, lam: real(datum, lam) != lam.is_zero())
+
+
+def _corrupt_factorization(monkeypatch):
+    real = genexp.closed_E
+    monkeypatch.setattr(genexp, "closed_E", lambda datum, lam: real(datum, lam) + PolyT.one())
+
+
+def _corrupt_support(monkeypatch):
+    real = orders.enumerate_dominant_below
+    monkeypatch.setattr(orders, "enumerate_dominant_below",
+                        lambda datum, bound, order: real(datum, bound, order)[:-1])
+
+
+@pytest.mark.parametrize("family,rank,module,corrupt,name,where", [
+    ("B", 2, "adjoint",
+     lambda mp: _bump_at(mp, weyl_oracle, "klimyk_tensor", lambda d: d.theta),
+     "kostant_scaled_tensor_square", lambda d: f"at {list(d.theta.coords2)}: got "),
+    ("B", 2, "adjoint", _corrupt_delta,
+     "reeder_delta_I_all_subsets", lambda d: "I = [1]: got "),
+    ("C", 2, "adjoint", _corrupt_small,
+     "reeder_small_equality_iff", lambda d: f"at {list(d.zero.coords2)}: total "),
+    ("B", 3, "adjoint", _corrupt_factorization,
+     "graded_multiplicity_factorization", lambda d: "at [2, 2, 0]: got "),
+    ("G2", 2, "little-adjoint", _corrupt_support,
+     "support_iff_below_2rho_short (verified-case-check)",
+     lambda d: f"at {list(d.zero.coords2)}: got 1, want 0"),
+    ("C", 3, "little-adjoint",
+     lambda mp: _bump_at(mp, weyl_oracle, "klimyk_tensor", lambda d: d.zero),
+     "panyushev_scaled_tensor_square", lambda d: f"at {list(d.zero.coords2)}: got "),
+])
+def test_failed_check_names_first_counterexample(monkeypatch, family, rank, module, corrupt,
+                                                 name, where):
+    # one corrupted collaborator fails exactly one record of the battery, whose
+    # detail names the counterexample; every other record still passes
+    datum = build_root_datum(family, rank)
+    corrupt(monkeypatch)
+    records = exterior_checks(datum, module)
+    assert [c["name"] for c in records if not c["pass"]] == [name]
+    assert [c["detail"].startswith(where(datum)) for c in records if not c["pass"]] == [True]
+    assert all(c["detail"] == "" for c in records if c["pass"])
