@@ -27,7 +27,7 @@ from .rootdata import (ConfigurationError, DatumMismatchError, RootDatum, Weight
                        build_root_datum, reduce_to_dominant, weight_from_fundamental)
 from .orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
                      is_small, order_report, two_rho_minus_delta)
-from .gpartitions import GPartition, count_lr, evaluate_forms, is_admissible, weight_of
+from .gpartitions import GPartition, count_lr, is_admissible, weight_of
 from .constructor import Certificate, certify_theorem, construct
 from .weyl_oracle import (freudenthal, klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
 from .exterior_oracle import (exterior_decomposition, graded_decompose,
@@ -44,7 +44,7 @@ __all__ = [
     "build_root_datum", "reduce_to_dominant", "weight_from_fundamental",
     "coordinatewise_leq", "dominance_leq", "enumerate_dominant_below",
     "is_small", "order_report", "two_rho_minus_delta",
-    "GPartition", "count_lr", "evaluate_forms", "is_admissible", "weight_of",
+    "GPartition", "count_lr", "is_admissible", "weight_of",
     "Certificate", "certify_theorem", "construct",
     "freudenthal", "klimyk_tensor", "lusztig_E", "q_kostant", "weyl_dim",
     "exterior_decomposition", "graded_decompose", "graded_exterior_character",

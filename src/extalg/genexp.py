@@ -31,7 +31,12 @@ class UnsupportedWeightError(ValueError):
 
 
 class PolyT:
-    """Sparse integer Laurent polynomial in t, stored as {exponent: coefficient}."""
+    """Sparse integer Laurent polynomial in t, stored as {exponent: coefficient}.
+
+    Every result has the class of ``self``, and only polynomials of the same
+    class compare equal, so a subclass that encodes more variables in the one
+    exponent (``recurrence.LaurentQS``) reuses this arithmetic unchanged.
+    """
 
     __slots__ = ("c",)
 
@@ -54,6 +59,18 @@ class PolyT:
     def t(cls, e=1, coeff=1):
         return cls({e: coeff})
 
+    def _new(self, c):
+        """A polynomial of this class whose coefficient dict is ``c``."""
+        r = type(self)()
+        r.c = c
+        return r
+
+    def _coerce(self, other):
+        """An int operand stands for the constant polynomial."""
+        if isinstance(other, int):
+            return self._new({0: other} if other else {})
+        return other
+
     def is_zero(self):
         return not self.c
 
@@ -61,49 +78,36 @@ class PolyT:
         return bool(self.c)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = PolyT({0: other})
-        return isinstance(other, PolyT) and self.c == other.c
+        other = self._coerce(other)
+        return type(other) is type(self) and self.c == other.c
 
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = PolyT({0: other})
         out = dict(self.c)
-        for e, v in other.c.items():
+        for e, v in self._coerce(other).c.items():
             w = out.get(e, 0) + v
             if w:
                 out[e] = w
             elif e in out:
                 del out[e]
-        r = PolyT()
-        r.c = out
-        return r
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = PolyT()
-        r.c = {e: -v for e, v in self.c.items()}
-        return r
+        return self._new({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = PolyT({0: other})
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return PolyT()
-            r = PolyT()
-            r.c = {e: v * other for e, v in self.c.items()}
-            return r
+            return self._new({e: v * other for e, v in self.c.items()} if other else {})
         out = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
@@ -113,16 +117,14 @@ class PolyT:
                     out[e] = w
                 elif e in out:
                     del out[e]
-        r = PolyT()
-        r.c = out
-        return r
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = PolyT.one()
+        out = self._new({0: 1})
         base = self
         while k:
             if k & 1:
@@ -143,15 +145,11 @@ class PolyT:
 
     def shift(self, k):
         """Multiply by t**k."""
-        r = PolyT()
-        r.c = {e + k: v for e, v in self.c.items()}
-        return r
+        return self._new({e + k: v for e, v in self.c.items()})
 
     def subs_power(self, m):
         """Substitute t -> t**m."""
-        r = PolyT()
-        r.c = {e * m: v for e, v in self.c.items()}
-        return r
+        return self._new({e * m: v for e, v in self.c.items()})
 
     def __call__(self, value):
         return sum(v * value ** e for e, v in self.c.items())
@@ -161,7 +159,7 @@ class PolyT:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return PolyT()
+            return self._new({})
         # normalize both to honest polynomials with nonzero constant terms
         a, b = self.shift(-self.low()), other.shift(-other.low())
         shift = self.low() - other.low()
@@ -183,14 +181,10 @@ class PolyT:
                     rem[e + dr - db] = w
                 elif e + dr - db in rem:
                     del rem[e + dr - db]
-        r = PolyT()
-        r.c = quot
-        return r.shift(shift)
+        return self._new(quot).shift(shift)
 
     def truncate(self, deg):
-        r = PolyT()
-        r.c = {e: v for e, v in self.c.items() if e <= deg}
-        return r
+        return self._new({e: v for e, v in self.c.items() if e <= deg})
 
     def coeff(self, e):
         return self.c.get(e, 0)

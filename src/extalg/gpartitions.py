@@ -3,10 +3,11 @@
 A g-partition expands a root-lattice weight over the positive-root slots
 ``m[i][j]`` (for e_i - e_j), ``mp[i][j]`` (for e_i + e_j) and ``mi[i]`` (for
 e_i; even in type C, zero in type D).  The linear forms below are the
-rearranged ones; the interleaved original definitions are kept only as a
-randomized cross-check because their index bookkeeping leaves cases
-unassigned.  Counting admissible partitions associated to
-``lam + mu - nu`` computes the tensor multiplicity of V_nu in V_lam (x) V_mu.
+rearranged ones (the interleaved original definitions leave index pairs
+unassigned); they are compiled once per type into integer rows, on which
+both ``is_admissible`` and ``count_lr`` score partitions.  Counting
+admissible partitions associated to ``lam + mu - nu`` computes the tensor
+multiplicity of V_nu in V_lam (x) V_mu.
 """
 
 from collections import namedtuple
@@ -16,10 +17,8 @@ from .weyl_oracle import DEFAULT_CELL_CAP, ResourceCapError
 
 __all__ = [
     "GPartition",
-    "FormValues",
     "pair_slots",
     "weight_of",
-    "evaluate_forms",
     "is_admissible",
     "count_lr",
     "enumerate_associated",
@@ -225,51 +224,6 @@ def _N1_value(datum, p, i, t, barred):
     return _N1(datum, p, i, t, barred)
 
 
-@dataclass(frozen=True)
-class FormValues:
-    """Evaluated linear forms of one g-partition, keyed per Table of indices."""
-
-    L: dict
-    N0: dict
-    N1: dict
-
-    def all_items(self):
-        for kind, table in (("L", self.L), ("N0", self.N0), ("N1", self.N1)):
-            for key, val in table.items():
-                yield kind, key, val
-
-
-def evaluate_forms(datum, p):
-    """Evaluate every admitted linear form on p (rearranged expressions)."""
-    _check_partition(datum, p)
-    keys = form_keys(datum)
-    return FormValues(
-        {(j, ts): _L_value(datum, p, j, ts[0], ts[1]) for j, ts in keys["L"]},
-        {(i, ts): _N0(datum, p, i, ts[0], ts[1]) for i, ts in keys["N0"]},
-        {(i, ts): _N1_value(datum, p, i, ts[0], ts[1]) for i, ts in keys["N1"]},
-    )
-
-
-def is_admissible(datum, p, a, b):
-    """True iff every admitted form obeys its bound: L <= a_j, N0/N1 <= b_j."""
-    _check_partition(datum, p)
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != datum.rank or len(b) != datum.rank:
-        raise ValueError("fundamental-coefficient vectors have wrong length")
-    keys = form_keys(datum)
-    for j, (t, barred) in keys["L"]:
-        if _L_value(datum, p, j, t, barred) > a[j - 1]:
-            return False
-    for i, (t, barred) in keys["N0"]:
-        if _N0(datum, p, i, t, barred) > b[i - 1]:
-            return False
-    for i, (t, barred) in keys["N1"]:
-        if _N1_value(datum, p, i, t, barred) > b[i - 1]:
-            return False
-    return True
-
-
 def _suffix_feasible(family, res):
     """Necessary condition for a residual suffix to be a sum of suffix-supported roots."""
     run = 0
@@ -383,7 +337,8 @@ _M, _MP, _ROW_END = 0, 1, 2
 class _Compiled(namedtuple("_Compiled", "forms bound_of rows slots steps")):
     """The admitted forms of one (family, rank) as integer rows, and the walk order.
 
-    ``forms[f]`` names form f as ``(kind, key)``, as in ``FormValues``.
+    ``forms[f]`` names form f as ``(kind, (j, (t, barred)))``, kind "L", "N0"
+    or "N1", with the keys of ``form_keys``.
     ``rows[f][k]`` is form f evaluated on ``2 * e_k`` over the flat layout, so
     ``sum(rows[f][k] * flat[k])`` is twice the form's value (type C halves
     ``m_i``) and is compared with twice the bound ``bound_of[f]``: ``(0, j)``
@@ -453,6 +408,21 @@ def _compile(datum):
         steps.append((terms, upper, lower))
     return _Compiled(tuple(forms), tuple(bound_of), tuple(tuple(r) for r in rows),
                      tuple(slots), tuple(steps))
+
+
+def is_admissible(datum, p, a, b):
+    """True iff every admitted form obeys its bound: L <= a_j, N0/N1 <= b_j.
+
+    Scores ``p.flat`` on the compiled rows, as ``count_lr`` does: twice each
+    form is compared with twice its bound.
+    """
+    _check_partition(datum, p)
+    bounds = (tuple(a), tuple(b))
+    if len(bounds[0]) != datum.rank or len(bounds[1]) != datum.rank:
+        raise ValueError("fundamental-coefficient vectors have wrong length")
+    comp = _compiled(datum)
+    return all(sum(c * x for c, x in zip(row, p.flat)) <= 2 * bounds[side][idx]
+               for row, (side, idx) in zip(comp.rows, comp.bound_of))
 
 
 def count_lr(datum, lam, mu, nu, want_witnesses=False, cap=DEFAULT_CELL_CAP):
@@ -546,53 +516,3 @@ def count_lr(datum, lam, mu, nu, want_witnesses=False, cap=DEFAULT_CELL_CAP):
     # pairs before it, so two witnesses first differ in a pair slot
     walk(0)
     return count, [GPartition.from_flat(fam, n, values) for values in found]
-
-
-# -- original interleaved definitions, used only as a randomized cross-check --
-
-
-def _delta(p, n, a, a_bar, b, b_bar):
-    """Delta with possibly barred indices, following the interleaved definition.
-
-    Returns None for the index pairs the published case split leaves
-    unassigned (second index n with a bar involved, first index below n).
-    """
-    if not a_bar and not b_bar:
-        return p.M(a, b) if a < b else 0
-    if a_bar and b_bar:
-        return _delta(p, n, a + 1, False, b + 1, False)
-    if b < n:
-        return p.mp(a, b + 1) - p.m(a + 1, b + 1)
-    if a == n:
-        return p.mi(a)
-    return None
-
-
-def forms_original_L(datum, p, j, t, barred):
-    """Original interleaved L-form for j < n: minus the sum of Delta_{s j} over s <= t."""
-    n = datum.rank
-    if j >= n:
-        raise ValueError("the original L-form cross-check covers j < n only")
-    total = _delta(p, n, 0, True, j, False)
-    for s in range(1, t + 1):
-        total += _delta(p, n, s, False, j, False)
-        if s < t or barred:
-            total += _delta(p, n, s, True, j, False)
-    return -total
-
-
-def forms_original_N0(datum, p, j, t, barred):
-    """Original interleaved N0-form; None when it touches an unassigned Delta."""
-    n = datum.rank
-    total = _delta(p, n, j, True, j, False)
-    for s in range(j + 1, t + 1):
-        v = _delta(p, n, j, True, s, False)
-        if v is None:
-            return None
-        total += v
-        if s < t or barred:
-            v = _delta(p, n, j, True, s, True)
-            if v is None:
-                return None
-            total += v
-    return total

@@ -28,7 +28,6 @@ __all__ = [
     "klimyk_tensor",
     "q_kostant",
     "lusztig_E",
-    "dimension_of_decomposition",
 ]
 
 #: default guard on the number of (weight, multiplicity) cells a single
@@ -214,10 +213,6 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
         if m:
             result[w] = m
     return result
-
-
-def dimension_of_decomposition(datum, decomposition):
-    return sum(m * weyl_dim(datum, w) for w, m in decomposition.items())
 
 
 _kostant_memo = {}

@@ -300,6 +300,14 @@ def test_zero_division_in_zero_count_is_internal_error(monkeypatch):
      "e47eaa02e1ff7d7171b8534c41f19087a4b96b2c472112e1b19ecc8ccd0c1d67"),
     ("short-kostant-verify --family C --rank 4",
      "f2743618f02c4356a8ca7c45aa01158548f8a0b25919d72defeeab8759d7f99b"),
+    ("recurrence-verify --family B --rank 5 --exterior-specialization",
+     "02425118946259c961458d62b01a6de3f8042c7f2128a54a047ab3bec2988990"),
+    ("recurrence-verify --family D --rank 6",
+     "f44caa158f340c8f6368ec60d50bc30b87290faabf09689120ed1d6991159961"),
+    ("kostant-verify --family B --rank 4 --case-c",
+     "2cea9ed3b9e39703c09d731d8422560a52b915579a6fea3057e026fd25592d8e"),
+    ("genexp --family D --rank 5 --format csv",
+     "151af59c82519c3dec1f85c7d29fb67cb16d547cf28bb5724164011d9c575b69"),
 ])
 def test_check_report_bytes_pinned(argv, digest):
     code, out, _ = run_cli(argv.split())

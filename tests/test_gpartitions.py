@@ -1,27 +1,115 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from extalg.gpartitions import (GPartition, _compiled, count_lr, enumerate_associated,
-                                evaluate_forms, form_keys, forms_original_L,
-                                forms_original_N0, is_admissible, pair_slots,
-                                weight_of)
+from extalg.gpartitions import (GPartition, _check_partition, _compiled, _L_value, _N0,
+                                _N1_value, count_lr, enumerate_associated, form_keys,
+                                is_admissible, pair_slots, weight_of)
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import ResourceCapError, klimyk_tensor, weyl_dim
 
 
+# -- reference evaluators: the forms uncompiled, and their original definitions
+
+
+@dataclass(frozen=True)
+class FormValues:
+    """Evaluated linear forms of one g-partition, keyed per Table of indices."""
+
+    L: dict
+    N0: dict
+    N1: dict
+
+    def all_items(self):
+        for kind, table in (("L", self.L), ("N0", self.N0), ("N1", self.N1)):
+            for key, val in table.items():
+                yield kind, key, val
+
+
+def form_values(datum, p):
+    """(kind, key, value) of every admitted form on p, uncompiled, lazily."""
+    _check_partition(datum, p)
+    keys = form_keys(datum)
+    for kind, value in (("L", _L_value), ("N0", _N0), ("N1", _N1_value)):
+        for j, (t, barred) in keys[kind]:
+            yield kind, (j, (t, barred)), value(datum, p, j, t, barred)
+
+
+def evaluate_forms(datum, p):
+    """Evaluate every admitted linear form on p (rearranged expressions)."""
+    tables = {"L": {}, "N0": {}, "N1": {}}
+    for kind, key, v in form_values(datum, p):
+        tables[kind][key] = v
+    return FormValues(**tables)
+
+
+def reference_admissible(items, a, b):
+    """Every (kind, key, value) form item against its bound: L <= a_j, N0/N1 <= b_j."""
+    bounds = {"L": a, "N0": b, "N1": b}
+    return all(v <= bounds[kind][key[0] - 1] for kind, key, v in items)
+
+
+def _delta(p, n, a, a_bar, b, b_bar):
+    """Delta with possibly barred indices, following the interleaved definition.
+
+    Returns None for the index pairs the published case split leaves
+    unassigned (second index n with a bar involved, first index below n).
+    """
+    if not a_bar and not b_bar:
+        return p.M(a, b) if a < b else 0
+    if a_bar and b_bar:
+        return _delta(p, n, a + 1, False, b + 1, False)
+    if b < n:
+        return p.mp(a, b + 1) - p.m(a + 1, b + 1)
+    if a == n:
+        return p.mi(a)
+    return None
+
+
+def forms_original_L(datum, p, j, t, barred):
+    """Original interleaved L-form for j < n: minus the sum of Delta_{s j} over s <= t."""
+    n = datum.rank
+    if j >= n:
+        raise ValueError("the original L-form cross-check covers j < n only")
+    total = _delta(p, n, 0, True, j, False)
+    for s in range(1, t + 1):
+        total += _delta(p, n, s, False, j, False)
+        if s < t or barred:
+            total += _delta(p, n, s, True, j, False)
+    return -total
+
+
+def forms_original_N0(datum, p, j, t, barred):
+    """Original interleaved N0-form; None when it touches an unassigned Delta."""
+    n = datum.rank
+    total = _delta(p, n, j, True, j, False)
+    for s in range(j + 1, t + 1):
+        v = _delta(p, n, j, True, s, False)
+        if v is None:
+            return None
+        total += v
+        if s < t or barred:
+            v = _delta(p, n, j, True, s, True)
+            if v is None:
+                return None
+            total += v
+    return total
+
+
 def reference_count_lr(datum, lam, mu, nu):
     """The polytope count as one admissibility test per associated partition.
 
-    The unpruned enumeration that ``count_lr`` replaced; the pruned walk must
-    give the same count and the same witnesses in the same order.
+    The unpruned enumeration that ``count_lr`` replaced, scored with the
+    uncompiled forms; the pruned walk must give the same count and the same
+    witnesses in the same order.
     """
     a = datum.fundamental_coefficients(lam)
     b = datum.fundamental_coefficients(mu)
     witnesses = [p for p in enumerate_associated(datum, lam + mu - nu)
-                 if is_admissible(datum, p, a, b)]
+                 if reference_admissible(form_values(datum, p), a, b)]
     witnesses.sort(key=lambda q: q.flat)
     return len(witnesses), witnesses
 
@@ -206,12 +294,18 @@ def test_compiled_rows_match_evaluate_forms(family, rank):
     datum = build_root_datum(family, rank)
     table = _compiled(datum)
     rng = random.Random(1729)
+    bound_vectors = list(itertools.product(range(3), repeat=rank))
     for _ in range(40):
         p = _random_partition(family, rank, rng, bound=4)
         fv = evaluate_forms(datum, p)
         expected = [2 * getattr(fv, kind)[key] for kind, key in table.forms]
         got = [sum(c * x for c, x in zip(row, p.flat)) for row in table.rows]
         assert got == expected, p
+        # admissibility on the compiled rows, with a = b and with b = 2 - a
+        for a in bound_vectors:
+            for b in (a, tuple(2 - x for x in a)):
+                assert is_admissible(datum, p, a, b) == \
+                    reference_admissible(fv.all_items(), a, b), (p, a, b)
     assert len(table.forms) == sum(len(v) for v in form_keys(datum).values())
 
 
@@ -226,6 +320,10 @@ def test_count_lr_matches_reference_enumeration(family, rank):
                 ref_count, ref_wits = reference_count_lr(datum, lam, mu, nu)
                 assert count == ref_count, (lam, mu, nu)
                 assert [p.flat for p in wits] == [p.flat for p in ref_wits], (lam, mu, nu)
+                # admissible points, which the random partitions of
+                # test_compiled_rows_match_evaluate_forms almost never are
+                a, b = datum.fundamental_coefficients(lam), datum.fundamental_coefficients(mu)
+                assert all(is_admissible(datum, p, a, b) for p in wits), (lam, mu, nu)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("C", 4)])

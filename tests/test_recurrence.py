@@ -182,6 +182,44 @@ def test_failing_zero_count_reports_on_every_k(monkeypatch):
         recurrence._omega0_cached.cache_clear()
 
 
+def _shift_s(orig):
+    return lambda *args: orig(*args).scale_s(1)
+
+
+def _shift_by_h(orig):
+    return lambda k, n, h: orig(k, n, h) + h
+
+
+@pytest.mark.parametrize("name, shifted, family, rank", [
+    ("_diag_cleared_b", _shift_s, "B", 4),
+    ("_gamma1_cleared_b", _shift_s, "B", 4),
+    ("_b_cleared_d", _shift_s, "D", 6),
+    ("_a_int_b", _shift_by_h, "B", 4),
+])
+def test_failed_coefficient_checks_name_a_counterexample(monkeypatch, name, shifted,
+                                                         family, rank):
+    from extalg import recurrence
+    a_int_b = recurrence._a_int_b   # a shifted recursion would write into its cache
+    monkeypatch.setattr(recurrence, name, shifted(getattr(recurrence, name)))
+    recurrence._row_cached.cache_clear()
+    try:
+        datum = build_root_datum(family, rank)
+        kmax = rank if family == "B" else rank // 2
+        records = [c for k in range(1, kmax + 1) for c in verify_aggregate(datum, k)["checks"]]
+    finally:
+        recurrence._row_cached.cache_clear()
+        a_int_b.cache_clear()
+    failed = [c for c in records if not c["pass"]]
+    assert failed
+    for c in failed:
+        assert c["detail"], c["name"]
+        if c["name"].startswith("lem_relA_"):
+            assert c["detail"].startswith("at (k, n, h) = ("), c
+        elif not c["name"].startswith("aggregate_no_residual"):
+            assert "got " in c["detail"] and ", want " in c["detail"], c
+    assert all(c["detail"] == "" for c in records if c["pass"])
+
+
 def test_row_entries_strictly_below(b3):
     d5 = build_root_datum("D", 5)
     for datum, k in [(b3, 2), (b3, 3), (d5, 2)]:
