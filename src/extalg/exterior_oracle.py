@@ -2,114 +2,262 @@
 
 The graded character of Lambda(M) for a module M with weight system
 ``{mu: mult}`` is the product over weight lines of ``(1 + t e^mu)**mult``.
-That character is Weyl-invariant, so its dominant entries determine it.
-:func:`graded_decompose` checks the invariance once and then peels highest
-weights in the dominant chamber alone, subtracting the dominant Freudenthal
-table of each component; this gives every graded multiplicity polynomial
-``P(V_nu, Lambda M, t)`` exactly.  The closed reference formulas these are
-checked against live in :func:`reference_polynomials`.
+:func:`graded_exterior_character` keeps it packed by Kronecker substitution
+(Harvey, J. Symbolic Comput. 44, 2009): a weight is one mixed-radix int and
+its t-polynomial one int with a fixed bit slot per degree, so each factor is
+one pass of int additions over a dict.  :func:`graded_decompose` checks that
+the character is Weyl-invariant and reads every graded multiplicity
+polynomial ``P(V_lam, Lambda M, t)`` off the Weyl character formula,
+m_lam = sum_w sgn(w) chi[lam + rho - w rho] (Humphreys, Introduction to Lie
+Algebras and Representation Theory, Section 24), as sums of packed ints.  The
+signed shifts come from expanding prod_{alpha > 0} (1 - e^-alpha) over the
+positive roots, so the path uses the root data alone.  The closed reference
+formulas these are checked against live in :func:`reference_polynomials`.
 """
 
-from dataclasses import dataclass
-from operator import add
+from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import add, mul
+from typing import NamedTuple
 
 from .genexp import PolyT
-from .weyl_oracle import ResourceCapError, dominant_multiplicities, freudenthal
+from .rootdata import Weight
+from .weyl_oracle import ResourceCapError, freudenthal
 
 __all__ = [
     "GradedCharacter",
+    "PackedLayout",
     "graded_exterior_character",
     "graded_decompose",
+    "weyl_alternation",
     "reference_polynomials",
     "DEFAULT_DIM_CAP",
 ]
 
 DEFAULT_DIM_CAP = 24
 
+_ALTERNATION = {}
+
+
+def weyl_alternation(datum):
+    """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
+
+    By the Weyl denominator formula prod_{alpha > 0} (1 - e^-alpha) =
+    sum_w sgn(w) e^(w rho - rho), so expanding the product over
+    ``datum.positive_roots`` cancels every other term and leaves one shift
+    ``rho - w rho`` (a sum of positive roots) per Weyl element, with its
+    sign.  Cached per (family, rank); sorted by shift.
+    """
+    key = (datum.family, datum.rank)
+    if key not in _ALTERNATION:
+        terms = {datum.zero.coords2: 1}
+        for alpha in datum.positive_roots:
+            new = dict(terms)
+            for v, c in terms.items():
+                u = tuple(map(add, v, alpha.coords2))
+                s = new.get(u, 0) - c
+                if s:
+                    new[u] = s
+                else:
+                    del new[u]
+            terms = new
+        _ALTERNATION[key] = tuple(sorted(terms.items()))
+    return _ALTERNATION[key]
+
+
+class PackedLayout(NamedTuple):
+    """Kronecker substitution of a graded character.
+
+    Support weights have every doubled coordinate in [-reach, reach], and
+    keys cover the wider interval [-bound, bound], bound = reach + pad, so
+    that a support weight translated by at most ``pad`` on each axis still
+    packs: the weight x packs to ``sum_i (x_i + bound) * radix**i``.  The
+    interval is the same on every axis, so it is closed under the Weyl group
+    (signed permutations of the coordinates in every family here).  A
+    t-polynomial packs to ``sum_k c_k << (k * slot)``.
+    """
+
+    dim: int
+    reach: int
+    pad: int
+    slot: int
+
+    @property
+    def bound(self):
+        return self.reach + self.pad
+
+    @property
+    def radix(self):
+        return 2 * self.bound + 1
+
+    @property
+    def places(self):
+        return tuple(self.radix ** i for i in range(self.dim))
+
+    @property
+    def origin(self):
+        """The key of the zero weight."""
+        return self.bound * sum(self.places)
+
+    def shift(self, x2):
+        """The amount a translation by x2 adds to a key (for a translate in the box)."""
+        return sum(map(mul, x2, self.places))
+
+    def key(self, x2):
+        """Packed key of a vector of doubled coordinates in the box."""
+        return self.shift(x2) + self.origin
+
+    def coords2(self, key):
+        """The doubled coordinates packed in ``key``."""
+        out = []
+        for _ in range(self.dim):
+            key, d = divmod(key, self.radix)
+            out.append(d - self.bound)
+        return tuple(out)
+
+    def pack(self, poly):
+        """Packed int of a polynomial in t; :func:`graded_decompose` checks the coefficients."""
+        if poly.c and min(poly.c) < 0:
+            raise ValueError(f"cannot pack the Laurent polynomial {poly}")
+        return sum(c << (k * self.slot) for k, c in poly.c.items())
+
+    def unpack(self, n):
+        """The polynomial packed in ``n`` >= 0."""
+        mask = (1 << self.slot) - 1
+        out = {}
+        k = 0
+        while n:
+            if n & mask:
+                out[k] = n & mask
+            n >>= self.slot
+            k += 1
+        return PolyT(out)
+
 
 @dataclass(frozen=True)
 class GradedCharacter:
-    """Weight -> PolyT table; the t^k coefficient counts that weight in degree k."""
+    """A graded character packed by ``layout``.
+
+    ``table`` maps the packed key of every support weight to its packed
+    t-polynomial, whose t^k coefficient counts that weight in degree k.
+    """
 
     family: str
     rank: int
     total_dim: int
+    layout: PackedLayout
     table: dict
+
+    def polynomials(self):
+        """The unpacked Weight -> PolyT table."""
+        return {Weight(self.family, self.rank, self.layout.coords2(k)): self.layout.unpack(p)
+                for k, p in self.table.items()}
+
+    def with_polynomials(self, polys):
+        """This character with its table replaced by a Weight -> PolyT table,
+        packed through the same layout (zero polynomials are dropped)."""
+        layout = self.layout
+        table = {}
+        for w, p in polys.items():
+            if (w.family, w.rank) != (self.family, self.rank):
+                raise ValueError(f"{w} does not belong to {self.family}{self.rank}")
+            if max(map(abs, w.coords2)) > layout.reach:
+                raise ValueError(f"{w} lies outside the packed box")
+            if not p.is_zero():
+                table[layout.key(w.coords2)] = layout.pack(p)
+        return replace(self, table=table)
 
 
 def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
-    """Exact graded character of the exterior algebra over a weight system.
+    """Exact graded character of the exterior algebra over a weight system, packed.
 
     ``module_mult`` maps Weight -> multiplicity (e.g. ``freudenthal(...).mult``).
     """
     d = sum(module_mult.values())
     if d > cap:
         raise ResourceCapError(f"module dimension {d} exceeds cap {cap}")
-    # {weight coords2: {degree: coefficient}}; every coefficient stays positive
-    table = {datum.zero.coords2: {0: 1}}
-    lines = sorted(module_mult.items(), key=lambda kv: kv[0].coords2)
-    for w, mult in lines:
-        w2 = w.coords2
+    alternation = weyl_alternation(datum)
+    # the support lies in the box of the sums of the module's weights, and
+    # graded_decompose looks up support weights translated by rho - w rho
+    reach = max(sum(m * abs(w.coords2[i]) for w, m in module_mult.items())
+                for i in range(datum.dim))
+    pad = max(abs(c) for s, _ in alternation for c in s)
+    # every coefficient is below 2**d (at most binom(d, k)), and an alternation
+    # sum adds at most |W|/2 of them, so d + bit_length(|W|) bits never carry
+    # (d + bit_length(d) would not do once |W| > d)
+    layout = PackedLayout(datum.dim, reach, pad, d + len(alternation).bit_length())
+    slot = layout.slot
+    table = {layout.origin: 1}
+    # lines ordered by their last nonzero coordinate: every prefix then spans
+    # as few axes as it can, which keeps the intermediate supports small
+    lines = sorted((w.coords2, m) for w, m in module_mult.items())
+    lines.sort(key=lambda line: max((i for i, c in enumerate(line[0]) if c), default=-1))
+    for w2, mult in lines:
+        dk = layout.shift(w2)
         for _ in range(mult):
-            # times 1
-            new = {supp: dict(poly) for supp, poly in table.items()}
-            # times t * e^w
-            for supp, poly in table.items():
-                shifted = tuple(map(add, supp, w2))
-                acc = new.get(shifted)
-                if acc is None:
-                    new[shifted] = {e + 1: c for e, c in poly.items()}
-                else:
-                    for e, c in poly.items():
-                        acc[e + 1] = acc.get(e + 1, 0) + c
+            # times (1 + t e^w)
+            new = table.copy()
+            get = new.get
+            for k, p in table.items():
+                new[k + dk] = get(k + dk, 0) + (p << slot)
             table = new
-    out = {}
-    for k, v in table.items():
-        poly = PolyT()
-        poly.c = v
-        out[datum.weight(k)] = poly
-    return GradedCharacter(datum.family, datum.rank, d, out)
-
-
-def _dominance_key(datum, coords2):
-    return (datum.dot2(coords2, datum.rho.coords2), coords2)
+    return GradedCharacter(datum.family, datum.rank, d, layout, table)
 
 
 def graded_decompose(datum, gc):
-    """Peel a graded character into irreducible multiplicity polynomials.
+    """Decompose a packed graded character into irreducible multiplicity polynomials.
 
-    The character must be Weyl-invariant: every weight of its support carries
-    the polynomial of its dominant chamber representative, and the support is
-    exactly the union of the Weyl orbits of its dominant weights.  Both are
-    checked once, up front.  The peel then works on the dominant entries
-    only: it takes the highest remaining dominant weight and subtracts its
-    polynomial times the dominant Freudenthal table of that weight.
+    The character must be Weyl-invariant: every point of the orbit of each
+    dominant support weight carries that weight's packed polynomial, and the
+    orbits cover the support exactly.  Every coefficient must lie in
+    [0, 2**total_dim), as in any exterior algebra of a module of that
+    dimension, so that no alternation sum carries between slots.  The
+    multiplicity polynomial of V_lam, lam dominant, is then
+    sum_w sgn(w) chi[lam + rho - w rho]; the positive and the negative terms
+    are summed apart, on packed ints, and only the two sums are unpacked.
 
-    Raises ArithmeticError if the character is not Weyl-invariant, or if
-    peeling reaches a negative coefficient; either way the input was not a
-    genuine character.
+    Raises ArithmeticError if the character is not Weyl-invariant, has a
+    coefficient out of range, or gives a negative multiplicity; either way
+    the input was not a genuine character.
     """
-    support = {w.coords2: p for w, p in gc.table.items() if not p.is_zero()}
-    work = {v: p for v, p in support.items() if datum.is_dominant2(v)}
-    for v, p in support.items():
-        if work.get(datum.chamber_rep2(v)) != p:
-            raise ArithmeticError(f"character is not Weyl-invariant at {datum.weight(v)}")
-    if len(support) != sum(len(datum.orbit2(v)) for v in work):
-        raise ArithmeticError("character support is not a union of Weyl orbits")
+    layout, table = gc.layout, gc.table
+    # the empty module's one coefficient, 1, is not below 2**0
+    span = (1 << max(gc.total_dim, 1)) - 1
+    allowed = sum(span << (k * layout.slot) for k in range(gc.total_dim + 1))
+    places, origin = layout.places, layout.origin
+    # each pass takes an unseen support weight, checks the whole orbit of its
+    # dominant representative v against v's int and marks it seen, so the
+    # orbit sizes add up to the support size exactly when no check fails
+    unseen = set(table)
+    dominant = []
+    while unseen:
+        v = datum.chamber_rep2(layout.coords2(unseen.pop()))
+        p = table.get(layout.key(v))
+        if p is not None and (p < 0 or p & ~allowed):
+            raise ArithmeticError(f"coefficient out of range at {datum.weight(v)}")
+        for u in datum.orbit2(v):
+            k = sum(map(mul, u, places)) + origin
+            if table.get(k) != p:
+                raise ArithmeticError(f"character is not Weyl-invariant at {datum.weight(u)}")
+            unseen.discard(k)
+        dominant.append(v)
+    plus, minus = [], []
+    for s, sign in weyl_alternation(datum):
+        (plus if sign > 0 else minus).append(layout.shift(s))
+    rho2 = datum.rho.coords2
+    dominant.sort(key=lambda x: (datum.dot2(x, rho2), x), reverse=True)
+    get = table.get
     out = {}
-    while work:
-        top = max(work, key=lambda v: _dominance_key(datum, v))
-        poly = work[top]
+    for x in dominant:
+        k = layout.key(x)
+        pos = sum(map(get, [k + s for s in plus], repeat(0)))
+        neg = sum(map(get, [k + s for s in minus], repeat(0)))
+        if pos == neg:
+            continue
+        poly = layout.unpack(pos) - layout.unpack(neg)
         if any(c < 0 for c in poly.c.values()):
-            raise ArithmeticError(f"negative multiplicity polynomial at {top}")
-        highest = datum.weight(top)
-        for w, m in dominant_multiplicities(datum, highest).items():
-            cur = work.get(w.coords2, PolyT.zero()) - poly * m
-            if cur.is_zero():
-                work.pop(w.coords2, None)
-            else:
-                work[w.coords2] = cur
-        out[highest] = poly
+            raise ArithmeticError(f"negative multiplicity polynomial at {datum.weight(x)}: {poly}")
+        out[datum.weight(x)] = poly
     return out
 
 

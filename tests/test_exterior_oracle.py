@@ -1,23 +1,53 @@
 import itertools
-from dataclasses import replace
 from math import comb
 
 import pytest
 
 from extalg import exterior_oracle, genexp, orders, weyl_oracle
 from extalg.checks import exterior_checks
-from extalg.exterior_oracle import (GradedCharacter, _dominance_key, exterior_decomposition,
-                                    graded_decompose, graded_exterior_character,
-                                    reference_polynomials)
+from extalg.exterior_oracle import (exterior_decomposition, graded_decompose,
+                                    graded_exterior_character, reference_polynomials,
+                                    weyl_alternation)
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import enumerate_dominant_below, is_small, two_rho_minus_delta
 from extalg.rootdata import build_root_datum
-from extalg.weyl_oracle import ResourceCapError, freudenthal, klimyk_tensor, weyl_dim
+from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freudenthal,
+                                klimyk_tensor, weyl_dim)
+
+
+def _dominance_key(datum, coords2):
+    return (datum.dot2(coords2, datum.rho.coords2), coords2)
+
+
+def reference_dominant_peel(datum, gc):
+    """Dominant peel: after an invariance check, subtract each component's dominant table."""
+    support = {w.coords2: p for w, p in gc.polynomials().items() if not p.is_zero()}
+    work = {v: p for v, p in support.items() if datum.is_dominant2(v)}
+    for v, p in support.items():
+        if work.get(datum.chamber_rep2(v)) != p:
+            raise ArithmeticError(f"character is not Weyl-invariant at {datum.weight(v)}")
+    if len(support) != sum(len(datum.orbit2(v)) for v in work):
+        raise ArithmeticError("character support is not a union of Weyl orbits")
+    out = {}
+    while work:
+        top = max(work, key=lambda v: _dominance_key(datum, v))
+        poly = work[top]
+        if any(c < 0 for c in poly.c.values()):
+            raise ArithmeticError(f"negative multiplicity polynomial at {top}")
+        highest = datum.weight(top)
+        for w, m in dominant_multiplicities(datum, highest).items():
+            cur = work.get(w.coords2, PolyT.zero()) - poly * m
+            if cur.is_zero():
+                work.pop(w.coords2, None)
+            else:
+                work[w.coords2] = cur
+        out[highest] = poly
+    return out
 
 
 def reference_graded_decompose(datum, gc):
     """Full-orbit peel: subtract the whole Freudenthal weight system per component."""
-    work = {w.coords2: p for w, p in gc.table.items() if not p.is_zero()}
+    work = {w.coords2: p for w, p in gc.polynomials().items() if not p.is_zero()}
     out = {}
     while work:
         dominant = [v for v in work if datum.is_dominant2(v)]
@@ -52,8 +82,7 @@ def reference_graded_exterior_character(datum, module_mult):
                 acc = new.get(shifted)
                 new[shifted] = bumped if acc is None else acc + bumped
             table = {k: v for k, v in new.items() if not v.is_zero()}
-    return GradedCharacter(datum.family, datum.rank, sum(module_mult.values()),
-                           {datum.weight(k): v for k, v in table.items()})
+    return {datum.weight(k): v for k, v in table.items()}
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +104,24 @@ def b2_checks(b2):
 def test_single_zero_line():
     b2 = build_root_datum("B", 2)
     gc = graded_exterior_character(b2, {b2.zero: 1})
-    assert gc.table == {b2.zero: PolyT({0: 1, 1: 1})}
+    assert gc.polynomials() == {b2.zero: PolyT({0: 1, 1: 1})}
+    assert len(gc.table) == 1
+    assert graded_decompose(b2, graded_exterior_character(b2, {})) == {b2.zero: PolyT.one()}
 
 
 def test_graded_character_binomial_sums(b2):
     module = freudenthal(b2, b2.theta)
     gc = graded_exterior_character(b2, module.mult)
     assert gc.total_dim == 10
+    polys = gc.polynomials()
+    assert len(polys) == len(gc.table)
     for k in range(11):
-        assert sum(p.coeff(k) for p in gc.table.values()) == comb(10, k)
+        assert sum(p.coeff(k) for p in polys.values()) == comb(10, k)
     # top degree sits at weight zero with coefficient 1; degree 1 is the module
-    assert gc.table[b2.zero].coeff(10) == 1
-    assert gc.table[b2.theta].coeff(1) == 1
+    assert polys[b2.zero].coeff(10) == 1
+    assert polys[b2.theta].coeff(1) == 1
+    # packing the unpacked table through the same layout gives it back
+    assert gc.with_polynomials(polys) == gc
 
 
 def test_dimension_cap(b2):
@@ -96,24 +131,67 @@ def test_dimension_cap(b2):
 
 def test_decompose_rejects_non_character(b2):
     gc = graded_exterior_character(b2, {b2.theta: 1})
-    broken = dict(gc.table)
+    broken = gc.polynomials()
     broken[b2.theta] = broken[b2.theta] - PolyT({1: 2})
     with pytest.raises(ArithmeticError):
-        graded_decompose(b2, replace(gc, table=broken))
+        graded_decompose(b2, gc.with_polynomials(broken))
 
 
-@pytest.mark.parametrize("decompose", [graded_decompose, reference_graded_decompose])
+@pytest.mark.parametrize("decompose", [graded_decompose, reference_dominant_peel,
+                                       reference_graded_decompose])
 @pytest.mark.parametrize("breakage", ["drop", "add_t3"])
 def test_decompose_rejects_non_invariant_character(b2, decompose, breakage):
     gc = graded_exterior_character(b2, freudenthal(b2, b2.theta).mult)
-    victim = min((w for w in gc.table if not b2.is_dominant(w)), key=lambda w: w.coords2)
-    broken = dict(gc.table)
+    broken = gc.polynomials()
+    victim = min((w for w in broken if not b2.is_dominant(w)), key=lambda w: w.coords2)
     if breakage == "drop":
         del broken[victim]
     else:
         broken[victim] = broken[victim] + PolyT.t(3)
     with pytest.raises(ArithmeticError):
-        decompose(b2, replace(gc, table=broken))
+        decompose(b2, gc.with_polynomials(broken))
+
+
+@pytest.mark.parametrize("decompose", [graded_decompose, reference_dominant_peel])
+def test_decompose_rejects_negative_middle_degree(b2, decompose):
+    # removing one trivial summand from Lambda^1 keeps the character invariant
+    # and nonnegative, but the alternation sum at 0 becomes (1 + t^3)(1 + t^7) - t:
+    # negative in degree 1 below positive degrees, so summing the signed terms
+    # into one packed int would borrow from degree 2 and misread both
+    gc = graded_exterior_character(b2, freudenthal(b2, b2.theta).mult)
+    broken = gc.polynomials()
+    broken[b2.zero] = broken[b2.zero] - PolyT.t(1)
+    with pytest.raises(ArithmeticError, match="negative multiplicity polynomial") as err:
+        decompose(b2, gc.with_polynomials(broken))
+    if decompose is graded_decompose:
+        assert str(err.value).endswith(f"at {b2.zero}: 1 - t + t^3 + t^7 + t^10")
+
+
+def test_decompose_rejects_coefficients_out_of_range(b2):
+    # a coefficient of 2**total_dim would carry into the next slot of a sum
+    gc = graded_exterior_character(b2, {b2.zero: 1})
+    with pytest.raises(ArithmeticError, match="out of range"):
+        graded_decompose(b2, gc.with_polynomials({b2.zero: PolyT({0: 1, 1: 2})}))
+    assert graded_decompose(b2, gc) == {b2.zero: PolyT({0: 1, 1: 1})}
+
+
+def test_with_polynomials_rejects_weights_outside_the_box(b2):
+    gc = graded_exterior_character(b2, {b2.theta: 1})
+    with pytest.raises(ValueError):
+        gc.with_polynomials({4 * b2.theta: PolyT.one()})
+
+
+@pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 5)]
+                         + [(f, r) for f in "BC" for r in range(2, 6)]
+                         + [("D", r) for r in range(3, 7)] + [("G2", 2)])
+def test_weyl_alternation_is_the_signed_rho_orbit(family, rank):
+    datum = build_root_datum(family, rank)
+    alternation = weyl_alternation(datum)
+    order = 12 if family == "G2" else weyl_oracle._weyl_group_order(datum)
+    assert len(alternation) == order
+    rho = datum.rho.coords2
+    assert set(alternation) == {(tuple(a - b for a, b in zip(rho, u)), datum._chamber2(u)[1])
+                                for u in datum.orbit2(rho)}
 
 
 def _modules():
@@ -129,16 +207,26 @@ def test_character_matches_polynomial_product(family, rank, module):
     datum = build_root_datum(family, rank)
     highest = datum.theta if module == "adjoint" else datum.theta_short
     mult = freudenthal(datum, highest).mult
-    assert graded_exterior_character(datum, mult, cap=28) == \
-        reference_graded_exterior_character(datum, mult)
+    gc = graded_exterior_character(datum, mult, cap=28)
+    assert (gc.family, gc.rank, gc.total_dim, gc.polynomials()) == \
+        (family, rank, sum(mult.values()), reference_graded_exterior_character(datum, mult))
 
 
 @pytest.mark.parametrize("family,rank,module", list(_modules()))
 def test_dominant_peel_matches_full_orbit_peel(family, rank, module):
+    # the alternation decomposition equals both peels
     datum = build_root_datum(family, rank)
     highest = datum.theta if module == "adjoint" else datum.theta_short
     gc = graded_exterior_character(datum, freudenthal(datum, highest).mult, cap=28)
-    assert graded_decompose(datum, gc) == reference_graded_decompose(datum, gc)
+    assert graded_decompose(datum, gc) == reference_dominant_peel(datum, gc) == \
+        reference_graded_decompose(datum, gc)
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_alternation_matches_dominant_peel_rank_four(family):
+    datum = build_root_datum(family, 4)
+    gc = graded_exterior_character(datum, freudenthal(datum, datum.theta).mult, cap=36)
+    assert graded_decompose(datum, gc) == reference_dominant_peel(datum, gc)
 
 
 def test_invariants_product(b2, b2_adjoint, b2_checks):

@@ -41,8 +41,9 @@ def test_exterior_character_poincare_duality(family, rank):
     module = freudenthal(datum, datum.theta)
     gc = graded_exterior_character(datum, module.mult)
     d = gc.total_dim
-    for w, poly in gc.table.items():
-        mirror = gc.table[datum.weight(tuple(-c for c in w.coords2))]
+    polys = gc.polynomials()
+    for w, poly in polys.items():
+        mirror = polys[datum.weight(tuple(-c for c in w.coords2))]
         for k, coeff in poly.c.items():
             assert mirror.coeff(d - k) == coeff
 
