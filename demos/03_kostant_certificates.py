@@ -4,10 +4,12 @@ For every dominant lam below 2*rho in both orders, an admissible g-partition
 associated to 2*rho - lam is constructed by the iterative Case A/B/C
 procedure; each certificate is checked for being associated and admissible,
 and the full support of V_rho (x) V_rho is compared against the dominance
-interval (the desk-scale form of the exterior-algebra conjecture).
+interval (the desk-scale form of the exterior-algebra conjecture).  Exits 1
+if a sweep fails.
 """
 
-from extalg import build_root_datum, certify_theorem, construct, weight_from_fundamental
+from extalg import build_root_datum, construct, weight_from_fundamental
+from extalg.checks import kostant_verify
 
 c3 = build_root_datum("C", 3)
 
@@ -27,10 +29,12 @@ print(f"  C4, lam = w4, case {cert.case_used}, pairing {cert.pairing}: "
       f"{cert.partition.flat}")
 
 print("\nfull sweeps (constructed certificates / eligible weights):")
+failed = 0
 for family, rank in [("B", 3), ("C", 3), ("D", 4)]:
-    datum = build_root_datum(family, rank)
-    report = certify_theorem(datum, oracle=True)
+    report, ok = kostant_verify(build_root_datum(family, rank), oracle=True)
+    failed += not ok
     o = report["oracle"]
     print(f"  {family}{rank}: {report['passed']}/{report['total']} certificates pass "
           f"(cases {report['cases']}); tensor-square support has "
           f"{o['tensor_support']} weights, iff vs <=2*rho: {o['iff_holds']}")
+raise SystemExit(1 if failed else 0)

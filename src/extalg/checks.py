@@ -1,15 +1,18 @@
 """Check batteries shared by the CLI, the acceptance tests and the demos.
 
 A battery only compares the outputs of the two computation paths, calling
-them through their modules, and returns one record {"name", "pass", "detail"}
-per claim; a failed record's detail names the first counterexample.
+them through their modules.  ``exterior_checks`` returns one record
+{"name", "pass", "detail"} per claim, and a failed record's detail names the
+first counterexample; every ``*_verify`` battery returns ``(report, ok)``,
+the report being what ``gexp`` prints without its schema number.
 """
 
 import itertools
 
-from . import exterior_oracle, genexp, orders, weyl_oracle
+from . import constructor, exterior_oracle, genexp, gpartitions, orders, weyl_oracle
 from .genexp import PolyT
 from .rootdata import ConfigurationError, build_root_datum
+from .weyl_oracle import DEFAULT_CELL_CAP
 
 
 def check(checks, name, ok, detail=""):
@@ -68,9 +71,33 @@ def _factorization_failure(datum, dec):
             return failure
 
 
-def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP):
+def _scaled_diff(totals, tensor, scale):
+    return _table_diff(totals, {w: scale * m for w, m in tensor.items()})
+
+
+def _weight_json(datum, w):
+    return {"coords2": list(w.coords2), "fund": datum.fund_string(w)}
+
+
+def _square_support(datum, x, cap):
+    """Klimyk V_x (x) V_x, the dominant weights below 2x, and the report
+    fields comparing the support of the one with the other."""
+    decomposition = weyl_oracle.klimyk_tensor(datum, x, x, cap=cap)
+    below = orders.enumerate_dominant_below(datum, 2 * x, "dominance")
+    support, expected = set(decomposition), set(below)
+    return decomposition, below, {
+        "tensor_support": len(support),
+        "iff_holds": support == expected,
+        "missing": sorted(list(w.coords2) for w in expected - support),
+        "extra": sorted(list(w.coords2) for w in support - expected),
+    }
+
+
+def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
+                    cap=DEFAULT_CELL_CAP):
     """The reference checks on Lambda(V) for V = g (``module="adjoint"``) or
-    V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap``."""
+    V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap`` and
+    at most ``cap`` Klimyk cells."""
     checks = []
     if module == "adjoint":
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap)
@@ -79,10 +106,9 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP):
             _record(checks, name, _unequal(dec[w], want))
         _record(checks, "reeder_delta_I_all_subsets", _delta_failure(datum, dec))
         totals = {w: p(1) for w, p in dec.items()}
-        kl = weyl_oracle.klimyk_tensor(datum, datum.rho, datum.rho)
+        kl = weyl_oracle.klimyk_tensor(datum, datum.rho, datum.rho, cap=cap)
         scale = 2 ** datum.rank
-        _record(checks, "kostant_scaled_tensor_square",
-                _table_diff(totals, {w: scale * m for w, m in kl.items()}))
+        _record(checks, "kostant_scaled_tensor_square", _scaled_diff(totals, kl, scale))
         _record(checks, "reeder_small_equality_iff", _small_failure(datum, totals, scale))
         if datum.family == "B":
             _record(checks, "graded_multiplicity_factorization",
@@ -100,14 +126,13 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP):
         # the scaled tensor square on its published scope: for G2 the identity
         # provably fails (dim 128 vs 98), and the support iff is the claim
         if datum.family in ("B", "C"):
-            kl = weyl_oracle.klimyk_tensor(datum, datum.rho_short, datum.rho_short)
-            scale = 2 ** datum.num_short_simple
+            kl = weyl_oracle.klimyk_tensor(datum, datum.rho_short, datum.rho_short, cap=cap)
             _record(checks, "panyushev_scaled_tensor_square",
-                    _table_diff(totals, {w: scale * m for w, m in kl.items()}))
+                    _scaled_diff(totals, kl, 2 ** datum.num_short_simple))
     return checks
 
 
-def short_kostant_verify(family, rank):
+def short_kostant_verify(family, rank, cap=DEFAULT_CELL_CAP):
     """Decompose V_rho_s (x) V_rho_s and test the support against 2*rho_s.
 
     For type B the little-adjoint exterior algebra is additionally compared
@@ -117,26 +142,85 @@ def short_kostant_verify(family, rank):
     if family not in ("B", "C", "G2"):
         raise ConfigurationError("short-root check needs a non-simply-laced family (B, C, G2)")
     datum = build_root_datum(family, rank)
-    two_rho_s = 2 * datum.rho_short
-    decomposition = weyl_oracle.klimyk_tensor(datum, datum.rho_short, datum.rho_short)
-    below = orders.enumerate_dominant_below(datum, two_rho_s, "dominance")
-    iff = set(decomposition) == set(below)
+    decomposition, below, fields = _square_support(datum, datum.rho_short, cap)
     status = {"B": "proved-case-check", "G2": "computed-case-check",
               "C": "conjecture-check"}[family]
-    report = {
-        "family": family,
-        "rank": rank,
-        "status": status,
-        "count_below_2rho_short": len(below),
-        "tensor_support": len(decomposition),
-        "iff_holds": iff,
-        "missing": sorted(list(w.coords2) for w in set(below) - set(decomposition)),
-        "extra": sorted(list(w.coords2) for w in set(decomposition) - set(below)),
-    }
+    report = {"family": family, "rank": rank, "status": status,
+              "count_below_2rho_short": len(below), **fields}
     if family == "B" and rank <= 3:
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short)
-        scale = 2 ** datum.num_short_simple
-        report["panyushev_identity"] = {w: p(1) for w, p in dec.items()} == \
-            {w: scale * m for w, m in decomposition.items()}
-    ok = (family == "C" or iff) and report.get("panyushev_identity", True)
+        report["panyushev_identity"] = not _scaled_diff(
+            {w: p(1) for w, p in dec.items()}, decomposition, 2 ** datum.num_short_simple)
+    ok = (family == "C" or fields["iff_holds"]) and report.get("panyushev_identity", True)
     return report, ok
+
+
+def kostant_verify(datum, oracle=False, force_case=None, cap=DEFAULT_CELL_CAP):
+    """Certify every lam below 2*rho in both orders (``constructor``) and,
+    with ``oracle``, test that V_rho (x) V_rho has exactly the dominant
+    weights below 2*rho as its support (Brauer-Klimyk)."""
+    report = constructor.certify_theorem(datum, force_case=force_case)
+    ok = not report["failures"]
+    if oracle:
+        _, below, fields = _square_support(datum, datum.rho, cap)
+        report["oracle"] = {"dominant_below_2rho": len(below), **fields}
+        ok = ok and fields["iff_holds"]
+    return report, ok
+
+
+def lr_verify(datum, lam, mu, nu=None, witnesses=False, oracle=False, cap=DEFAULT_CELL_CAP):
+    """Polytope counts of V_nu in V_lam (x) V_mu, for the one ``nu`` given or
+    for every nu with a nonzero count, compared with Brauer-Klimyk when
+    ``oracle`` is set (``match`` is None otherwise)."""
+    report = {"family": datum.family, "rank": datum.rank,
+              "lambda": _weight_json(datum, lam), "mu": _weight_json(datum, mu)}
+    kl = weyl_oracle.klimyk_tensor(datum, lam, mu, cap=cap) if oracle else None
+    if nu is not None:
+        count, wits = gpartitions.count_lr(datum, lam, mu, nu,
+                                           want_witnesses=witnesses, cap=cap)
+        report.update(nu=_weight_json(datum, nu), count=count)
+        if witnesses:
+            report["witnesses"] = [list(p.flat) for p in wits]
+        entries = [(nu, report)]
+    else:
+        entries = []
+        for w in orders.enumerate_dominant_below(datum, lam + mu, "dominance"):
+            count, _ = gpartitions.count_lr(datum, lam, mu, w, cap=cap)
+            if count:
+                entries.append((w, {"nu": _weight_json(datum, w), "count": count}))
+        report["components"] = [entry for _, entry in entries]
+    report["match"] = None
+    if oracle:
+        for w, entry in entries:
+            entry["oracle_count"] = kl.get(w, 0)
+        missing = []
+        if nu is None:
+            # every oracle component must be matched by a nonzero polytope count
+            found = {w for w, _ in entries}
+            missing = report["oracle_missing"] = sorted(
+                list(w.coords2) for w in kl if w not in found)
+        report["match"] = not missing and all(
+            entry["oracle_count"] == entry["count"] for _, entry in entries)
+    return report, not oracle or report["match"]
+
+
+def genexp_verify(datum, cap=DEFAULT_CELL_CAP):
+    """E_lam for every covered small lam three ways: the closed formula, the
+    recurrence and Lusztig's q-analogue of the zero-weight multiplicity."""
+    covered = genexp.covered_small_weights(datum)
+    closed = {w: genexp.closed_E(datum, w) for w in covered}
+    recur = genexp.recur_E(datum)
+    rows = []
+    for lam in covered:
+        polys = {"closed": closed[lam], "recurrence": recur[lam],
+                 "oracle": weyl_oracle.lusztig_E(datum, lam, cap=cap)}
+        agree = polys["closed"] == polys["recurrence"] == polys["oracle"]
+        rows += [{"family": datum.family, "rank": datum.rank,
+                  "lambda": datum.fund_string(lam),
+                  "E_coeffs": ";".join(f"{e}:{c}" for e, c in poly.items_sorted()),
+                  "source": source, "agree": agree}
+                 for source, poly in polys.items()]
+    ok = all(row["agree"] for row in rows)
+    return {"family": datum.family, "rank": datum.rank,
+            "columns": ["family", "rank", "lambda", "E_coeffs", "source", "agree"],
+            "rows": rows, "all_agree": ok}, ok

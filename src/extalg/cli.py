@@ -7,7 +7,9 @@ configuration error or an exceeded resource cap, 3 = an I/O error (for
 example an unwritable ``--output`` path, one ``error:`` line) or any other
 exception, ``ZeroDivisionError`` and ``OverflowError`` included (one
 ``internal error:`` line).  Reports are byte-stable across
-runs for a fixed configuration.  The check batteries live in ``checks``.
+runs for a fixed configuration.  Every cross-check is a battery in
+``checks``: a check command parses its weights, calls the battery and
+prints the report it returns.
 """
 
 import argparse
@@ -16,15 +18,11 @@ import itertools
 import json
 import sys
 
-from . import checks, exterior_oracle, gpartitions, genexp, orders, recurrence, weyl_oracle
-from .constructor import certify_theorem
+from . import checks, exterior_oracle, orders, recurrence, weyl_oracle
+from .checks import _weight_json
 from .rootdata import ConfigurationError, build_root_datum, weight_from_fundamental
 
 SCHEMA = 1
-
-
-def _weight_json(datum, w):
-    return {"coords2": list(w.coords2), "fund": datum.fund_string(w)}
 
 
 def _emit(report, args):
@@ -44,21 +42,27 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _finish(args, report, ok):
+    report["schema"] = SCHEMA
+    _emit(report, args)
+    return 0 if ok else 1
+
+
 def _datum(args):
     return build_root_datum(args.family, args.rank)
 
 
-def _parse_coeffs(text, rank):
+def _parse_weight(datum, text):
+    """The weight with the comma-separated fundamental coefficients ``text``."""
     parts = [p for p in text.replace(" ", "").split(",") if p != ""]
-    if len(parts) != rank:
-        raise ValueError(f"expected {rank} comma-separated coefficients, got {len(parts)}")
-    return [int(p) for p in parts]
+    if len(parts) != datum.rank:
+        raise ValueError(f"expected {datum.rank} comma-separated coefficients, got {len(parts)}")
+    return weight_from_fundamental(datum, [int(p) for p in parts])
 
 
 def cmd_roots(args):
     datum = _datum(args)
-    report = {
-        "schema": SCHEMA,
+    return _finish(args, {
         "family": datum.family,
         "rank": datum.rank,
         "num_positive_roots": len(datum.positive_roots),
@@ -72,15 +76,12 @@ def cmd_roots(args):
         "exponents": list(datum.exponents),
         "coxeter_number": datum.coxeter_number,
         "num_short_simple": datum.num_short_simple,
-    }
-    _emit(report, args)
-    return 0
+    }, True)
 
 
 def cmd_orders(args):
     datum = _datum(args)
-    bound = (weight_from_fundamental(datum, _parse_coeffs(args.bound, datum.rank))
-             if args.bound else 2 * datum.rho)
+    bound = _parse_weight(datum, args.bound) if args.bound else 2 * datum.rho
     dom = orders.enumerate_dominant_below(datum, bound, "dominance")
     cw = orders.enumerate_dominant_below(datum, bound, "dominance_and_coordinatewise")
     small = orders.enumerate_dominant_below(datum, bound, "small")
@@ -92,8 +93,7 @@ def cmd_orders(args):
             w, _ = orders.two_rho_minus_delta(datum, subset)
             if not orders.coordinatewise_leq(w, 2 * datum.rho):
                 delta_fail += 1
-    report = {
-        "schema": SCHEMA,
+    return _finish(args, {
         "family": datum.family,
         "rank": datum.rank,
         "bound": _weight_json(datum, bound),
@@ -103,120 +103,38 @@ def cmd_orders(args):
         "two_rho_minus_delta": {"nonempty_subsets": subsets,
                                 "fail_coordinatewise": delta_fail},
         "weights_dominance": [_weight_json(datum, w) for w in dom],
-    }
-    _emit(report, args)
-    return 0
+    }, True)
 
 
 def cmd_lr(args):
     datum = _datum(args)
-    lam = weight_from_fundamental(datum, _parse_coeffs(args.lam, datum.rank))
-    mu = weight_from_fundamental(datum, _parse_coeffs(args.mu, datum.rank))
-    report = {
-        "schema": SCHEMA,
-        "family": datum.family,
-        "rank": datum.rank,
-        "lambda": _weight_json(datum, lam),
-        "mu": _weight_json(datum, mu),
-    }
-    mismatch = False
-    oracle = weyl_oracle.klimyk_tensor(datum, lam, mu, cap=args.cap) if args.oracle else None
-    if args.nu:
-        nu = weight_from_fundamental(datum, _parse_coeffs(args.nu, datum.rank))
-        count, wits = gpartitions.count_lr(datum, lam, mu, nu,
-                                           want_witnesses=args.witnesses, cap=args.cap)
-        report["nu"] = _weight_json(datum, nu)
-        report["count"] = count
-        if args.witnesses:
-            report["witnesses"] = [list(p.flat) for p in wits]
-        if oracle is not None:
-            want = oracle.get(nu, 0)
-            report["oracle_count"] = want
-            mismatch = want != count
-    else:
-        comps = []
-        for nu in orders.enumerate_dominant_below(datum, lam + mu, "dominance"):
-            count, _ = gpartitions.count_lr(datum, lam, mu, nu, cap=args.cap)
-            if count:
-                entry = {"nu": _weight_json(datum, nu), "count": count}
-                if oracle is not None:
-                    entry["oracle_count"] = oracle.get(nu, 0)
-                    mismatch = mismatch or entry["oracle_count"] != count
-                comps.append(entry)
-        report["components"] = comps
-        if oracle is not None:
-            # every oracle component must be matched by a nonzero polytope count
-            seen = {tuple(c["nu"]["coords2"]) for c in comps}
-            missing = sorted(list(w.coords2) for w in oracle if w.coords2 not in seen)
-            report["oracle_missing"] = missing
-            mismatch = mismatch or bool(missing)
-    report["match"] = not mismatch if oracle is not None else None
-    _emit(report, args)
-    return 1 if mismatch else 0
+    lam, mu = _parse_weight(datum, args.lam), _parse_weight(datum, args.mu)
+    nu = _parse_weight(datum, args.nu) if args.nu else None
+    return _finish(args, *checks.lr_verify(datum, lam, mu, nu, witnesses=args.witnesses,
+                                           oracle=args.oracle, cap=args.cap))
 
 
 def cmd_kostant_verify(args):
-    datum = _datum(args)
-    report = certify_theorem(datum, oracle=args.oracle,
-                             force_case="C" if args.case_c else None, cap=args.cap)
-    report["schema"] = SCHEMA
-    bad = bool(report["failures"])
-    if args.oracle and not report["oracle"]["iff_holds"]:
-        bad = True
-    _emit(report, args)
-    return 1 if bad else 0
+    return _finish(args, *checks.kostant_verify(_datum(args), oracle=args.oracle,
+                                                force_case="C" if args.case_c else None,
+                                                cap=args.cap))
 
 
 def cmd_short_kostant(args):
-    report, ok = checks.short_kostant_verify(args.family, args.rank)
-    report["schema"] = SCHEMA
-    _emit(report, args)
-    return 0 if ok else 1
+    return _finish(args, *checks.short_kostant_verify(args.family, args.rank, cap=args.cap))
 
 
 def cmd_genexp(args):
-    datum = _datum(args)
-    closed_table = {w: genexp.closed_E(datum, w) for w in genexp.covered_small_weights(datum)}
-    recur_table = genexp.recur_E(datum)
-    rows = []
-    all_agree = True
-    for lam in genexp.covered_small_weights(datum):
-        oracle = weyl_oracle.lusztig_E(datum, lam, cap=args.cap)
-        agree = closed_table[lam] == recur_table[lam] == oracle
-        all_agree = all_agree and agree
-        for source, poly in (("closed", closed_table[lam]),
-                             ("recurrence", recur_table[lam]),
-                             ("oracle", oracle)):
-            rows.append({
-                "family": datum.family,
-                "rank": datum.rank,
-                "lambda": datum.fund_string(lam),
-                "E_coeffs": ";".join(f"{e}:{c}" for e, c in poly.items_sorted()),
-                "source": source,
-                "agree": agree,
-            })
-    report = {
-        "schema": SCHEMA,
-        "family": datum.family,
-        "rank": datum.rank,
-        "columns": ["family", "rank", "lambda", "E_coeffs", "source", "agree"],
-        "rows": rows,
-        "all_agree": all_agree,
-    }
-    _emit(report, args)
-    return 0 if all_agree else 1
+    return _finish(args, *checks.genexp_verify(_datum(args), cap=args.cap))
 
 
 def cmd_recurrence_verify(args):
     datum = _datum(args)
-    if datum.family == "B":
-        ks = [args.k] if args.k else list(range(1, datum.rank + 1))
-    elif datum.family == "D":
-        ks = [args.k] if args.k else list(range(1, datum.rank // 2 + 1))
-    else:
+    if datum.family not in ("B", "D"):
         raise ConfigurationError("recurrence verification covers families B and D")
+    top = datum.rank if datum.family == "B" else datum.rank // 2
+    ks = [args.k] if args.k is not None else list(range(1, top + 1))
     reports = []
-    ok = True
     for k in ks:
         rep = recurrence.verify_aggregate(datum, k, cap=args.cap)
         if args.exterior_specialization:
@@ -227,25 +145,19 @@ def cmd_recurrence_verify(args):
                 for w, entry in sorted(row.entries.items(), key=lambda kv: kv[0].coords2)
             }
         reports.append(rep)
-        ok = ok and rep["all_pass"]
-    if args.k:
-        report = dict(reports[0])
-        report["schema"] = SCHEMA
-    else:
-        report = {"schema": SCHEMA, "family": datum.family, "rank": datum.rank,
-                  "reports": reports, "all_pass": ok}
-    _emit(report, args)
-    return 0 if ok else 1
+    ok = all(rep["all_pass"] for rep in reports)
+    if args.k is not None:
+        return _finish(args, reports[0], ok)
+    return _finish(args, {"family": datum.family, "rank": datum.rank,
+                          "reports": reports, "all_pass": ok}, ok)
 
 
 def cmd_exterior_verify(args):
     datum = _datum(args)
-    records = checks.exterior_checks(datum, args.module, args.dim_cap)
+    records = checks.exterior_checks(datum, args.module, args.dim_cap, args.cap)
     ok = all(c["pass"] for c in records)
-    report = {"schema": SCHEMA, "family": datum.family, "rank": datum.rank,
-              "module": args.module, "checks": records, "all_pass": ok}
-    _emit(report, args)
-    return 0 if ok else 1
+    return _finish(args, {"family": datum.family, "rank": datum.rank, "module": args.module,
+                          "checks": records, "all_pass": ok}, ok)
 
 
 def build_parser():

@@ -162,17 +162,13 @@ def construct(datum, lam, force_case=None):
                        associated, admissible)
 
 
-def certify_theorem(datum, oracle=False, force_case=None, cap=None):
+def certify_theorem(datum, force_case=None):
     """Run the construction over every lam <= 2*rho with lam coordinatewise below.
 
     Returns a report dict; ``failures`` lists any weight whose certificate
-    failed a self-check (the covered theorem predicts none).  With
-    ``oracle=True`` the report additionally compares the set of dominant
-    weights below 2*rho with the support of V_rho (x) V_rho computed by the
-    Brauer-Klimyk rule (the full desk-scale conjecture check).
+    failed a self-check (the covered theorem predicts none).
     """
-    two_rho = 2 * datum.rho
-    eligible = enumerate_dominant_below(datum, two_rho, "dominance_and_coordinatewise")
+    eligible = enumerate_dominant_below(datum, 2 * datum.rho, "dominance_and_coordinatewise")
     failures = []
     cases = {"A": 0, "B": 0, "C": 0}
     for lam in eligible:
@@ -182,7 +178,7 @@ def certify_theorem(datum, oracle=False, force_case=None, cap=None):
             failures.append({"lambda": list(lam.coords2), "stage": "associated"})
         elif not cert.admissible_ok:
             failures.append({"lambda": list(lam.coords2), "stage": "admissible"})
-    report = {
+    return {
         "family": datum.family,
         "rank": datum.rank,
         "total": len(eligible),
@@ -190,18 +186,3 @@ def certify_theorem(datum, oracle=False, force_case=None, cap=None):
         "failures": failures,
         "cases": cases,
     }
-    if oracle:
-        from .weyl_oracle import DEFAULT_CELL_CAP, klimyk_tensor
-        below = enumerate_dominant_below(datum, two_rho, "dominance")
-        decomposition = klimyk_tensor(datum, datum.rho, datum.rho,
-                                      cap=cap or DEFAULT_CELL_CAP)
-        support = set(decomposition)
-        expected = set(below)
-        report["oracle"] = {
-            "dominant_below_2rho": len(below),
-            "tensor_support": len(support),
-            "iff_holds": support == expected,
-            "missing": sorted(w.coords2 for w in expected - support),
-            "extra": sorted(w.coords2 for w in support - expected),
-        }
-    return report

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import extalg
-from extalg import checks, cli, genexp, recurrence
+from extalg import checks, cli, genexp, gpartitions, recurrence, weyl_oracle
 
 
 def run_cli(argv):
@@ -84,6 +84,22 @@ def test_recurrence_verify_resource_cap():
     assert code == 0 and err == "" and json.loads(out)["all_pass"]
     code, _, err = run_cli(argv + ["--cap", "11", "--exterior-specialization"])
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "kostant-verify --family B --rank 3 --oracle --cap 0",
+    "short-kostant-verify --family C --rank 3 --cap 1",
+    "exterior-verify --family B --rank 2 --module adjoint --cap 1",
+])
+def test_cap_bounds_every_klimyk_battery(argv):
+    code, out, err = run_cli(argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+
+
+def test_recurrence_verify_rejects_k_zero():
+    assert run_cli(["recurrence-verify", "--family", "B", "--rank", "3", "--k", "0"]) == \
+        (2, "", "error: k must lie in 1..3\n")
 
 
 def test_parser_reuse_matches_fresh_processes():
@@ -236,6 +252,60 @@ def test_fault_injection_reaches_exit_one(monkeypatch):
     assert json.loads(out)["all_agree"] is False
 
 
+B2_LR = ["lr", "--family", "B", "--rank", "2", "--lam", "1,0", "--mu", "1,0", "--oracle"]
+
+
+def test_fault_injection_lr_count(monkeypatch):
+    # one polytope count off by one: its component no longer matches Klimyk
+    b2 = extalg.build_root_datum("B", 2)
+    bad = extalg.weight_from_fundamental(b2, [0, 2])
+    real = gpartitions.count_lr
+
+    def corrupted(datum, lam, mu, nu, **kwargs):
+        count, wits = real(datum, lam, mu, nu, **kwargs)
+        return count + (nu == bad), wits
+
+    monkeypatch.setattr(gpartitions, "count_lr", corrupted)
+    code, out, _ = run_cli(B2_LR)
+    rep = json.loads(out)
+    assert code == 1 and rep["match"] is False and rep["oracle_missing"] == []
+    assert [(c["nu"]["fund"], c["count"], c["oracle_count"]) for c in rep["components"]
+            if c["count"] != c["oracle_count"]] == [("2*w2", 2, 1)]
+
+
+def test_fault_injection_lr_oracle_component(monkeypatch):
+    # V_w1 has polytope count 0 in V_w1 (x) V_w1 for B2; an oracle that
+    # claims it must be named as unmatched
+    b2 = extalg.build_root_datum("B", 2)
+    extra = extalg.weight_from_fundamental(b2, [1, 0])
+    real = weyl_oracle.klimyk_tensor
+
+    def corrupted(datum, lam, mu, **kwargs):
+        return {**real(datum, lam, mu, **kwargs), extra: 1}
+
+    monkeypatch.setattr(weyl_oracle, "klimyk_tensor", corrupted)
+    code, out, _ = run_cli(B2_LR)
+    rep = json.loads(out)
+    assert code == 1 and rep["match"] is False
+    assert rep["oracle_missing"] == [list(extra.coords2)]
+    assert all(c["count"] == c["oracle_count"] for c in rep["components"])
+
+
+def test_fault_injection_kostant_oracle(monkeypatch):
+    # drop V_0 from the Klimyk square: the support iff must name it missing
+    real = weyl_oracle.klimyk_tensor
+
+    def corrupted(datum, lam, mu, **kwargs):
+        return {w: m for w, m in real(datum, lam, mu, **kwargs).items() if w != datum.zero}
+
+    monkeypatch.setattr(weyl_oracle, "klimyk_tensor", corrupted)
+    code, out, _ = run_cli(["kostant-verify", "--family", "B", "--rank", "2", "--oracle"])
+    rep = json.loads(out)
+    assert code == 1 and rep["failures"] == []
+    assert rep["oracle"]["iff_holds"] is False
+    assert rep["oracle"]["missing"] == [[0, 0]] and rep["oracle"]["extra"] == []
+
+
 def test_fault_injection_exterior(monkeypatch):
     from extalg import exterior_oracle
     real = exterior_oracle.reference_polynomials
@@ -308,6 +378,14 @@ def test_zero_division_in_zero_count_is_internal_error(monkeypatch):
      "2cea9ed3b9e39703c09d731d8422560a52b915579a6fea3057e026fd25592d8e"),
     ("genexp --family D --rank 5 --format csv",
      "151af59c82519c3dec1f85c7d29fb67cb16d547cf28bb5724164011d9c575b69"),
+    ("genexp --family B --rank 4",
+     "491b134249ec903ae2b7aecb38d1f444ca56642a4412b0d3f37dc99c075c8ce1"),
+    ("lr --family C --rank 3 --lam 1,0,1 --mu 0,1,1 --oracle",
+     "a19c6598dfb935a52a1d78f2ecbb2a073722fdece061a2c9e3b4e2906d086c1e"),
+    ("lr --family C --rank 3 --lam 1,1,1 --mu 1,1,1 --nu 0,0,2 --witnesses --oracle",
+     "c0d8f2657a975678d9933265ad852a3a6631f5b852474159e026c2ea5c163b6f"),
+    ("kostant-verify --family C --rank 4 --oracle",
+     "f57405bfa7249058472c7f4bb32a52dbb9f9f87cb93bff304da24536d3e38056"),
 ])
 def test_check_report_bytes_pinned(argv, digest):
     code, out, _ = run_cli(argv.split())

@@ -1,5 +1,6 @@
 import pytest
 
+from extalg.checks import kostant_verify
 from extalg.constructor import certify_theorem, construct
 from extalg.gpartitions import pair_slots
 from extalg.orders import enumerate_dominant_below
@@ -110,7 +111,8 @@ def test_certify_totals(c3):
 
 def test_certify_with_oracle_b2():
     b2 = build_root_datum("B", 2)
-    rep = certify_theorem(b2, oracle=True)
+    rep, ok = kostant_verify(b2, oracle=True)
+    assert ok
     assert rep["passed"] == rep["total"] == 7
     assert rep["oracle"]["iff_holds"]
     assert rep["oracle"]["dominant_below_2rho"] == 8
