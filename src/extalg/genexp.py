@@ -5,8 +5,14 @@ All divisions are exact polynomial divisions that fail loudly on a nonzero
 remainder: the closed formulas implemented here are required to divide
 exactly, and a failed division signals a misapplied formula rather than a
 rounding question.
+
+The E-polynomials of the small weights come two ways on the combinatorial
+side: ``closed_E`` from the closed formulas, and ``recur_E`` from the
+recurrences, which in types B and D are the q = 0 form of the minuscule
+coefficient table in ``recurrence``.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -152,6 +158,9 @@ class PolyT:
         return self._new({e * m: v for e, v in self.c.items()})
 
     def __call__(self, value):
+        """Evaluate exactly: an int, or a Fraction when a negative power occurs."""
+        if self.c and min(self.c) < 0:
+            value = Fraction(value)
         return sum(v * value ** e for e, v in self.c.items())
 
     def exact_div(self, other):
@@ -295,23 +304,6 @@ def closed_E(datum, lam):
     raise UnsupportedWeightError(f"family {f} has no closed formulas here")
 
 
-def _recur_B(datum):
-    n = datum.rank
-    # b_i = -t^(n-i+1) (t^(2i-1) - 1), c_k = t^k - 1
-    def b(i):
-        return PolyT({n - i + 1 + 2 * i - 1: -1, n - i + 1: 1})
-
-    E = {0: PolyT.one()}
-    for k in range(1, n + 1):
-        rhs = PolyT()
-        for i in range(1, k // 2 + 1):
-            rhs = rhs + b(n - k + i + 1) * E[k - 2 * i]
-        for i in range(1, (k + 1) // 2 + 1):
-            rhs = rhs + b(i) * E[k - 2 * i + 1]
-        E[k] = (-rhs).exact_div(PolyT({k: 1, 0: -1}))
-    return E
-
-
 def _recur_C(datum):
     n = datum.rank
     E = {1: t_analog(n - 1, 2).shift(2)}  # little adjoint seed, E_{w_2}
@@ -322,42 +314,30 @@ def _recur_C(datum):
     return E
 
 
-def _recur_D(datum):
-    n = datum.rank
-    # coefficients at q = 0 after clearing the common denominator t^(n-1)(t-1)
-    def b_cleared(i, m):
-        if m == 2 * i:
-            return PolyT({2 * i: 1, 0: -1}).shift(n - i)
-        return (PolyT({m: 1, 0: -1}) * PolyT({m - 2 * i: 1, 0: 1})).shift(n - m + i)
-
-    E = {0: PolyT.one()}
-    for k in range(1, n // 2 + 1):
-        rhs = PolyT()
-        for i in range(1, k + 1):
-            rhs = rhs + b_cleared(i, n - 2 * (k - i)) * E[k - i]
-        E[k] = rhs.exact_div(PolyT({2 * k: 1, 0: -1}))
-    return E
-
-
 def recur_E(datum):
-    """Table of E-polynomials computed purely by the q=0 recurrences.
+    """Table of E-polynomials computed purely by the q = 0 recurrences.
 
-    Keys are the covered small weights of :func:`covered_small_weights`; the
-    values must agree exactly with :func:`closed_E` (and with the Weyl-group
-    oracle), which the test suite asserts.
+    In types B and D, E_0 = 1 and E_k solves sum_{h<=k} C_h(0, t) E_h = 0,
+    where C_h(q, t) is the k-th row of ``recurrence.coefficient_table``, the
+    same coefficients that ``recurrence.verify_aggregate`` checks against
+    the minuscule rows.  Type C, where e_1 is not a minuscule coweight, steps
+    from the little adjoint by a ratio recurrence.  Keys are the covered
+    small weights of :func:`covered_small_weights`; the values must agree
+    exactly with :func:`closed_E` and with the Weyl-group oracle.
     """
-    n = datum.rank
-    mk = lambda k: datum.weight(tuple([2] * k + [0] * (n - k)))
-    if datum.family == "B":
-        table = _recur_B(datum)
-        return {mk(k): table[k] for k in range(1, n + 1)}
+    if datum.family not in ("B", "C", "D"):
+        raise UnsupportedWeightError(f"no recurrence for family {datum.family}")
+    covered = covered_small_weights(datum)
     if datum.family == "C":
-        table = _recur_C(datum)
-        return {mk(2 * k): table[k] for k in range(1, n // 2 + 1)}
-    if datum.family == "D":
-        table = _recur_D(datum)
-        return {mk(2 * k): table[k] for k in range(1, n // 2 + 1)}
-    raise UnsupportedWeightError(f"no recurrence for family {datum.family}")
+        E = _recur_C(datum)
+    else:
+        from .recurrence import coefficient_table  # recurrence imports this module
+        E = {0: PolyT.one()}
+        for k in range(1, len(covered) + 1):
+            table = {h: c.q_at_zero().to_t_poly() for h, c in coefficient_table(datum, k).items()}
+            rhs = sum((c * E[h] for h, c in table.items() if h < k), PolyT())
+            E[k] = (-rhs).exact_div(table[k])
+    return {lam: E[k] for k, lam in enumerate(covered, 1)}
 
 
 def symmetric_series(datum, lam, upto):

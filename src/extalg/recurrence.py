@@ -10,6 +10,11 @@ the half-integer t-powers needed in type B.
 The engine supports types B and D, the two families in which e_1 pairs to
 {0, +-1} with every positive root.  (In type C the pairing with the long
 roots 2 e_i is 2, so e_1 is not a minuscule coweight there.)
+
+The closed (q, t) coefficients of the aggregated identities are written once,
+in :func:`coefficient_table`: ``verify_aggregate`` checks them against the
+rows, and ``genexp.recur_E`` solves their q = 0 form for the generalized
+exponents of the small chain weights.
 """
 
 from collections import Counter
@@ -30,6 +35,7 @@ __all__ = [
     "omega0_count",
     "a_integers",
     "verify_aggregate",
+    "coefficient_table",
     "chain_weight",
     "exterior_specialization",
 ]
@@ -362,27 +368,15 @@ def _p_qt(n):
                       (0, -(2 * n - 3)): 1, (1, 2 * n - 3): -1})
 
 
-def _clear_b(n, entry):
-    """Multiply by t^((2n-1)/2) (t - 1)."""
-    return entry.scale_s(2 * n - 1) * LaurentQS({(0, 2): 1, (0, 0): -1})
-
-
-def _clear_d(n, entry):
-    """Multiply by t^(n-1) (t - 1)."""
-    return entry.scale_s(2 * (n - 1)) * LaurentQS({(0, 2): 1, (0, 0): -1})
+def _clear(datum, entry):
+    """Multiply by t^((rho, e_1)) (t - 1), the common denominator of the coefficients."""
+    return entry.scale_s(datum.rho.coords2[0]) * LaurentQS({(0, 2): 1, (0, 0): -1})
 
 
 def _diag_cleared_b(n, k):
     # (1 - q t^(2n-k)) (t^k - 1)
     return LaurentQS({(0, 0): 1, (1, 2 * (2 * n - k)): -1}) \
         * LaurentQS({(0, 2 * k): 1, (0, 0): -1})
-
-
-def _gamma1_cleared_b(n):
-    # -(t - q)(t - 1) t^(n-1)
-    tq = LaurentQS({(0, 2): 1, (1, 0): -1})
-    t1 = LaurentQS({(0, 2): 1, (0, 0): -1})
-    return -(tq * t1).scale_s(2 * (n - 1))
 
 
 def _gamma2_cleared_b(n, m):
@@ -394,8 +388,8 @@ def _gamma2_cleared_b(n, m):
 
 def _diag_cleared_d(n, k):
     # (t^(2k) - 1)(1 - q t^(2(n-k)-1)); for n = 2k this is the published
-    # coefficient without its factor 2, which the q = 0 specialization and the
-    # generalized-exponent oracle both force
+    # coefficient without its factor 2, which the rows force here and which
+    # genexp.recur_E, solving the q = 0 form, needs to meet Lusztig's oracle
     return LaurentQS({(0, 4 * k): 1, (0, 0): -1}) \
         * LaurentQS({(0, 0): 1, (1, 2 * (2 * (n - k) - 1)): -1})
 
@@ -409,6 +403,32 @@ def _b_cleared_d(n, i, m):
     body = LaurentQS({(0, 2 * m): 1, (0, 0): -1}) \
         * LaurentQS({(0, 2 * (m - 2 * i)): 1, (0, 0): 1})
     return (tq * body).scale_s(2 * (n - 1 - m + i))
+
+
+def coefficient_table(datum, k):
+    """The cleared coefficients {h: C_h(q, t)} of the k-th aggregated identity.
+
+    The combination of rows sum_i A_i row_i (``a_integers``) has, after
+    clearing by t^((rho, e_1)) (t - 1), the coefficient C_h at the chain
+    weight ``chain_weight(datum, h)`` for h = 0..k and nothing else.  Pairing
+    with the E-polynomials kills every row at q = 0, so
+    sum_h C_h(0, t) E_h = 0, the recurrence of ``genexp.recur_E``.
+    Families B and D.
+    """
+    n = datum.rank
+    if datum.family == "B":
+        table = {k: _diag_cleared_b(n, k)}
+        for i in range(1, (k + 1) // 2 + 1):
+            table[k - 2 * i + 1] = _gamma2_cleared_b(n, i)
+        for i in range(1, k // 2 + 1):
+            table[k - 2 * i] = _gamma2_cleared_b(n, n - k + i + 1)
+        return table
+    if datum.family == "D":
+        table = {k: _diag_cleared_d(n, k)}
+        for i in range(1, k + 1):
+            table[k - i] = -_b_cleared_d(n, i, n - 2 * (k - i))
+        return table
+    raise ValueError("coefficient tables cover families B and D")
 
 
 # -- the verification sweep ----------------------------------------------------
@@ -446,6 +466,18 @@ def _omega0_checks(datum, k, cap, name):
     return checks
 
 
+def _aggregate_checks(datum, k, cap, checks):
+    """One record per C_h of the coefficient table, ascending in h, then one for stray keys."""
+    table = coefficient_table(datum, k)
+    agg = _aggregate(datum, k, cap)
+    for h in sorted(table):
+        got = _clear(datum, agg.get(chain_weight(datum, h), LaurentQS()))
+        _record(checks, f"aggregate_coeff_C{h}", _unequal(got, table[h]))
+    residual = set(agg) - {chain_weight(datum, h) for h in table}
+    check(checks, "aggregate_no_residual_terms", not residual,
+          f"unexpected keys {sorted(w.coords2 for w in residual)}" if residual else "")
+
+
 def _first_unequal(cases):
     """The detail of the first ((k, n, h), got, want) case whose sides differ, or ""."""
     for knh, got, want in cases:
@@ -454,32 +486,9 @@ def _first_unequal(cases):
     return ""
 
 
-def _verify_b(datum, k, cap):
+def _lemma_checks_b(datum, k, cap, checks):
+    """The type-B integer-table identities and raw-row expansion relations."""
     n = datum.rank
-    checks = _omega0_checks(datum, k, cap, "omega0_closed_form")
-
-    row_k = _row_cached("B", n, k, cap)
-    diag = _clear_b(n, row_k.entries[chain_weight(datum, k)])
-    _record(checks, "rem_lambdak_diag", _unequal(diag, _diag_cleared_b(n, k)))
-
-    # aggregated identity of the simplified theorem
-    agg = _aggregate(datum, k, cap)
-    expected = {chain_weight(datum, k): _diag_cleared_b(n, k)}
-    if k >= 1:
-        expected[chain_weight(datum, k - 1)] = _gamma1_cleared_b(n)
-    for i in range(1, k // 2 + 1):
-        expected[chain_weight(datum, k - 2 * i)] = _gamma2_cleared_b(n, n - k + i + 1)
-    for i in range(2, (k + 1) // 2 + 1):
-        expected[chain_weight(datum, k - 2 * i + 1)] = _gamma2_cleared_b(n, i)
-    for key, closed in sorted(expected.items(), key=lambda kv: kv[0].coords2):
-        got = _clear_b(n, agg.get(key, LaurentQS()))
-        idx = sum(1 for c in key.coords2 if c)
-        _record(checks, f"aggregate_coeff_C{idx}", _unequal(got, closed))
-    residual = set(agg) - set(expected)
-    check(checks, "aggregate_no_residual_terms", not residual,
-          f"unexpected keys {sorted(w.coords2 for w in residual)}" if residual else "")
-
-    # integer-table identities
     _record(checks, "lem_relA_shift", _first_unequal(
         ((k, n, h), _a_int_b(k, n, h + 1), _a_int_b(k - 1, n - 1, h))
         for h in range(1, k + 1)))
@@ -491,7 +500,6 @@ def _verify_b(datum, k, cap):
         ((kk, n, h), _a_int_b(kk, n, h), _a_int_b(kk, n - 1, h) + _a_int_b(kk - 2, n - 1, h))
         for kk in range(2, min(k, n - 1) + 1) for h in range(1, kk)))
 
-    # raw-row expansion relations
     def lam_coeff(kk, nn, hh):
         if kk == 0:
             return LaurentQS() if hh == 0 else None
@@ -510,47 +518,15 @@ def _verify_b(datum, k, cap):
 
     for h in range(1, k):
         s2, rem = divmod(k - h, 2)
-        lhs = lam_coeff(k, n, h)
-        sign = (-1) ** s2 if rem == 0 else (-1) ** (s2 + 1)
-        rhs = sign * _comb0(n - k + s2, s2) * lam_diag_closed(n, h)
+        rhs = (-1) ** (s2 + rem) * _comb0(n - k + s2, s2) * lam_diag_closed(n, h)
         rhs = rhs + lam_coeff(k - h, n - h, 0)
-        _record(checks, f"lem_expansion_h{h}", _unequal(lhs, rhs))
+        _record(checks, f"lem_expansion_h{h}", _unequal(lam_coeff(k, n, h), rhs))
     if k <= n - 1:
-        if k % 2 == 0:
-            s = k // 2
-            rhs = ((-1) ** s) * _comb0(n - s - 1, s - 1) * _p_qt(n)
-            rhs = rhs - (lam_coeff(k - 2, n - 2, 0) if k - 2 > 0 else LaurentQS())
-            rhs = rhs + lam_coeff(k, n - 1, 0)
-        else:
-            s = (k - 1) // 2
-            rhs = ((-1) ** (s + 1)) * _comb0(n - s - 2, s - 1) * _p_qt(n)
-            rhs = rhs - (lam_coeff(k - 2, n - 2, 0) if k - 2 > 0 else LaurentQS())
-            rhs = rhs + lam_coeff(k, n - 1, 0)
+        s, odd = divmod(k, 2)
+        rhs = (-1) ** (s + odd) * _comb0(n - s - 1 - odd, s - 1) * _p_qt(n)
+        rhs = rhs - (lam_coeff(k - 2, n - 2, 0) if k - 2 > 0 else LaurentQS())
+        rhs = rhs + lam_coeff(k, n - 1, 0)
         _record(checks, "lem_expansion_h0", _unequal(lam_coeff(k, n, 0), rhs))
-
-    return checks
-
-
-def _verify_d(datum, k, cap):
-    n = datum.rank
-    checks = _omega0_checks(datum, k, cap, "cardG0_closed_form")
-
-    row_k = _row_cached("D", n, k, cap)
-    diag = _clear_d(n, row_k.entries[chain_weight(datum, k)])
-    _record(checks, "lambda_diag", _unequal(diag, _diag_cleared_d(n, k)))
-
-    agg = _aggregate(datum, k, cap)
-    expected = {chain_weight(datum, k): _diag_cleared_d(n, k)}
-    for i in range(1, k + 1):
-        expected[chain_weight(datum, k - i)] = -_b_cleared_d(n, i, n - 2 * (k - i))
-    for key, closed in sorted(expected.items(), key=lambda kv: kv[0].coords2):
-        got = _clear_d(n, agg.get(key, LaurentQS()))
-        idx = sum(1 for c in key.coords2 if c) // 2
-        _record(checks, f"aggregate_coeff_C{idx}", _unequal(got, closed))
-    residual = set(agg) - set(expected)
-    check(checks, "aggregate_no_residual_terms", not residual,
-          f"unexpected keys {sorted(w.coords2 for w in residual)}" if residual else "")
-    return checks
 
 
 def verify_aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
@@ -558,20 +534,25 @@ def verify_aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
 
     Returns a report dict with one pass/fail entry per identity; the engine
     rows are computed from first principles and compared against the closed
-    forms after clearing the common denominator.  ``cap`` bounds every Weyl
-    orbit the rows and zero counts scan (ResourceCapError beyond it).
+    forms of :func:`coefficient_table` after clearing the common denominator.
+    ``cap`` bounds every Weyl orbit the rows and zero counts scan
+    (ResourceCapError beyond it).
     """
     n = datum.rank
-    if datum.family == "B":
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in 1..{n}")
-        checks = _verify_b(datum, k, cap)
-    elif datum.family == "D":
-        if not 1 <= k <= n // 2:
-            raise ValueError(f"k must lie in 1..{n // 2}")
-        checks = _verify_d(datum, k, cap)
-    else:
+    if datum.family not in ("B", "D"):
         raise ValueError("verification covers families B and D")
+    type_b = datum.family == "B"
+    top = n if type_b else n // 2
+    if not 1 <= k <= top:
+        raise ValueError(f"k must lie in 1..{top}")
+    checks = _omega0_checks(datum, k, cap,
+                            "omega0_closed_form" if type_b else "cardG0_closed_form")
+    diag = _clear(datum, _row_cached(datum.family, n, k, cap).entries[chain_weight(datum, k)])
+    _record(checks, "rem_lambdak_diag" if type_b else "lambda_diag",
+            _unequal(diag, coefficient_table(datum, k)[k]))
+    _aggregate_checks(datum, k, cap, checks)
+    if type_b:
+        _lemma_checks_b(datum, k, cap, checks)
     return {
         "family": datum.family,
         "rank": n,

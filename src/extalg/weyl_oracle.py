@@ -279,11 +279,8 @@ def q_kostant(datum, beta):
 
 
 def _weyl_group_order(datum):
-    """|W| for A-D: (n+1)! in A_n, n! 2^n in B_n and C_n, n! 2^(n-1) in D_n."""
-    n = datum.rank
-    if datum.family == "A":
-        return math.factorial(n + 1)
-    return math.factorial(n) * 2 ** (n - 1 if datum.family == "D" else n)
+    """|W|, the product of the degrees e + 1 over the exponents e."""
+    return math.prod(e + 1 for e in datum.exponents)
 
 
 def _cone_images(datum, shifted):

@@ -359,6 +359,15 @@ def test_zero_division_in_zero_count_is_internal_error(monkeypatch):
         recurrence._omega0_cached.cache_clear()
 
 
+def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):
+    # genexp's recurrence and the aggregate check read one coefficient table,
+    # so a coefficient off by a factor t fails both commands
+    gamma2 = recurrence._gamma2_cleared_b
+    monkeypatch.setattr(recurrence, "_gamma2_cleared_b", lambda *a: gamma2(*a).scale_s(2))
+    assert run_cli(["genexp", "--family", "B", "--rank", "4"])[0] == 1
+    assert run_cli(["recurrence-verify", "--family", "B", "--rank", "4"])[0] == 1
+
+
 @pytest.mark.parametrize("argv, digest", [
     ("exterior-verify --family B --rank 3 --module adjoint --dim-cap 28",
      "807caf15a448bf05d3a2a9713943aff9f0af2e06545794f8496ead3f87eff98b"),
@@ -386,6 +395,12 @@ def test_zero_division_in_zero_count_is_internal_error(monkeypatch):
      "c0d8f2657a975678d9933265ad852a3a6631f5b852474159e026c2ea5c163b6f"),
     ("kostant-verify --family C --rank 4 --oracle",
      "f57405bfa7249058472c7f4bb32a52dbb9f9f87cb93bff304da24536d3e38056"),
+    ("genexp --family B --rank 7",
+     "0ab69eff806239a511926fe7a5c1b8b8dd0ddfb39a2abc21be485d0a3b51dc75"),
+    ("genexp --family D --rank 6",
+     "0e032134496c6d69fa8c48d5d6893b201cf6c2d41df70611ad530d5bf0cb9752"),
+    ("recurrence-verify --family D --rank 8",
+     "b63118d2df38c118f9d044fde7d8dcd0128979d5eed7db0d609090146d9bbaeb"),
 ])
 def test_check_report_bytes_pinned(argv, digest):
     code, out, _ = run_cli(argv.split())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from extalg.genexp import (ExactDivisionError, PolyT, UnsupportedWeightError,
@@ -17,6 +19,16 @@ def test_polyt_arithmetic():
     assert PolyT({0: 1, 1: 1}) ** 2 == PolyT({0: 1, 1: 2, 2: 1})
     assert p(1) == 4 and p(2) == 13
     assert repr(PolyT.zero()) == "0"
+
+
+def test_polyt_evaluation_is_exact():
+    # an int without negative powers, a Fraction with them; never a float
+    assert PolyT({-1: 1})(2) == Fraction(1, 2)
+    assert PolyT({0: 1, -1: 1})(1) == 2
+    assert type(PolyT({0: 1, -1: 1})(1)) is Fraction
+    assert type(PolyT({0: 1, 2: 3})(2)) is int
+    assert PolyT({-2: 3, 1: 1})(-2) == Fraction(-5, 4)
+    assert PolyT.zero()(5) == 0
 
 
 def test_polyt_exact_division():
@@ -94,6 +106,55 @@ def test_recurrence_matches_closed(family, rank):
     assert set(table) == set(covered_small_weights(datum))
     for lam, poly in table.items():
         assert poly == closed_E(datum, lam)
+
+
+def _recur_B(datum):
+    # the type-B q = 0 recurrence written out: b_i = -t^(n-i+1) (t^(2i-1) - 1),
+    # c_k = t^k - 1
+    n = datum.rank
+
+    def b(i):
+        return PolyT({n - i + 1 + 2 * i - 1: -1, n - i + 1: 1})
+
+    E = {0: PolyT.one()}
+    for k in range(1, n + 1):
+        rhs = PolyT()
+        for i in range(1, k // 2 + 1):
+            rhs = rhs + b(n - k + i + 1) * E[k - 2 * i]
+        for i in range(1, (k + 1) // 2 + 1):
+            rhs = rhs + b(i) * E[k - 2 * i + 1]
+        E[k] = (-rhs).exact_div(PolyT({k: 1, 0: -1}))
+    return E
+
+
+def _recur_D(datum):
+    # the type-D q = 0 recurrence written out, over the cleared denominator
+    # t^(n-1) (t - 1)
+    n = datum.rank
+
+    def b_cleared(i, m):
+        if m == 2 * i:
+            return PolyT({2 * i: 1, 0: -1}).shift(n - i)
+        return (PolyT({m: 1, 0: -1}) * PolyT({m - 2 * i: 1, 0: 1})).shift(n - m + i)
+
+    E = {0: PolyT.one()}
+    for k in range(1, n // 2 + 1):
+        rhs = PolyT()
+        for i in range(1, k + 1):
+            rhs = rhs + b_cleared(i, n - 2 * (k - i)) * E[k - i]
+        E[k] = rhs.exact_div(PolyT({2 * k: 1, 0: -1}))
+    return E
+
+
+@pytest.mark.parametrize("family,rank", [("B", n) for n in range(1, 11)]
+                         + [("D", n) for n in range(3, 13)])
+def test_recurrence_is_the_written_out_q0_recurrence(family, rank):
+    # recur_E reads its coefficients from recurrence.coefficient_table at q = 0
+    datum = build_root_datum(family, rank)
+    reference = (_recur_B if family == "B" else _recur_D)(datum)
+    table = recur_E(datum)
+    assert list(table) == covered_small_weights(datum)
+    assert list(table.values()) == [reference[k] for k in range(1, len(table) + 1)]
 
 
 def test_recurrence_base_cases_match_remark():

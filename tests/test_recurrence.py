@@ -2,7 +2,7 @@ import pytest
 
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import dominance_leq, enumerate_dominant_below
-from extalg.recurrence import (LaurentQS, a_integers, chain_weight,
+from extalg.recurrence import (LaurentQS, a_integers, chain_weight, coefficient_table,
                                exterior_specialization, minuscule_row,
                                omega0_count, verify_aggregate)
 from extalg.rootdata import build_root_datum
@@ -192,7 +192,7 @@ def _shift_by_h(orig):
 
 @pytest.mark.parametrize("name, shifted, family, rank", [
     ("_diag_cleared_b", _shift_s, "B", 4),
-    ("_gamma1_cleared_b", _shift_s, "B", 4),
+    ("_gamma2_cleared_b", _shift_s, "B", 4),
     ("_b_cleared_d", _shift_s, "D", 6),
     ("_a_int_b", _shift_by_h, "B", 4),
 ])
@@ -296,13 +296,13 @@ def test_gamma_shift_relation(b3):
     # on aggregated output: Gamma_h^{k,n} = Gamma_0^{k-h, n-h} for 0 < h < k,
     # realized as equality of the aggregate coefficient with the closed form
     # of the lower-rank zero-coefficient after clearing denominators
-    from extalg.recurrence import _aggregate, _clear_b, _gamma1_cleared_b, _gamma2_cleared_b
+    from extalg.recurrence import _aggregate, _clear, _gamma2_cleared_b
     n, k = 3, 3
     agg = _aggregate(b3, k)
-    got = _clear_b(n, agg[chain_weight(b3, 1)])   # h = 1, k - h = 2
+    got = _clear(b3, agg[chain_weight(b3, 1)])   # h = 1, k - h = 2
     assert got == _gamma2_cleared_b(n, 2)
-    got = _clear_b(n, agg[chain_weight(b3, 2)])   # h = 2, k - h = 1
-    assert got == _gamma1_cleared_b(n)
+    got = _clear(b3, agg[chain_weight(b3, 2)])   # h = 2, k - h = 1
+    assert got == _gamma2_cleared_b(n, 1)
 
 
 def test_exterior_specialization_column():
@@ -322,3 +322,5 @@ def test_verify_ranges():
         verify_aggregate(d4, 3)
     with pytest.raises(ValueError):
         verify_aggregate(build_root_datum("C", 3), 1)
+    with pytest.raises(ValueError):
+        coefficient_table(build_root_datum("C", 3), 1)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from extalg.exterior_oracle import weyl_alternation
 from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import Weight, build_root_datum, weight_from_fundamental
@@ -263,9 +264,12 @@ def test_lusztig_preconditions(b3):
 
 
 def test_weyl_group_order_and_lusztig_cap():
-    for family, rank in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("D", 4)]:
+    for family, rank in [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+                         ("D", 3), ("D", 4), ("D", 5)]:
         datum = build_root_datum(family, rank)
         assert _weyl_group_order(datum) == sum(1 for _ in _weyl_elements(datum))
+    g2 = build_root_datum("G2", 2)
+    assert _weyl_group_order(g2) == len(weyl_alternation(g2)) == 12
     d4 = build_root_datum("D", 4)           # |W(D4)| = 4! 2^3 = 192
     assert lusztig_E(d4, d4.theta, cap=192) == lusztig_E(d4, d4.theta)
     with pytest.raises(ResourceCapError):
