@@ -6,7 +6,7 @@ Weyl-group oracle computes them from the graded partition function with no
 combinatorial shortcuts.  Exits 1 if the three disagree.
 """
 
-from extalg import (build_root_datum, closed_E, covered_small_weights, freudenthal,
+from extalg import (PolyT, build_root_datum, closed_E, covered_small_weights, freudenthal,
                     symmetric_series)
 from extalg.checks import genexp_verify
 
@@ -25,7 +25,7 @@ for family, rank in [("B", 3), ("C", 4), ("D", 4)]:
 
 b2 = build_root_datum("B", 2)
 print("\ngraded multiplicities of the adjoint in the symmetric algebra of so(5):")
-print("  ", symmetric_series(b2, b2.theta, 9))
+print("  ", symmetric_series(b2, closed_E(b2, b2.theta), 9))
 print("invariants of S(g) start in the exponent degrees + 1:")
-print("  ", symmetric_series(b2, b2.zero, 9))
+print("  ", symmetric_series(b2, PolyT.one(), 9))
 raise SystemExit(1 if failed else 0)

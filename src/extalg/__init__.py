@@ -2,6 +2,8 @@
 
 The package provides, in pure exact integer arithmetic:
 
+* exact one-variable polynomials, the resource guard and the check records,
+  shared by every layer (``core``),
 * explicit root data for the families A, B, C, D and G2 (``rootdata``),
 * the dominance and coordinatewise orders with exhaustive enumeration
   (``orders``),
@@ -23,6 +25,7 @@ The package provides, in pure exact integer arithmetic:
 * a deterministic verification CLI (``cli``, installed as ``gexp``).
 """
 
+from .core import PolyT
 from .rootdata import (ConfigurationError, DatumMismatchError, RootDatum, Weight,
                        build_root_datum, reduce_to_dominant, weight_from_fundamental)
 from .orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
@@ -32,8 +35,8 @@ from .constructor import Certificate, certify_theorem, construct
 from .weyl_oracle import (freudenthal, klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
 from .exterior_oracle import (exterior_decomposition, graded_decompose,
                               graded_exterior_character, reference_polynomials)
-from .genexp import (PolyT, closed_E, covered_small_weights, recur_E,
-                     symmetric_series, t_analog, t_binomial)
+from .genexp import (closed_E, covered_small_weights, recur_E, symmetric_series, t_analog,
+                     t_binomial)
 from .recurrence import (LaurentQS, a_integers, minuscule_row, omega0_count,
                          verify_aggregate)
 

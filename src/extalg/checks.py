@@ -9,42 +9,24 @@ the report being what ``gexp`` prints without its schema number.
 
 import itertools
 
-from . import constructor, exterior_oracle, genexp, gpartitions, orders, weyl_oracle
-from .genexp import PolyT
-from .rootdata import ConfigurationError, build_root_datum
-from .weyl_oracle import DEFAULT_CELL_CAP
-
-
-def check(checks, name, ok, detail=""):
-    """Append one check record to ``checks``."""
-    checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
-
-def _record(checks, name, failure):
-    # a check fails exactly when it names a counterexample (the failure
-    # helpers return None or "" when there is none)
-    check(checks, name, not failure, failure or "")
-
-
-def _unequal(got, want, where=""):
-    return f"{where}got {got}, want {want}" if got != want else ""
+from . import constructor, exterior_oracle, genexp, gpartitions, orders, recurrence, weyl_oracle
+from .core import DEFAULT_CELL_CAP, PolyT, _first_unequal, _record, _unequal
+from .rootdata import ConfigurationError
 
 
 def _table_diff(got, want):
     # the first weight in coords2 order where two weight tables differ; the
     # tables hold no zero values, so a missing key reads as 0
-    for w in sorted(got.keys() | want.keys(), key=lambda w: w.coords2):
-        if failure := _unequal(got.get(w, 0), want.get(w, 0), f"at {list(w.coords2)}: "):
-            return failure
+    return _first_unequal((f"at {list(w.coords2)}: ", got.get(w, 0), want.get(w, 0))
+                          for w in sorted(got.keys() | want.keys(), key=lambda w: w.coords2))
 
 
-def _delta_failure(datum, dec):
+def _delta_cases(datum, dec):
     for r in range(0, datum.rank + 1):
         for subset in itertools.combinations(range(1, datum.rank + 1), r):
             w, _ = orders.two_rho_minus_delta(datum, subset)
             want = exterior_oracle.reference_polynomials(datum, "reeder_deltaI", subset=subset)
-            if failure := _unequal(dec.get(w, PolyT.zero()), want, f"I = {list(subset)}: "):
-                return failure
+            yield f"I = {list(subset)}: ", dec.get(w, PolyT.zero()), want
 
 
 def _small_failure(datum, totals, scale):
@@ -55,7 +37,7 @@ def _small_failure(datum, totals, scale):
             return f"at {list(lam.coords2)}: total {total}, bound {bound}, small {small}"
 
 
-def _factorization_failure(datum, dec):
+def _factorization_cases(datum, dec):
     for lam in genexp.covered_small_weights(datum):
         ones = sum(1 for c in lam.coords2 if c)
         if ones % 2 or ones == datum.rank:
@@ -67,8 +49,7 @@ def _factorization_failure(datum, dec):
         for e in datum.exponents[:s - 1]:
             rhs = rhs * PolyT({0: 1, 2 * e + 1: 1})
         rhs = rhs * genexp.closed_E(datum, lam).subs_power(2)
-        if failure := _unequal(dec.get(lam, PolyT.zero()), rhs, f"at {list(lam.coords2)}: "):
-            return failure
+        yield f"at {list(lam.coords2)}: ", dec.get(lam, PolyT.zero()), rhs
 
 
 def _scaled_diff(totals, tensor, scale):
@@ -104,7 +85,7 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
         for name, w in (("hks_invariants", datum.zero), ("bazlov_adjoint", datum.theta)):
             want = exterior_oracle.reference_polynomials(datum, name)
             _record(checks, name, _unequal(dec[w], want))
-        _record(checks, "reeder_delta_I_all_subsets", _delta_failure(datum, dec))
+        _record(checks, "reeder_delta_I_all_subsets", _first_unequal(_delta_cases(datum, dec)))
         totals = {w: p(1) for w, p in dec.items()}
         kl = weyl_oracle.klimyk_tensor(datum, datum.rho, datum.rho, cap=cap)
         scale = 2 ** datum.rank
@@ -112,7 +93,7 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
         _record(checks, "reeder_small_equality_iff", _small_failure(datum, totals, scale))
         if datum.family == "B":
             _record(checks, "graded_multiplicity_factorization",
-                    _factorization_failure(datum, dec))
+                    _first_unequal(_factorization_cases(datum, dec)))
     else:
         if datum.theta_short is None:
             raise ConfigurationError("little adjoint needs a non-simply-laced family")
@@ -132,26 +113,25 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
     return checks
 
 
-def short_kostant_verify(family, rank, cap=DEFAULT_CELL_CAP):
+def short_kostant_verify(datum, cap=DEFAULT_CELL_CAP):
     """Decompose V_rho_s (x) V_rho_s and test the support against 2*rho_s.
 
     For type B the little-adjoint exterior algebra is additionally compared
     (at tiny rank) against the scaled tensor square.  Returns (report, ok):
     the type-C iff is reported as conjecture status, never required.
     """
-    if family not in ("B", "C", "G2"):
+    if datum.family not in ("B", "C", "G2"):
         raise ConfigurationError("short-root check needs a non-simply-laced family (B, C, G2)")
-    datum = build_root_datum(family, rank)
     decomposition, below, fields = _square_support(datum, datum.rho_short, cap)
     status = {"B": "proved-case-check", "G2": "computed-case-check",
-              "C": "conjecture-check"}[family]
-    report = {"family": family, "rank": rank, "status": status,
+              "C": "conjecture-check"}[datum.family]
+    report = {"family": datum.family, "rank": datum.rank, "status": status,
               "count_below_2rho_short": len(below), **fields}
-    if family == "B" and rank <= 3:
+    if datum.family == "B" and datum.rank <= 3:
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short)
         report["panyushev_identity"] = not _scaled_diff(
             {w: p(1) for w, p in dec.items()}, decomposition, 2 ** datum.num_short_simple)
-    ok = (family == "C" or fields["iff_holds"]) and report.get("panyushev_identity", True)
+    ok = (datum.family == "C" or fields["iff_holds"]) and report.get("panyushev_identity", True)
     return report, ok
 
 
@@ -224,3 +204,29 @@ def genexp_verify(datum, cap=DEFAULT_CELL_CAP):
     return {"family": datum.family, "rank": datum.rank,
             "columns": ["family", "rank", "lambda", "E_coeffs", "source", "agree"],
             "rows": rows, "all_agree": ok}, ok
+
+
+def recurrence_verify(datum, k=None, exterior_specialization=False, cap=DEFAULT_CELL_CAP):
+    """The coefficient identities of ``recurrence.verify_aggregate`` for the
+    k-th chain weight, or for every covered k under one family report, each
+    with the (q, t) -> (-q, q^2) specialization of its row when
+    ``exterior_specialization`` is set (informational, never checked)."""
+    if datum.family not in ("B", "D"):
+        raise ConfigurationError("recurrence verification covers families B and D")
+    top = datum.rank if datum.family == "B" else datum.rank // 2
+    reports = []
+    for kk in [k] if k is not None else range(1, top + 1):
+        report = recurrence.verify_aggregate(datum, kk, cap=cap)
+        if exterior_specialization:
+            # the row verify_aggregate has just built
+            row = recurrence._row_cached(datum.family, datum.rank, kk, cap)
+            report["exterior_specialization"] = {
+                datum.fund_string(w): repr(recurrence.exterior_specialization(entry))
+                for w, entry in sorted(row.entries.items(), key=lambda kv: kv[0].coords2)
+            }
+        reports.append(report)
+    ok = all(report["all_pass"] for report in reports)
+    if k is not None:
+        return reports[0], ok
+    return {"family": datum.family, "rank": datum.rank,
+            "reports": reports, "all_pass": ok}, ok

@@ -18,8 +18,9 @@ import itertools
 import json
 import sys
 
-from . import checks, exterior_oracle, orders, recurrence, weyl_oracle
+from . import checks, exterior_oracle, orders
 from .checks import _weight_json
+from .core import DEFAULT_CELL_CAP, ResourceCapError
 from .rootdata import ConfigurationError, build_root_datum, weight_from_fundamental
 
 SCHEMA = 1
@@ -121,7 +122,7 @@ def cmd_kostant_verify(args):
 
 
 def cmd_short_kostant(args):
-    return _finish(args, *checks.short_kostant_verify(args.family, args.rank, cap=args.cap))
+    return _finish(args, *checks.short_kostant_verify(_datum(args), cap=args.cap))
 
 
 def cmd_genexp(args):
@@ -129,27 +130,8 @@ def cmd_genexp(args):
 
 
 def cmd_recurrence_verify(args):
-    datum = _datum(args)
-    if datum.family not in ("B", "D"):
-        raise ConfigurationError("recurrence verification covers families B and D")
-    top = datum.rank if datum.family == "B" else datum.rank // 2
-    ks = [args.k] if args.k is not None else list(range(1, top + 1))
-    reports = []
-    for k in ks:
-        rep = recurrence.verify_aggregate(datum, k, cap=args.cap)
-        if args.exterior_specialization:
-            # the row verify_aggregate has just built
-            row = recurrence._row_cached(datum.family, datum.rank, k, args.cap)
-            rep["exterior_specialization"] = {
-                datum.fund_string(w): repr(recurrence.exterior_specialization(entry))
-                for w, entry in sorted(row.entries.items(), key=lambda kv: kv[0].coords2)
-            }
-        reports.append(rep)
-    ok = all(rep["all_pass"] for rep in reports)
-    if args.k is not None:
-        return _finish(args, reports[0], ok)
-    return _finish(args, {"family": datum.family, "rank": datum.rank,
-                          "reports": reports, "all_pass": ok}, ok)
+    return _finish(args, *checks.recurrence_verify(
+        _datum(args), args.k, args.exterior_specialization, cap=args.cap))
 
 
 def cmd_exterior_verify(args):
@@ -171,7 +153,7 @@ def build_parser():
         p.add_argument("--family", required=True, choices=list(families))
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--output", help="write the report to this path instead of stdout")
-        p.add_argument("--cap", type=int, default=weyl_oracle.DEFAULT_CELL_CAP,
+        p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP,
                        help="resource cap on oracle cells, lr enumeration steps "
                             "and recurrence orbit points")
         p.add_argument("--force-cap", action="store_true",
@@ -245,7 +227,7 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.cap > weyl_oracle.DEFAULT_CELL_CAP and not args.force_cap:
+    if args.cap > DEFAULT_CELL_CAP and not args.force_cap:
         sys.stderr.write("a cap above the default needs --force-cap\n")
         return 2
     try:
@@ -253,7 +235,7 @@ def run(argv=None):
     except (ConfigurationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except weyl_oracle.ResourceCapError as exc:
+    except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 2
     except OSError as exc:

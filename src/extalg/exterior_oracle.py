@@ -20,9 +20,10 @@ from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .genexp import PolyT
+from .core import PolyT, ResourceCapError
+from .orders import two_rho_minus_delta
 from .rootdata import Weight
-from .weyl_oracle import ResourceCapError, freudenthal
+from .weyl_oracle import freudenthal
 
 __all__ = [
     "GradedCharacter",
@@ -299,7 +300,6 @@ def reference_polynomials(datum, which, subset=None):
     if which == "reeder_deltaI":
         if subset is None:
             raise ValueError("reeder_deltaI needs the subset of simple-root indices")
-        from .orders import two_rho_minus_delta
         _, c = two_rho_minus_delta(datum, subset)
         k = len(set(subset))
         out = PolyT.t(len(datum.positive_roots) - k)

@@ -13,7 +13,7 @@ multiplicity of V_nu in V_lam (x) V_mu.
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .weyl_oracle import DEFAULT_CELL_CAP, ResourceCapError
+from .core import DEFAULT_CELL_CAP, ResourceCapError
 
 __all__ = [
     "GPartition",

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .checks import _record, _unequal, check
-from .genexp import PolyT
+from .core import (DEFAULT_CELL_CAP, PolyT, ResourceCapError, _first_unequal, _record,
+                   _unequal, check)
 from .orders import dominance_leq
 from .rootdata import Weight, build_root_datum
-from .weyl_oracle import ResourceCapError
 
 __all__ = [
     "LaurentQS",
@@ -140,10 +139,6 @@ def chain_weight(datum, k):
     return datum.weight((2,) * ones + (0,) * (n - ones))
 
 
-#: default guard on the number of Weyl-orbit points a row or zero count may scan
-DEFAULT_ORBIT_CAP = 200_000
-
-
 def _check_orbit_cap(datum, lam, cap):
     """Raise ResourceCapError when the orbit of ``lam`` (B, D) has over cap + 1 points.
 
@@ -161,7 +156,7 @@ def _check_orbit_cap(datum, lam, cap):
         raise ResourceCapError(f"orbit of {lam} exceeds cap {cap}")
 
 
-def minuscule_row(datum, lam, cap=DEFAULT_ORBIT_CAP):
+def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
     """One reduced recurrence row for a dominant weight, from first principles.
 
     Enumerate the distinct images v = w(lam) together with the transported
@@ -264,7 +259,7 @@ def _omega0_closed(datum, k):
     return comb(n - (k - 1) // 2 - 1, (k - 1) // 2)
 
 
-def omega0_count(datum, k, cap=DEFAULT_ORBIT_CAP):
+def omega0_count(datum, k, cap=DEFAULT_CELL_CAP):
     """|Omega_0|: orbit points of the k-th chain weight conjugated to zero.
 
     Counted three ways (brute-force orbit scan, classification shapes, closed
@@ -434,7 +429,7 @@ def coefficient_table(datum, k):
 # -- the verification sweep ----------------------------------------------------
 
 
-def _aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
+def _aggregate(datum, k, cap=DEFAULT_CELL_CAP):
     n = datum.rank
     table = a_integers(datum, k)
     acc = {}
@@ -478,26 +473,19 @@ def _aggregate_checks(datum, k, cap, checks):
           f"unexpected keys {sorted(w.coords2 for w in residual)}" if residual else "")
 
 
-def _first_unequal(cases):
-    """The detail of the first ((k, n, h), got, want) case whose sides differ, or ""."""
-    for knh, got, want in cases:
-        if failure := _unequal(got, want, f"at (k, n, h) = {knh}: "):
-            return failure
-    return ""
-
-
 def _lemma_checks_b(datum, k, cap, checks):
     """The type-B integer-table identities and raw-row expansion relations."""
     n = datum.rank
+    at = "at (k, n, h) = {}: ".format
     _record(checks, "lem_relA_shift", _first_unequal(
-        ((k, n, h), _a_int_b(k, n, h + 1), _a_int_b(k - 1, n - 1, h))
+        (at((k, n, h)), _a_int_b(k, n, h + 1), _a_int_b(k - 1, n - 1, h))
         for h in range(1, k + 1)))
     _record(checks, "lem_relA_diagonal", _first_unequal(
-        ((kk, kk, h), _a_int_b(kk, kk, h),
+        (at((kk, kk, h)), _a_int_b(kk, kk, h),
          _a_int_b(kk - 1, kk - 1, h) + _a_int_b(kk - 2, kk - 1, h))
         for kk in range(2, k + 1) for h in range(1, kk)))
     _record(checks, "lem_relA_rank_drop", _first_unequal(
-        ((kk, n, h), _a_int_b(kk, n, h), _a_int_b(kk, n - 1, h) + _a_int_b(kk - 2, n - 1, h))
+        (at((kk, n, h)), _a_int_b(kk, n, h), _a_int_b(kk, n - 1, h) + _a_int_b(kk - 2, n - 1, h))
         for kk in range(2, min(k, n - 1) + 1) for h in range(1, kk)))
 
     def lam_coeff(kk, nn, hh):
@@ -507,20 +495,11 @@ def _lemma_checks_b(datum, k, cap, checks):
         row = _row_cached("B", nn, kk, cap)
         return row.entries.get(chain_weight(d, hh), LaurentQS())
 
-    def lam_diag_closed(nn, hh):
-        # (1 - q t^(2nn-hh)) (t^hh - 1) / (t^((2nn-1)/2) (t - 1)): expand the
-        # geometric quotient directly as sum_{j=1..hh} (1 - q t^(2nn-2j+1)) / t^((2nn-2j+1)/2)
-        acc = LaurentQS()
-        for j in range(1, hh + 1):
-            e = 2 * nn - 2 * j + 1
-            acc = acc + LaurentQS({(0, -e): 1, (1, e): -1})
-        return acc
-
     for h in range(1, k):
         s2, rem = divmod(k - h, 2)
-        rhs = (-1) ** (s2 + rem) * _comb0(n - k + s2, s2) * lam_diag_closed(n, h)
-        rhs = rhs + lam_coeff(k - h, n - h, 0)
-        _record(checks, f"lem_expansion_h{h}", _unequal(lam_coeff(k, n, h), rhs))
+        rhs = (-1) ** (s2 + rem) * _comb0(n - k + s2, s2) * _diag_cleared_b(n, h)
+        rhs = rhs + _clear(datum, lam_coeff(k - h, n - h, 0))
+        _record(checks, f"lem_expansion_h{h}", _unequal(_clear(datum, lam_coeff(k, n, h)), rhs))
     if k <= n - 1:
         s, odd = divmod(k, 2)
         rhs = (-1) ** (s + odd) * _comb0(n - s - 1 - odd, s - 1) * _p_qt(n)
@@ -529,7 +508,7 @@ def _lemma_checks_b(datum, k, cap, checks):
         _record(checks, "lem_expansion_h0", _unequal(lam_coeff(k, n, 0), rhs))
 
 
-def verify_aggregate(datum, k, cap=DEFAULT_ORBIT_CAP):
+def verify_aggregate(datum, k, cap=DEFAULT_CELL_CAP):
     """Check every covered coefficient identity for the k-th chain weight.
 
     Returns a report dict with one pass/fail entry per identity; the engine

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .genexp import PolyT
+from .core import DEFAULT_CELL_CAP, PolyT, ResourceCapError
 from .orders import enumerate_dominant_below
 from .rootdata import Weight, build_root_datum
 
 __all__ = [
-    "ResourceCapError",
     "WeightMultMap",
     "dominant_multiplicities",
     "freudenthal",
@@ -29,14 +28,6 @@ __all__ = [
     "q_kostant",
     "lusztig_E",
 ]
-
-#: default guard on the number of (weight, multiplicity) cells a single
-#: oracle call may produce; generous enough for every desk-scale sweep
-DEFAULT_CELL_CAP = 5_000_000
-
-
-class ResourceCapError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

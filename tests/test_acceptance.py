@@ -204,7 +204,7 @@ def test_criterion_8_exterior_reference_checks():
         for family, rank, module in cases:
             records = exterior_checks(build_root_datum(family, rank), module)
             assert all(c["pass"] for c in records), (family, rank, module, records)
-        report, ok = short_kostant_verify("G2", 2)
+        report, ok = short_kostant_verify(build_root_datum("G2", 2))
         assert ok, report
 
 

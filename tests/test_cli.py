@@ -176,6 +176,26 @@ def test_recurrence_verify():
     assert code == 0 and rep["k"] == 2 and "exterior_specialization" in rep
 
 
+@pytest.mark.parametrize("k, argv", [
+    (None, []), (2, ["--k", "2", "--exterior-specialization"]),
+])
+def test_recurrence_verify_battery_is_the_cli_report(k, argv):
+    b3 = extalg.build_root_datum("B", 3)
+    code, out, _ = run_cli(["recurrence-verify", "--family", "B", "--rank", "3"] + argv)
+    report, ok = checks.recurrence_verify(b3, k, exterior_specialization=bool(argv))
+    assert ok and code == 0
+    assert report == {key: v for key, v in json.loads(out).items() if key != "schema"}
+
+
+def test_recurrence_verify_fails_on_a_shifted_coefficient(monkeypatch):
+    gamma2 = recurrence._gamma2_cleared_b
+    monkeypatch.setattr(recurrence, "_gamma2_cleared_b", lambda *a: gamma2(*a).scale_s(1))
+    b4 = extalg.build_root_datum("B", 4)
+    report, ok = checks.recurrence_verify(b4)
+    assert not ok and not report["all_pass"]
+    assert not checks.recurrence_verify(b4, 2)[1]
+
+
 def test_exterior_specialization_reuses_cached_rows(monkeypatch):
     # D8 covers k = 1..4: one minuscule_row call per row, none repeated for
     # the specialization column

@@ -1,0 +1,66 @@
+"""The import graph keeps the two computation paths apart.
+
+The combinatorial path and the brute-force oracles may share only ``core``,
+``rootdata`` and ``orders``; otherwise a cross-check could route one path
+through the other and compare a result with itself.  Only ``checks``, ``cli``
+and the package root import both.  The graph is read from the source with
+``ast``, so the test needs no import of the package.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extalg"
+
+SHARED = {"core", "rootdata", "orders"}
+PATHS = ({"gpartitions", "constructor", "genexp", "recurrence"},
+         {"weyl_oracle", "exterior_oracle"})
+FRONTENDS = {"__init__", "checks", "cli"}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _relative_imports(tree):
+    """The package modules named by the relative imports anywhere in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def _allowed(module):
+    if module == "core":
+        return set()
+    for path in PATHS:
+        if module in path:
+            return SHARED | path
+    return SHARED
+
+
+def test_paths_share_only_core_rootdata_and_orders():
+    trees = _trees()
+    assert set(trees) == SHARED | FRONTENDS | set().union(*PATHS), \
+        "place every new module in SHARED, PATHS or FRONTENDS"
+    graph = {module: _relative_imports(tree) for module, tree in trees.items()}
+    for module in set(trees) - FRONTENDS:
+        reached, frontier = set(), [module]
+        while frontier:
+            for dep in graph[frontier.pop()] - reached:
+                reached.add(dep)
+                frontier.append(dep)
+        assert reached - {module} <= _allowed(module), (module, sorted(reached))
+
+
+def test_no_function_local_relative_import():
+    for module, tree in _trees().items():
+        top = set(map(id, tree.body))
+        local = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
+        assert not local, f"{module}.py imports inside a function at lines {local}"
