@@ -27,9 +27,9 @@ The package provides, in pure exact integer arithmetic:
 
 from .core import PolyT
 from .rootdata import (ConfigurationError, DatumMismatchError, RootDatum, Weight,
-                       build_root_datum, reduce_to_dominant, weight_from_fundamental)
+                       build_root_datum, weight_from_fundamental)
 from .orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
-                     is_small, order_report, two_rho_minus_delta)
+                     is_small, two_rho_minus_delta)
 from .gpartitions import GPartition, count_lr, is_admissible, weight_of
 from .constructor import Certificate, certify_theorem, construct
 from .weyl_oracle import (freudenthal, klimyk_tensor, lusztig_E, q_kostant, weyl_dim)
@@ -44,9 +44,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "DatumMismatchError", "RootDatum", "Weight",
-    "build_root_datum", "reduce_to_dominant", "weight_from_fundamental",
+    "build_root_datum", "weight_from_fundamental",
     "coordinatewise_leq", "dominance_leq", "enumerate_dominant_below",
-    "is_small", "order_report", "two_rho_minus_delta",
+    "is_small", "two_rho_minus_delta",
     "GPartition", "count_lr", "is_admissible", "weight_of",
     "Certificate", "certify_theorem", "construct",
     "freudenthal", "klimyk_tensor", "lusztig_E", "q_kostant", "weyl_dim",

@@ -152,6 +152,9 @@ def lr_verify(datum, lam, mu, nu=None, witnesses=False, oracle=False, cap=DEFAUL
     """Polytope counts of V_nu in V_lam (x) V_mu, for the one ``nu`` given or
     for every nu with a nonzero count, compared with Brauer-Klimyk when
     ``oracle`` is set (``match`` is None otherwise)."""
+    for w in (lam, mu) if nu is None else (lam, mu, nu):
+        if not datum.is_dominant(w):
+            raise ValueError(f"{w} is not dominant")
     report = {"family": datum.family, "rank": datum.rank,
               "lambda": _weight_json(datum, lam), "mu": _weight_json(datum, mu)}
     kl = weyl_oracle.klimyk_tensor(datum, lam, mu, cap=cap) if oracle else None

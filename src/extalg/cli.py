@@ -142,6 +142,13 @@ def cmd_exterior_verify(args):
                           "checks": records, "all_pass": ok}, ok)
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gexp",
@@ -153,7 +160,7 @@ def build_parser():
         p.add_argument("--family", required=True, choices=list(families))
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--output", help="write the report to this path instead of stdout")
-        p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP,
+        p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CELL_CAP,
                        help="resource cap on oracle cells, lr enumeration steps "
                             "and recurrence orbit points")
         p.add_argument("--force-cap", action="store_true",
@@ -207,7 +214,8 @@ def build_parser():
     p = sub.add_parser("exterior-verify", help="graded exterior-algebra reference checks")
     common(p, families=("B", "C", "D", "G2"))
     p.add_argument("--module", choices=("adjoint", "little-adjoint"), required=True)
-    p.add_argument("--dim-cap", type=int, default=exterior_oracle.DEFAULT_DIM_CAP)
+    p.add_argument("--dim-cap", type=_nonnegative_int,
+                   default=exterior_oracle.DEFAULT_DIM_CAP)
     p.set_defaults(func=cmd_exterior_verify)
 
     return parser

@@ -15,14 +15,13 @@ positive roots, so the path uses the root data alone.  The closed reference
 formulas these are checked against live in :func:`reference_polynomials`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple
 
 from .core import PolyT, ResourceCapError
 from .orders import two_rho_minus_delta
-from .rootdata import Weight
 from .weyl_oracle import freudenthal
 
 __all__ = [
@@ -116,12 +115,6 @@ class PackedLayout(NamedTuple):
             out.append(d - self.bound)
         return tuple(out)
 
-    def pack(self, poly):
-        """Packed int of a polynomial in t; :func:`graded_decompose` checks the coefficients."""
-        if poly.c and min(poly.c) < 0:
-            raise ValueError(f"cannot pack the Laurent polynomial {poly}")
-        return sum(c << (k * self.slot) for k, c in poly.c.items())
-
     def unpack(self, n):
         """The polynomial packed in ``n`` >= 0."""
         mask = (1 << self.slot) - 1
@@ -148,25 +141,6 @@ class GradedCharacter:
     total_dim: int
     layout: PackedLayout
     table: dict
-
-    def polynomials(self):
-        """The unpacked Weight -> PolyT table."""
-        return {Weight(self.family, self.rank, self.layout.coords2(k)): self.layout.unpack(p)
-                for k, p in self.table.items()}
-
-    def with_polynomials(self, polys):
-        """This character with its table replaced by a Weight -> PolyT table,
-        packed through the same layout (zero polynomials are dropped)."""
-        layout = self.layout
-        table = {}
-        for w, p in polys.items():
-            if (w.family, w.rank) != (self.family, self.rank):
-                raise ValueError(f"{w} does not belong to {self.family}{self.rank}")
-            if max(map(abs, w.coords2)) > layout.reach:
-                raise ValueError(f"{w} lies outside the packed box")
-            if not p.is_zero():
-                table[layout.key(w.coords2)] = layout.pack(p)
-        return replace(self, table=table)
 
 
 def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):

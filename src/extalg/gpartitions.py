@@ -21,7 +21,6 @@ __all__ = [
     "weight_of",
     "is_admissible",
     "count_lr",
-    "enumerate_associated",
     "form_keys",
 ]
 
@@ -46,9 +45,9 @@ class GPartition:
     @classmethod
     def from_flat(cls, family, n, values):
         values = tuple(int(v) for v in values)
-        slots = len(pair_slots(n))
-        if len(values) != 2 * slots + n:
-            raise ValueError(f"expected {2 * slots + n} entries, got {len(values)}")
+        # two slots per pair (i, j), n * (n - 1) // 2 pairs, and one m_i per row
+        if len(values) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(values)}")
         if any(v < 0 for v in values):
             raise ValueError("g-partition entries must be nonnegative")
         p = cls(family, n, values)
@@ -265,72 +264,9 @@ def _row_end(family, r):
     return r if r == 0 else None
 
 
-def enumerate_associated(datum, target):
-    """All g-partitions associated to the weight ``target`` (no admissibility filter).
-
-    Deterministic lexicographic order in the enumeration order of the slots:
-    row i's pairs ``(m_ij, mp_ij)``, then ``m_i``, row by row.
-    """
-    datum.check_weight(target)
-    n = datum.rank
-    fam = datum.family
-    res = _start_residual(fam, target)
-    if res is None:
-        return
-
-    slots = pair_slots(n)
-    values = {}
-
-    def rec_row(i):
-        if i > n:
-            yield _build()
-            return
-        row_pairs = [(i, j) for j in range(i + 1, n + 1)]
-        yield from rec_pair(i, row_pairs, 0)
-
-    def rec_pair(i, row_pairs, idx):
-        if idx == len(row_pairs):
-            mi = _row_end(fam, res[i - 1])
-            if mi is None:
-                return
-            values[("s", i)] = mi
-            res[i - 1] = 0
-            if _suffix_feasible(fam, res[i:]):
-                yield from rec_row(i + 1)
-            res[i - 1] = mi
-            del values[("s", i)]
-            return
-        _, j = row_pairs[idx]
-        budget = res[i - 1]
-        if budget < 0:
-            return
-        # m_ij raises coordinate i and lowers j; mp_ij raises both
-        for mij in range(0, budget + 1):
-            for mpij in range(0, budget - mij + 1):
-                values[(i, j)] = (mij, mpij)
-                res[i - 1] -= mij + mpij
-                res[j - 1] += mij - mpij
-                yield from rec_pair(i, row_pairs, idx + 1)
-                res[i - 1] += mij + mpij
-                res[j - 1] -= mij - mpij
-        del values[(i, j)]
-
-    def _build():
-        flat = []
-        for (i, j) in slots:
-            mij, mpij = values.get((i, j), (0, 0))
-            flat.append(mij)
-            flat.append(mpij)
-        for i in range(1, n + 1):
-            flat.append(values.get(("s", i), 0))
-        return GPartition.from_flat(fam, n, tuple(flat))
-
-    yield from rec_row(1)
-
-
 # -- compiled forms: the polytope count without per-candidate partitions -----
 
-#: slot kinds in the enumeration order: m_ij, mp_ij, and the m_i closing row i
+#: slot kinds in the walk order: m_ij, mp_ij, and the m_i closing row i
 _M, _MP, _ROW_END = 0, 1, 2
 
 
@@ -343,11 +279,11 @@ class _Compiled(namedtuple("_Compiled", "forms bound_of rows slots steps")):
     ``sum(rows[f][k] * flat[k])`` is twice the form's value (type C halves
     ``m_i``) and is compared with twice the bound ``bound_of[f]``: ``(0, j)``
     for ``a[j]``, ``(1, i)`` for ``b[i]``.  ``slots[d]`` is the slot fixed at
-    depth d, as ``(flat index, kind, i, j)`` with 0-based row indices, in the
-    order of ``enumerate_associated``.  ``steps[d]`` holds ``(terms, upper,
-    lower)``: the ``(form, coefficient)`` pairs of that slot, and those among
-    them, positive and negative, whose coefficients on every later slot are
-    >= 0.  Such a form can only grow once the slot is fixed, so its partial
+    depth d, as ``(flat index, kind, i, j)`` with 0-based row indices, row by
+    row: row i's pairs ``(m_ij, mp_ij)``, then ``m_i``.  ``steps[d]`` holds
+    ``(terms, upper, lower)``: the ``(form, coefficient)`` pairs of that slot,
+    and those among them, positive and negative, whose coefficients on every
+    later slot are >= 0.  Such a form can only grow once the slot is fixed, so its partial
     sum bounds the slot's value from above (positive coefficient) or below
     (negative).  A form whose last nonzero slot is at depth d is in
     ``upper``/``lower`` at depth d, so every form is checked on the way down.
@@ -430,9 +366,10 @@ def count_lr(datum, lam, mu, nu, want_witnesses=False, cap=DEFAULT_CELL_CAP):
 
     This equals the multiplicity of V_nu inside V_lam (x) V_mu.  Witnesses are
     returned in lexicographic flat order when requested.  The walk fixes the
-    slots in the order of ``enumerate_associated`` and cuts a branch as soon
-    as a form that can only grow exceeds its bound; ``cap`` bounds the number
-    of slot values it tries (``ResourceCapError`` beyond it).
+    slots row by row, row i's pairs ``(m_ij, mp_ij)`` and then ``m_i``, and
+    cuts a branch as soon as a form that can only grow exceeds its bound;
+    ``cap`` bounds the number of slot values it tries (``ResourceCapError``
+    beyond it).
     """
     for w in (lam, mu, nu):
         datum.check_weight(w)

@@ -6,31 +6,15 @@ an even-total condition in types C and D, and the two spin conditions in type
 D).  A comparison between weights in different lattice cosets is always False.
 """
 
-from dataclasses import dataclass
-
 from .rootdata import DatumMismatchError, weight_from_fundamental
 
 __all__ = [
-    "OrderReport",
     "dominance_leq",
     "coordinatewise_leq",
-    "order_report",
     "enumerate_dominant_below",
     "is_small",
     "two_rho_minus_delta",
 ]
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    """Outcome of comparing mu against lambda in both orders."""
-
-    mu: object
-    lam: object
-    dominance_leq: bool
-    coordinatewise_leq: bool
-    partial_sums2: tuple   # doubled partial sums of lambda - mu
-    parity_ok: bool        # lattice condition (even total in C/D, integrality)
 
 
 def dominance_leq(datum, mu, lam):
@@ -48,21 +32,6 @@ def coordinatewise_leq(mu, lam):
         raise DatumMismatchError("coordinate length mismatch")
     return all(l - m >= 0 and abs(l) >= abs(m)
                for m, l in zip(mu.coords2, lam.coords2))
-
-
-def order_report(datum, mu, lam):
-    diff2 = tuple(a - b for a, b in zip(lam.coords2, mu.coords2))
-    run, sums = 0, []
-    for c in diff2:
-        run += c
-        sums.append(run)
-    return OrderReport(
-        mu, lam,
-        dominance_leq(datum, mu, lam),
-        coordinatewise_leq(mu, lam),
-        tuple(sums),
-        datum.root_coefficients2(diff2) is not None,
-    )
 
 
 def is_small(datum, lam):

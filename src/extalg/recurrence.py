@@ -74,10 +74,6 @@ class LaurentQS(PolyT):
                     self.c[qe * _Q + se] = int(v)
 
     @classmethod
-    def term(cls, qe, se, coeff=1):
-        return cls({(qe, se): coeff})
-
-    @classmethod
     def from_t_poly(cls, p, q_exp=0):
         return cls({(q_exp, 2 * e): v for e, v in p.c.items()})
 

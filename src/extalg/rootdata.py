@@ -25,7 +25,6 @@ __all__ = [
     "RootDatum",
     "build_root_datum",
     "weight_from_fundamental",
-    "reduce_to_dominant",
 ]
 
 FAMILIES = ("A", "B", "C", "D", "G2")
@@ -558,8 +557,3 @@ def weight_from_fundamental(datum, coeffs):
         for k, x in enumerate(omega.coords2):
             acc[k] += c * x
     return datum.weight(acc)
-
-
-def reduce_to_dominant(datum, mu):
-    """Module-level alias for :meth:`RootDatum.reduce_to_dominant`."""
-    return datum.reduce_to_dominant(mu)

@@ -185,7 +185,8 @@ def weyl_dim(datum, lam):
 
 def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     """Decomposition of V_lam (x) V_mu by the rho-shifted reduction rule."""
-    datum.check_weight(lam)
+    if not datum.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
     datum.check_weight(mu)
     system = freudenthal(datum, mu, cap=cap)
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))

@@ -256,6 +256,22 @@ def test_usage_errors():
     code, _, _ = run_cli(["roots", "--family", "B", "--rank", "3",
                           "--cap", str(10 ** 9), "--force-cap"])
     assert code == 0
+    code, _, err = run_cli(["roots", "--family", "B", "--rank", "2", "--cap=-1"])
+    assert code == 2 and "--cap: must be >= 0" in err
+    code, out, err = run_cli(["exterior-verify", "--family", "B", "--rank", "2",
+                              "--module", "adjoint", "--dim-cap=-5"])
+    assert code == 2 and out == "" and "--dim-cap: must be >= 0" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"], ["--nu=0,0", "--oracle"]],
+                         ids=["all-nu", "all-nu-oracle", "one-nu-oracle"])
+def test_lr_rejects_a_non_dominant_weight(extra):
+    # the weights are checked before Klimyk runs, so a bad lambda is a usage
+    # error, not a negative multiplicity (exit 1)
+    code, out, err = run_cli(["lr", "--family", "B", "--rank", "2",
+                              "--lam=3,-2", "--mu=2,0"] + extra)
+    assert (code, out) == (2, "")
+    assert err == "error: W[B2](2,-1) is not dominant\n"
 
 
 def test_fault_injection_reaches_exit_one(monkeypatch):

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from extalg.gpartitions import (GPartition, _check_partition, _compiled, _L_value, _N0,
-                                _N1_value, count_lr, enumerate_associated, form_keys,
-                                is_admissible, pair_slots, weight_of)
+                                _N1_value, _row_end, _start_residual, _suffix_feasible,
+                                count_lr, form_keys, is_admissible, pair_slots, weight_of)
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import ResourceCapError, klimyk_tensor, weyl_dim
@@ -97,6 +97,70 @@ def forms_original_N0(datum, p, j, t, barred):
                 return None
             total += v
     return total
+
+
+def enumerate_associated(datum, target):
+    """All g-partitions associated to the weight ``target`` (no admissibility filter).
+
+    The unpruned walk over the slots in ``count_lr``'s order, row i's pairs
+    ``(m_ij, mp_ij)`` and then ``m_i``, row by row, so the partitions come in
+    lexicographic order of that walk.
+    """
+    datum.check_weight(target)
+    n = datum.rank
+    fam = datum.family
+    res = _start_residual(fam, target)
+    if res is None:
+        return
+
+    slots = pair_slots(n)
+    values = {}
+
+    def rec_row(i):
+        if i > n:
+            yield _build()
+            return
+        row_pairs = [(i, j) for j in range(i + 1, n + 1)]
+        yield from rec_pair(i, row_pairs, 0)
+
+    def rec_pair(i, row_pairs, idx):
+        if idx == len(row_pairs):
+            mi = _row_end(fam, res[i - 1])
+            if mi is None:
+                return
+            values[("s", i)] = mi
+            res[i - 1] = 0
+            if _suffix_feasible(fam, res[i:]):
+                yield from rec_row(i + 1)
+            res[i - 1] = mi
+            del values[("s", i)]
+            return
+        _, j = row_pairs[idx]
+        budget = res[i - 1]
+        if budget < 0:
+            return
+        # m_ij raises coordinate i and lowers j; mp_ij raises both
+        for mij in range(0, budget + 1):
+            for mpij in range(0, budget - mij + 1):
+                values[(i, j)] = (mij, mpij)
+                res[i - 1] -= mij + mpij
+                res[j - 1] += mij - mpij
+                yield from rec_pair(i, row_pairs, idx + 1)
+                res[i - 1] += mij + mpij
+                res[j - 1] -= mij - mpij
+        del values[(i, j)]
+
+    def _build():
+        flat = []
+        for (i, j) in slots:
+            mij, mpij = values.get((i, j), (0, 0))
+            flat.append(mij)
+            flat.append(mpij)
+        for i in range(1, n + 1):
+            flat.append(values.get(("s", i), 0))
+        return GPartition.from_flat(fam, n, tuple(flat))
+
+    yield from rec_row(1)
 
 
 def reference_count_lr(datum, lam, mu, nu):

@@ -41,9 +41,10 @@ def test_exterior_character_poincare_duality(family, rank):
     module = freudenthal(datum, datum.theta)
     gc = graded_exterior_character(datum, module.mult)
     d = gc.total_dim
-    polys = gc.polynomials()
-    for w, poly in polys.items():
-        mirror = polys[datum.weight(tuple(-c for c in w.coords2))]
+    layout = gc.layout
+    polys = {layout.coords2(k): layout.unpack(p) for k, p in gc.table.items()}
+    for w2, poly in polys.items():
+        mirror = polys[tuple(-c for c in w2)]
         for k, coeff in poly.c.items():
             assert mirror.coeff(d - k) == coeff
 

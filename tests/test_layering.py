@@ -4,10 +4,13 @@ The combinatorial path and the brute-force oracles may share only ``core``,
 ``rootdata`` and ``orders``; otherwise a cross-check could route one path
 through the other and compare a result with itself.  Only ``checks``, ``cli``
 and the package root import both.  The graph is read from the source with
-``ast``, so the test needs no import of the package.
+``ast``, so those tests need no import of the package.  Every name a module
+exports must resolve, so that moving or deleting a function cannot leave a
+stale export behind.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extalg"
@@ -64,3 +67,11 @@ def test_no_function_local_relative_import():
         local = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top]
         assert not local, f"{module}.py imports inside a function at lines {local}"
+
+
+def test_every_export_resolves():
+    for module in ["extalg"] + [f"extalg.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                                if path.stem != "__init__"]:
+        mod = importlib.import_module(module)
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, f"{module}.__all__ names {missing}"

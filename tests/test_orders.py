@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from extalg.orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
-                           is_small, order_report, two_rho_minus_delta)
+                           is_small, two_rho_minus_delta)
 from extalg.rootdata import build_root_datum, weight_from_fundamental
 
 
@@ -177,13 +177,6 @@ def test_two_rho_minus_delta_d_fork():
     d4 = build_root_datum("D", 4)
     assert two_rho_minus_delta(d4, [2, 4])[1] == 1
     assert two_rho_minus_delta(d4, [3, 4])[1] == 2
-
-
-def test_order_report(c3):
-    rep = order_report(c3, weight_from_fundamental(c3, [0, 1, 0]),
-                       weight_from_fundamental(c3, [2, 0, 0]))
-    assert rep.dominance_leq and not rep.coordinatewise_leq
-    assert rep.partial_sums2 == (2, 0, 0) and rep.parity_ok
 
 
 def test_g2_enumeration():

@@ -154,6 +154,16 @@ def test_klimyk_examples(c2):
     assert klimyk_tensor(c2, lam, c2.zero) == {lam: 1}
 
 
+def test_klimyk_rejects_non_dominant_weights():
+    # -w1 + 2w2 (x) w1 + w2 used to give {} without an error
+    b2 = build_root_datum("B", 2)
+    lam = weight_from_fundamental(b2, [-1, 2])
+    mu = weight_from_fundamental(b2, [1, 1])
+    for args in ((lam, mu), (mu, lam)):
+        with pytest.raises(ValueError, match="is not dominant"):
+            klimyk_tensor(b2, *args)
+
+
 def test_klimyk_symmetry_and_dimensions(c2):
     b3 = build_root_datum("B", 3)
     for datum, a, b in [
