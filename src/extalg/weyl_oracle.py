@@ -8,12 +8,23 @@ generalized-exponent oracle from the signed Weyl-group sum over the graded
 partition function (skipping the terms whose argument leaves the positive
 root cone, where the partition function vanishes).  These are the reference
 implementations that the combinatorial constructions are checked against.
+
+Brauer-Klimyk sums m_mu(nu) det(w') over the weights nu of V_mu, where w'
+carries lam + rho + nu to lam' + rho with lam' dominant.  In A-D it does not
+expand V_mu's weight system: it walks each orbit W nu of a dominant nu of
+the Freudenthal table, placing one coordinate of x = lam + rho + w(nu) at a
+time, and cuts a branch as soon as two placed |x_i| coincide (x_i in A) or,
+in B and C, one is 0.  Every completion of such a prefix lies on a wall, is
+fixed by a reflection and so contributes nothing; the leaves are exactly
+the regular terms (21,352 of the 51,936 cells of V_rho on B5).
 """
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .core import DEFAULT_CELL_CAP, PolyT, ResourceCapError
 from .orders import enumerate_dominant_below
@@ -183,20 +194,115 @@ def weyl_dim(datum, lam):
     return num // den
 
 
+def _orbit_size(datum, v2):
+    """|W v|, the number of Weyl images of a dominant doubled-coordinate vector.
+
+    For A-D it is the number of arrangements of the entries (of their
+    absolute values outside A) times, outside A, the sign patterns on the
+    nonzero entries, halved in D when no entry is zero (the number of
+    negative signs keeps its parity).  G2 counts :meth:`RootDatum.orbit2`.
+    """
+    f = datum.family
+    if f == "G2":
+        return len(datum.orbit2(v2))
+    entries = v2 if f == "A" else [abs(c) for c in v2]
+    size = math.factorial(len(entries))
+    for count in Counter(entries).values():
+        size //= math.factorial(count)
+    if f != "A":
+        nonzero = sum(1 for c in entries if c)
+        size <<= nonzero - (f == "D" and nonzero == len(entries))
+    return size
+
+
+def _klimyk_walk(datum, shifted, table):
+    """The signed sum of ``table``'s orbits reduced at ``shifted``, for A-D.
+
+    The walk of the module docstring.  Each placed |x_pos| (x_pos in A) goes
+    into a sorted list; the number of smaller values already there is the
+    number of inversions it adds to the descending sort, so their parity and,
+    in B and C, that of the negative entries of x give det(w') for the w'
+    that sorts x.  Each leaf adds det(w') * m(nu) at the sorted x (its last
+    entry negated in D after an odd number of negative entries) minus rho.
+    """
+    f = datum.family
+    dim = datum.dim
+    rho2 = datum.rho.coords2
+    signed = f != "A"
+    flip_det = f in ("B", "C")
+    out = {}
+    placed = []
+
+    for nu, m in table.items():
+        entries = Counter(map(abs, nu.coords2) if signed else nu.coords2)
+        values = list(entries)
+        left = [entries[a] for a in values]
+        choices = [(k, (a, -a) if signed and a else (a,)) for k, a in enumerate(values)]
+        # in D without a zero entry, the negative entries of w(nu) keep nu's parity
+        parity = nu.coords2[-1] < 0 if f == "D" and nu.coords2[-1] else None
+
+        def walk(pos, det, neg_x, neg_nu):
+            if pos == dim:
+                rep = placed[::-1]
+                if f == "D" and neg_x & 1:
+                    rep[-1] = -rep[-1]
+                key = tuple(map(sub, rep, rho2))
+                out[key] = out.get(key, 0) + det * m
+                return
+            base = shifted[pos]
+            last = parity is not None and pos == dim - 1
+            for k, signs in choices:
+                if not left[k]:
+                    continue
+                left[k] -= 1
+                for y in signs:
+                    if last and (neg_nu + (y < 0)) & 1 != parity:
+                        continue
+                    x = base + y
+                    if flip_det and not x:
+                        continue
+                    a = -x if signed and x < 0 else x
+                    i = bisect_left(placed, a)
+                    if i < len(placed) and placed[i] == a:
+                        continue
+                    placed.insert(i, a)
+                    d = -det if i & 1 else det
+                    if flip_det and x < 0:
+                        d = -d
+                    walk(pos + 1, d, neg_x + (x < 0), neg_nu + (y < 0))
+                    del placed[i]
+                left[k] += 1
+
+        walk(0, 1, 0, 0)
+    return out
+
+
 def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
-    """Decomposition of V_lam (x) V_mu by the rho-shifted reduction rule."""
+    """Decomposition of V_lam (x) V_mu by the rho-shifted reduction rule.
+
+    ``cap`` bounds the cells of V_mu's weight system, counted from the
+    orbit sizes of its dominant weights before any reduction.  For A-D the
+    orbits are walked by :func:`_klimyk_walk`, which skips the singular
+    points; G2 reduces every cell.
+    """
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     datum.check_weight(mu)
-    system = freudenthal(datum, mu, cap=cap)
+    table = dominant_multiplicities(datum, mu)
+    cells = sum(_orbit_size(datum, nu.coords2) for nu in table)
+    if cells > cap:
+        raise ResourceCapError(f"weight system of {mu} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    out = {}
-    for nu, m in system.mult.items():
-        red = datum._reduce2(tuple(a + b for a, b in zip(shifted, nu.coords2)))
-        if red is None:
-            continue
-        target, sign = red
-        out[target] = out.get(target, 0) + sign * m
+    if datum.family != "G2":
+        out = _klimyk_walk(datum, shifted, table)
+    else:
+        out = {}
+        for nu, m in table.items():
+            for v in datum.orbit2(nu.coords2):
+                red = datum._reduce2(tuple(map(add, shifted, v)))
+                if red is not None:
+                    target, sign = red
+                    out[target] = out.get(target, 0) + sign * m
     result = {}
     for v, m in out.items():
         w = Weight(datum.family, datum.rank, v)

@@ -7,7 +7,7 @@ from extalg.exterior_oracle import weyl_alternation
 from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import Weight, build_root_datum, weight_from_fundamental
-from extalg.weyl_oracle import (ResourceCapError, _root_orbits, _weyl_group_order,
+from extalg.weyl_oracle import (ResourceCapError, _orbit_size, _root_orbits, _weyl_group_order,
                                 dominant_multiplicities, freudenthal, klimyk_tensor, lusztig_E,
                                 q_kostant, weyl_dim)
 
@@ -56,6 +56,20 @@ def reference_lusztig_E(datum, lam):
         if part:
             out = out + det * part
     return out
+
+
+def reference_klimyk(datum, lam, mu):
+    """The rho-shifted reduction of every cell of V_mu's weight system."""
+    system = freudenthal(datum, mu)
+    shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
+    out = {}
+    for nu, m in system.mult.items():
+        red = datum._reduce2(tuple(a + b for a, b in zip(shifted, nu.coords2)))
+        if red is None:
+            continue
+        target, sign = red
+        out[target] = out.get(target, 0) + sign * m
+    return {Weight(datum.family, datum.rank, v): m for v, m in out.items() if m}
 
 
 def reference_dominant_multiplicities(datum, lam):
@@ -178,6 +192,52 @@ def test_klimyk_symmetry_and_dimensions(c2):
         assert d1 == d2
         total = sum(m * weyl_dim(datum, w) for w, m in d1.items())
         assert total == weyl_dim(datum, lam) * weyl_dim(datum, mu)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G2", 2),
+])
+def test_klimyk_matches_cell_reduction_on_small_pairs(family, rank):
+    # every (lam, mu) with fundamental-coefficient sums at most 2
+    datum = build_root_datum(family, rank)
+    weights = [weight_from_fundamental(datum, c)
+               for c in itertools.product(range(3), repeat=rank) if sum(c) <= 2]
+    for lam in weights:
+        for mu in weights:
+            assert klimyk_tensor(datum, lam, mu) == reference_klimyk(datum, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_klimyk_matches_cell_reduction_on_rho_squares(family):
+    for rank in range(3 if family == "D" else 1, 6):
+        datum = build_root_datum(family, rank)
+        for x in {datum.rho, datum.rho_short}:
+            assert klimyk_tensor(datum, x, x) == reference_klimyk(datum, x, x), x
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_orbit_size_counts_the_orbit(family, rank):
+    datum = build_root_datum(family, rank)
+    below = enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+    for v in below:
+        assert _orbit_size(datum, v.coords2) == len(datum.orbit2(v.coords2)), v
+    if family == "D":
+        # a zero entry, no zero entry, and a negative last entry all occur
+        lasts = {(v.coords2[-1] > 0) - (v.coords2[-1] < 0) for v in below}
+        assert lasts == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("family,rank,coeffs", [
+    ("A", 3, (1, 0, 1)), ("B", 3, (1, 1, 1)), ("C", 3, (0, 1, 1)),
+    ("D", 4, (0, 0, 1, 0)), ("D", 4, (1, 0, 0, 1)), ("D", 4, (0, 1, 0, 0)), ("G2", 2, (1, 1)),
+])
+def test_klimyk_cap_counts_weight_system_cells(family, rank, coeffs):
+    datum = build_root_datum(family, rank)
+    mu = weight_from_fundamental(datum, coeffs)
+    cells = len(freudenthal(datum, mu).mult)
+    assert klimyk_tensor(datum, mu, mu, cap=cells) == reference_klimyk(datum, mu, mu)
+    with pytest.raises(ResourceCapError, match=f"weight system of .* exceeds cap {cells - 1}"):
+        klimyk_tensor(datum, mu, mu, cap=cells - 1)
 
 
 def test_klimyk_g2_short_tensor_square():
