@@ -29,9 +29,9 @@ def _delta_cases(datum, dec):
             yield f"I = {list(subset)}: ", dec.get(w, PolyT.zero()), want
 
 
-def _small_failure(datum, totals, scale):
-    for lam in orders.enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
-        bound = scale * weyl_oracle.dominant_multiplicities(datum, lam).get(datum.zero, 0)
+def _small_failure(datum, totals, scale, cap):
+    for lam, zero in weyl_oracle.zero_weight_column(datum, 2 * datum.rho, cap).items():
+        bound = scale * zero
         total, small = totals.get(lam, 0), orders.is_small(datum, lam)
         if (total != bound) if small else (total >= bound):
             return f"at {list(lam.coords2)}: total {total}, bound {bound}, small {small}"
@@ -77,8 +77,9 @@ def _square_support(datum, x, cap):
 def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
                     cap=DEFAULT_CELL_CAP):
     """The reference checks on Lambda(V) for V = g (``module="adjoint"``) or
-    V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap`` and
-    at most ``cap`` Klimyk cells."""
+    V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap``;
+    ``cap`` bounds the Klimyk cells and the orbit cells of the zero-weight
+    column, each on its own."""
     checks = []
     if module == "adjoint":
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap)
@@ -90,7 +91,7 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
         kl = weyl_oracle.klimyk_tensor(datum, datum.rho, datum.rho, cap=cap)
         scale = 2 ** datum.rank
         _record(checks, "kostant_scaled_tensor_square", _scaled_diff(totals, kl, scale))
-        _record(checks, "reeder_small_equality_iff", _small_failure(datum, totals, scale))
+        _record(checks, "reeder_small_equality_iff", _small_failure(datum, totals, scale, cap))
         if datum.family == "B":
             _record(checks, "graded_multiplicity_factorization",
                     _first_unequal(_factorization_cases(datum, dec)))

@@ -17,6 +17,12 @@ time, and cuts a branch as soon as two placed |x_i| coincide (x_i in A) or,
 in B and C, one is 0.  Every completion of such a prefix lies on a wall, is
 fixed by a reflection and so contributes nothing; the leaves are exactly
 the regular terms (21,352 of the 51,936 cells of V_rho on B5).
+
+The zero-weight column m_lam(0), for every dominant lam below a bound, is
+one unitriangular solve: the same reduction at rho decomposes the orbit sum
+of each dominant kappa into irreducible characters, and that matrix is the
+inverse of the one of the multiplicities m_lam(kappa).  It builds no
+Freudenthal table, and shares no code with the exterior decomposition.
 """
 
 import math
@@ -36,6 +42,7 @@ __all__ = [
     "freudenthal",
     "weyl_dim",
     "klimyk_tensor",
+    "zero_weight_column",
     "q_kostant",
     "lusztig_E",
 ]
@@ -277,13 +284,30 @@ def _klimyk_walk(datum, shifted, table):
     return out
 
 
+def _reduce_orbits(datum, shifted, table):
+    """The signed sum of ``table``'s orbits reduced at ``shifted``, ``{coords2: int}``.
+
+    A-D walk the orbits with :func:`_klimyk_walk`, which skips the singular
+    points; G2 reduces every cell of every orbit.
+    """
+    if datum.family != "G2":
+        return _klimyk_walk(datum, shifted, table)
+    out = {}
+    for nu, m in table.items():
+        for v in datum.orbit2(nu.coords2):
+            red = datum._reduce2(tuple(map(add, shifted, v)))
+            if red is not None:
+                target, sign = red
+                out[target] = out.get(target, 0) + sign * m
+    return out
+
+
 def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     """Decomposition of V_lam (x) V_mu by the rho-shifted reduction rule.
 
     ``cap`` bounds the cells of V_mu's weight system, counted from the
-    orbit sizes of its dominant weights before any reduction.  For A-D the
-    orbits are walked by :func:`_klimyk_walk`, which skips the singular
-    points; G2 reduces every cell.
+    orbit sizes of its dominant weights before :func:`_reduce_orbits`
+    reduces them.
     """
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
@@ -293,16 +317,7 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     if cells > cap:
         raise ResourceCapError(f"weight system of {mu} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    if datum.family != "G2":
-        out = _klimyk_walk(datum, shifted, table)
-    else:
-        out = {}
-        for nu, m in table.items():
-            for v in datum.orbit2(nu.coords2):
-                red = datum._reduce2(tuple(map(add, shifted, v)))
-                if red is not None:
-                    target, sign = red
-                    out[target] = out.get(target, 0) + sign * m
+    out = _reduce_orbits(datum, shifted, table)
     result = {}
     for v, m in out.items():
         w = Weight(datum.family, datum.rank, v)
@@ -311,6 +326,35 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
         if m:
             result[w] = m
     return result
+
+
+def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
+    """``{lam: m_lam(0)}`` for every dominant lam below ``top``, by one triangular solve.
+
+    The orbit sum M_kappa of a dominant kappa is sum_lam N[kappa][lam] chi_lam,
+    N[kappa][lam] being the signed count of the nu in W kappa with nu + rho
+    reducing to lam + rho: row kappa is :func:`_reduce_orbits` of
+    ``{kappa: 1}`` at rho.  N is unitriangular in the dominance order and
+    inverts the matrix of multiplicities m_lam(kappa), so N x = e_0 for
+    x_lam = m_lam(0), solved in increasing height.  ``cap`` bounds the orbit
+    cells sum |W kappa|, counted before any walk.  The column is listed in the
+    order of :func:`enumerate_dominant_below`.
+    """
+    below = enumerate_dominant_below(datum, top, "dominance")
+    cells = sum(_orbit_size(datum, kappa.coords2) for kappa in below)
+    if cells > cap:
+        raise ResourceCapError(f"orbits of the weights below {top} exceed cap {cap}")
+    top2, rho2, zero2 = top.coords2, datum.rho.coords2, datum.zero.coords2
+    x = {}
+    for kappa in sorted(below, key=lambda w: -datum.height2(tuple(map(sub, top2, w.coords2)))):
+        row = _reduce_orbits(datum, rho2, {kappa: 1})
+        k2 = kappa.coords2
+        if row.pop(k2, 0) != 1 or not row.keys() <= x.keys():
+            raise ArithmeticError(f"orbit sum of {kappa} is not unitriangular")
+        x[k2] = (k2 == zero2) - sum(n * x[lam] for lam, n in row.items())
+        if x[k2] < 0:
+            raise ArithmeticError(f"negative zero-weight multiplicity {x[k2]} at {kappa}")
+    return {kappa: x[kappa.coords2] for kappa in below}
 
 
 _kostant_memo = {}

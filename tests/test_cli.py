@@ -97,6 +97,16 @@ def test_cap_bounds_every_klimyk_battery(argv):
     assert err.startswith("resource cap: ") and err.count("\n") == 1
 
 
+def test_exterior_verify_cap_bounds_the_zero_weight_column():
+    # on B2 Klimyk rho (x) rho has 12 cells, the orbits below 2 rho have 37
+    argv = "exterior-verify --family B --rank 2 --module adjoint --cap".split()
+    code, out, err = run_cli(argv + ["36"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: orbits of the weights below ") and err.count("\n") == 1
+    code, out, err = run_cli(argv + ["37"])
+    assert code == 0 and err == "" and json.loads(out)["all_pass"]
+
+
 def test_recurrence_verify_rejects_k_zero():
     assert run_cli(["recurrence-verify", "--family", "B", "--rank", "3", "--k", "0"]) == \
         (2, "", "error: k must lie in 1..3\n")

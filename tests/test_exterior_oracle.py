@@ -387,6 +387,9 @@ def _corrupt_support(monkeypatch):
     ("C", 3, "little-adjoint",
      lambda mp: _bump_at(mp, weyl_oracle, "klimyk_tensor", lambda d: d.zero),
      "panyushev_scaled_tensor_square", lambda d: f"at {list(d.zero.coords2)}: got "),
+    ("B", 2, "adjoint",
+     lambda mp: _bump_at(mp, weyl_oracle, "zero_weight_column", lambda d: d.zero),
+     "reeder_small_equality_iff", lambda d: f"at {list(d.zero.coords2)}: total "),
 ])
 def test_failed_check_names_first_counterexample(monkeypatch, family, rank, module, corrupt,
                                                  name, where):

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from extalg import weyl_oracle
 from extalg.exterior_oracle import weyl_alternation
 from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import Weight, build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import (ResourceCapError, _orbit_size, _root_orbits, _weyl_group_order,
                                 dominant_multiplicities, freudenthal, klimyk_tensor, lusztig_E,
-                                q_kostant, weyl_dim)
+                                q_kostant, weyl_dim, zero_weight_column)
 
 
 def _perm_sign(perm):
@@ -70,6 +71,12 @@ def reference_klimyk(datum, lam, mu):
         target, sign = red
         out[target] = out.get(target, 0) + sign * m
     return {Weight(datum.family, datum.rank, v): m for v, m in out.items() if m}
+
+
+def reference_zero_column(datum, top):
+    """m_lam(0) read off the Freudenthal table of every dominant lam below top."""
+    return {lam: dominant_multiplicities(datum, lam).get(datum.zero, 0)
+            for lam in enumerate_dominant_below(datum, top, "dominance")}
 
 
 def reference_dominant_multiplicities(datum, lam):
@@ -134,9 +141,53 @@ def test_freudenthal_weyl_invariance(b3):
 @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
 def test_dominant_zero_multiplicity_matches_full_system(family, rank):
     datum = build_root_datum(family, rank)
+    column = zero_weight_column(datum, 2 * datum.rho)
     for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance"):
-        assert dominant_multiplicities(datum, lam)[datum.zero] == \
+        assert dominant_multiplicities(datum, lam)[datum.zero] == column[lam] == \
             freudenthal(datum, lam).zero_multiplicity()
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G2", 2),
+])
+def test_zero_weight_column_matches_freudenthal(family, rank):
+    datum = build_root_datum(family, rank)
+    for top in (datum.rho, 2 * datum.rho):
+        got = zero_weight_column(datum, top)
+        want = reference_zero_column(datum, top)
+        assert list(got.items()) == list(want.items()), top
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4), ("G2", 2)])
+def test_zero_weight_column_cap_counts_orbit_cells(family, rank):
+    datum = build_root_datum(family, rank)
+    top = 2 * datum.rho
+    cells = sum(len(datum.orbit2(v.coords2))
+                for v in enumerate_dominant_below(datum, top, "dominance"))
+    assert zero_weight_column(datum, top, cap=cells) == reference_zero_column(datum, top)
+    with pytest.raises(ResourceCapError, match=f"below .* exceed cap {cells - 1}$"):
+        zero_weight_column(datum, top, cap=cells - 1)
+
+
+@pytest.mark.parametrize("bump,message", [
+    (lambda kappa: {kappa.coords2: 1}, "is not unitriangular"),
+    (lambda kappa: {(0, 0, 0): 0 if kappa.is_zero() else 2}, "negative zero-weight multiplicity"),
+])
+def test_zero_weight_column_checks_its_solve(monkeypatch, bump, message):
+    # a doubled diagonal entry, or an orbit sum with too much of V_0 in it
+    b3 = build_root_datum("B", 3)
+    real = weyl_oracle._reduce_orbits
+
+    def corrupted(datum, shifted, table):
+        row = dict(real(datum, shifted, table))
+        for v, n in bump(next(iter(table))).items():
+            row[v] = row.get(v, 0) + n
+        return row
+
+    monkeypatch.setattr(weyl_oracle, "_reduce_orbits", corrupted)
+    with pytest.raises(ArithmeticError, match=message):
+        zero_weight_column(b3, 2 * b3.rho)
 
 
 def test_dominant_multiplicities_preconditions(c2, b3):
