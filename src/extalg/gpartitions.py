@@ -349,16 +349,25 @@ def _compile(datum):
 def is_admissible(datum, p, a, b):
     """True iff every admitted form obeys its bound: L <= a_j, N0/N1 <= b_j.
 
-    Scores ``p.flat`` on the compiled rows, as ``count_lr`` does: twice each
-    form is compared with twice its bound.
+    Scores ``p.flat`` on its nonzero slots only: each form starts at minus
+    twice its bound and gains, for every slot with a nonzero value, that
+    value times the slot's ``(form, coefficient)`` terms of
+    ``_Compiled.steps``.  So twice each form is compared with twice its
+    bound, as ``count_lr`` does, and p is admissible iff no form ends above 0.
     """
     _check_partition(datum, p)
     bounds = (tuple(a), tuple(b))
     if len(bounds[0]) != datum.rank or len(bounds[1]) != datum.rank:
         raise ValueError("fundamental-coefficient vectors have wrong length")
     comp = _compiled(datum)
-    return all(sum(c * x for c, x in zip(row, p.flat)) <= 2 * bounds[side][idx]
-               for row, (side, idx) in zip(comp.rows, comp.bound_of))
+    acc = [-2 * bounds[side][idx] for side, idx in comp.bound_of]
+    flat = p.flat
+    for (k, _, _, _), (terms, _, _) in zip(comp.slots, comp.steps):
+        v = flat[k]
+        if v:
+            for f, c in terms:
+                acc[f] += c * v
+    return max(acc) <= 0
 
 
 def count_lr(datum, lam, mu, nu, want_witnesses=False, cap=DEFAULT_CELL_CAP):

@@ -124,6 +124,7 @@ def exterior_specialization(lq):
 class RecurrenceRow:
     lam: object
     entries: dict  # dominant Weight -> LaurentQS
+    zero_points: int  # orbit points v with v + rho conjugated to rho (|Omega_0|)
 
 
 def chain_weight(datum, k):
@@ -179,11 +180,14 @@ def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
 
     rho2 = datum.rho.coords2
     sums = {}  # reduced doubled coordinates -> {(q, s) exponent: coefficient}
+    zero_points = 0
     for vec in datum.orbit2(lam.coords2):
         red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
         if red is None:
             continue
         target, sign = red
+        if not any(target):
+            zero_points += 1
         acc = sums.setdefault(target, {})
         for c, r in zip(vec, rho2):
             if c == top or c == -top:
@@ -200,7 +204,7 @@ def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
     for key in entries:
         if key != lam and not dominance_leq(datum, key, lam):
             raise ArithmeticError(f"row entry {key} is not below {lam}")
-    return RecurrenceRow(lam, entries)
+    return RecurrenceRow(lam, entries, zero_points)
 
 
 @lru_cache(maxsize=None)
@@ -258,20 +262,16 @@ def _omega0_closed(datum, k):
 def omega0_count(datum, k, cap=DEFAULT_CELL_CAP):
     """|Omega_0|: orbit points of the k-th chain weight conjugated to zero.
 
-    Counted three ways (brute-force orbit scan, classification shapes, closed
-    binomial form); all three must agree.  The scan raises ResourceCapError
-    on an orbit of more than cap + 1 points.
+    Counted three ways, which must agree: the orbit scan of the k-th
+    recurrence row (its ``zero_points``, read through ``_row_cached``, so one
+    scan serves the row and the count), the classification shapes, and the
+    closed binomial form.  For k = 0 the orbit is the single point 0, itself
+    conjugated to zero.  The row raises ResourceCapError on an orbit of more
+    than cap + 1 points.
     """
     if datum.family not in ("B", "D"):
         raise ValueError("zero-conjugation counts cover families B and D")
-    lam = chain_weight(datum, k)
-    _check_orbit_cap(datum, lam, cap)
-    rho2 = datum.rho.coords2
-    brute = 0
-    for vec in datum.orbit2(lam.coords2):
-        red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
-        if red is not None and not any(red[0]):
-            brute += 1
+    brute = _row_cached(datum.family, datum.rank, k, cap).zero_points if k else 1
     shapes = 0
     for v in _shape_vectors(datum, k) if k > 0 else [tuple([0] * datum.rank)]:
         red = datum.reduce_to_dominant(datum.weight(tuple(2 * c for c in v)))
@@ -447,6 +447,10 @@ def _omega0_checks(datum, k, cap, name):
     """One record per j <= k: do the three zero-conjugation counts agree?"""
     checks = []
     for j in range(1, k + 1):
+        # the count reads this row; a fault of the row itself (such as an
+        # entry not below the chain weight) is the row's mismatch, raised here
+        # rather than recorded as a failed count
+        _row_cached(datum.family, datum.rank, j, cap)
         try:
             _omega0_cached(datum.family, datum.rank, j, cap)
             check(checks, f"{name}_k{j}", True)

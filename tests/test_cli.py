@@ -227,6 +227,44 @@ def test_exterior_specialization_reuses_cached_rows(monkeypatch):
         "384ee9b722cb6511ce4cab30856878192dd07bc1d3148db70f3e693e3aa370f7"
 
 
+def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
+    # D8 covers the chain weights k = 1..4; the zero counts read the rows'
+    # scans, so orbit2 runs once per chain weight
+    real = extalg.RootDatum.orbit2
+    calls = []
+
+    def counting(self, x2):
+        calls.append(tuple(x2))
+        return real(self, x2)
+
+    monkeypatch.setattr(extalg.RootDatum, "orbit2", counting)
+    recurrence._row_cached.cache_clear()
+    recurrence._omega0_cached.cache_clear()
+    try:
+        code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "8"])
+    finally:
+        recurrence._row_cached.cache_clear()
+        recurrence._omega0_cached.cache_clear()
+    assert code == 0 and err == ""
+    d8 = extalg.build_root_datum("D", 8)
+    assert calls == [recurrence.chain_weight(d8, k).coords2 for k in range(1, 5)]
+
+
+def test_row_fault_exits_one_with_the_row_mismatch(monkeypatch):
+    # a row entry that is not below its chain weight is the row's mismatch
+    # (exit 1, one line), not a failed zero-count record
+    monkeypatch.setattr(recurrence, "dominance_leq", lambda *args: False)
+    recurrence._row_cached.cache_clear()
+    recurrence._omega0_cached.cache_clear()
+    try:
+        code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "6"])
+    finally:
+        recurrence._row_cached.cache_clear()
+        recurrence._omega0_cached.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == "mismatch: row entry W[D6](0,0,0,0,0,0) is not below W[D6](1,1,0,0,0,0)\n"
+
+
 def test_unwritable_output_exits_three(tmp_path):
     target = str(tmp_path / "missing" / "report.json")
     code, out, err = run_cli(["roots", "--family", "B", "--rank", "2", "--output", target])

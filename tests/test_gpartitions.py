@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from extalg.constructor import construct
 from extalg.gpartitions import (GPartition, _check_partition, _compiled, _L_value, _N0,
                                 _N1_value, _row_end, _start_residual, _suffix_feasible,
                                 count_lr, form_keys, is_admissible, pair_slots, weight_of)
@@ -50,6 +51,14 @@ def reference_admissible(items, a, b):
     """Every (kind, key, value) form item against its bound: L <= a_j, N0/N1 <= b_j."""
     bounds = {"L": a, "N0": b, "N1": b}
     return all(v <= bounds[kind][key[0] - 1] for kind, key, v in items)
+
+
+def reference_is_admissible(datum, p, a, b):
+    """``is_admissible`` scoring every compiled row densely over the whole flat layout."""
+    bounds = (tuple(a), tuple(b))
+    comp = _compiled(datum)
+    return all(sum(c * x for c, x in zip(row, p.flat)) <= 2 * bounds[side][idx]
+               for row, (side, idx) in zip(comp.rows, comp.bound_of))
 
 
 def _delta(p, n, a, a_bar, b, b_bar):
@@ -368,9 +377,27 @@ def test_compiled_rows_match_evaluate_forms(family, rank):
         # admissibility on the compiled rows, with a = b and with b = 2 - a
         for a in bound_vectors:
             for b in (a, tuple(2 - x for x in a)):
-                assert is_admissible(datum, p, a, b) == \
-                    reference_admissible(fv.all_items(), a, b), (p, a, b)
+                assert is_admissible(datum, p, a, b) == reference_is_admissible(datum, p, a, b) \
+                    == reference_admissible(fv.all_items(), a, b), (p, a, b)
     assert len(table.forms) == sum(len(v) for v in form_keys(datum).values())
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 2),
+                                         ("C", 3), ("C", 4), ("C", 5), ("D", 4), ("D", 5)])
+def test_sparse_scoring_matches_dense_on_certificates(family, rank):
+    # every certificate of certify_theorem, under the theorem's bounds (1, ..., 1)
+    # and under alternating 0/1 bounds that some of its forms exceed; over this
+    # grid, dropping the terms of any one slot changes some verdict
+    datum = build_root_datum(family, rank)
+    eligible = enumerate_dominant_below(datum, 2 * datum.rho, "dominance_and_coordinatewise")
+    partitions = [construct(datum, lam).partition for lam in eligible]
+    ones = (1,) * rank
+    alt = tuple(i % 2 for i in range(rank))
+    flip = tuple(1 - x for x in alt)
+    for a, b in [(ones, ones), (alt, flip), (flip, alt)]:
+        got = [is_admissible(datum, p, a, b) for p in partitions]
+        assert got == [reference_is_admissible(datum, p, a, b) for p in partitions], (a, b)
+        assert all(got) if a == b == ones else not all(got), (a, b)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4)])

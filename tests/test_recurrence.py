@@ -1,5 +1,7 @@
 import pytest
 
+from extalg import recurrence
+from extalg.core import DEFAULT_CELL_CAP
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import dominance_leq, enumerate_dominant_below
 from extalg.recurrence import (LaurentQS, a_integers, chain_weight, coefficient_table,
@@ -58,6 +60,17 @@ def reference_minuscule_row_entries(datum, lam):
         else:
             entries[target] = entry
     return entries
+
+
+def reference_zero_points(datum, lam):
+    """Orbit points v of lam with v + rho conjugated to rho, by a scan of their own."""
+    rho2 = datum.rho.coords2
+    count = 0
+    for vec in datum.orbit2(lam.coords2):
+        red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
+        if red is not None and not any(red[0]):
+            count += 1
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +141,7 @@ def test_orbit_cap_counts_the_orbit(family, rank, coords):
 
 def test_zero_counts_and_verification_honour_the_cap(b3):
     assert omega0_count(b3, 2, cap=11) == 2
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"^orbit of W\[B3\]\(1,1,0\) exceeds cap 10$"):
         omega0_count(b3, 2, cap=10)
     assert verify_aggregate(b3, 2, cap=11)["all_pass"]
     with pytest.raises(ResourceCapError):
@@ -242,6 +255,32 @@ def test_omega0_counts(b3):
     d4 = build_root_datum("D", 4)
     assert omega0_count(d4, 1) == 4
     assert omega0_count(d4, 2) == 1            # lam = 2 w_n
+
+
+@pytest.mark.parametrize("family,ranks", [("B", range(1, 10)), ("D", range(3, 13))])
+def test_row_counts_the_zero_points_of_its_orbit(family, ranks):
+    # the row's one orbit scan also yields |Omega_0|, which omega0_count reads
+    for rank in ranks:
+        datum = build_root_datum(family, rank)
+        for k in range(1, (rank if family == "B" else rank // 2) + 1):
+            row = recurrence._row_cached(family, rank, k, DEFAULT_CELL_CAP)
+            assert row.zero_points == reference_zero_points(datum, row.lam) \
+                == recurrence._omega0_closed(datum, k), (rank, k)
+
+
+def test_row_fault_is_a_mismatch_not_a_failed_count(monkeypatch):
+    # the zero-count checks record a failed count as a check, but a fault of
+    # the row they read raises as the row's own ArithmeticError
+    monkeypatch.setattr(recurrence, "dominance_leq", lambda *args: False)
+    recurrence._row_cached.cache_clear()
+    recurrence._omega0_cached.cache_clear()
+    try:
+        d6 = build_root_datum("D", 6)
+        with pytest.raises(ArithmeticError, match=r"^row entry .* is not below W\[D6\]"):
+            recurrence._omega0_checks(d6, 1, DEFAULT_CELL_CAP, "cardG0_closed_form")
+    finally:
+        recurrence._row_cached.cache_clear()
+        recurrence._omega0_cached.cache_clear()
 
 
 def test_a_integers(b3):
