@@ -154,8 +154,7 @@ def lr_verify(datum, lam, mu, nu=None, witnesses=False, oracle=False, cap=DEFAUL
     for every nu with a nonzero count, compared with Brauer-Klimyk when
     ``oracle`` is set (``match`` is None otherwise)."""
     for w in (lam, mu) if nu is None else (lam, mu, nu):
-        if not datum.is_dominant(w):
-            raise ValueError(f"{w} is not dominant")
+        datum.require_dominant(w)
     report = {"family": datum.family, "rank": datum.rank,
               "lambda": _weight_json(datum, lam), "mu": _weight_json(datum, mu)}
     kl = weyl_oracle.klimyk_tensor(datum, lam, mu, cap=cap) if oracle else None
@@ -217,9 +216,8 @@ def recurrence_verify(datum, k=None, exterior_specialization=False, cap=DEFAULT_
     ``exterior_specialization`` is set (informational, never checked)."""
     if datum.family not in ("B", "D"):
         raise ConfigurationError("recurrence verification covers families B and D")
-    top = datum.rank if datum.family == "B" else datum.rank // 2
     reports = []
-    for kk in [k] if k is not None else range(1, top + 1):
+    for kk in [k] if k is not None else range(1, recurrence.chain_count(datum) + 1):
         report = recurrence.verify_aggregate(datum, kk, cap=cap)
         if exterior_specialization:
             # the row verify_aggregate has just built

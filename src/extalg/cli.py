@@ -16,6 +16,7 @@ import argparse
 import io
 import itertools
 import json
+import re
 import sys
 
 from . import checks, exterior_oracle, orders
@@ -55,7 +56,10 @@ def _datum(args):
 
 def _parse_weight(datum, text):
     """The weight with the comma-separated fundamental coefficients ``text``."""
-    parts = [p for p in text.replace(" ", "").split(",") if p != ""]
+    parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        if not re.fullmatch(r"[+-]?[0-9]+", p):
+            raise ValueError(f"malformed coefficient {p!r} in {text!r}")
     if len(parts) != datum.rank:
         raise ValueError(f"expected {datum.rank} comma-separated coefficients, got {len(parts)}")
     return weight_from_fundamental(datum, [int(p) for p in parts])
@@ -82,7 +86,7 @@ def cmd_roots(args):
 
 def cmd_orders(args):
     datum = _datum(args)
-    bound = _parse_weight(datum, args.bound) if args.bound else 2 * datum.rho
+    bound = _parse_weight(datum, args.bound) if args.bound is not None else 2 * datum.rho
     dom = orders.enumerate_dominant_below(datum, bound, "dominance")
     cw = orders.enumerate_dominant_below(datum, bound, "dominance_and_coordinatewise")
     small = orders.enumerate_dominant_below(datum, bound, "small")
@@ -110,7 +114,7 @@ def cmd_orders(args):
 def cmd_lr(args):
     datum = _datum(args)
     lam, mu = _parse_weight(datum, args.lam), _parse_weight(datum, args.mu)
-    nu = _parse_weight(datum, args.nu) if args.nu else None
+    nu = _parse_weight(datum, args.nu) if args.nu is not None else None
     return _finish(args, *checks.lr_verify(datum, lam, mu, nu, witnesses=args.witnesses,
                                            oracle=args.oracle, cap=args.cap))
 

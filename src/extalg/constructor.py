@@ -13,7 +13,7 @@ the parities of c_i = 2|rho_i| - |lam_i|:
 
 from dataclasses import dataclass
 
-from .gpartitions import GPartition, is_admissible, pair_slots, weight_of
+from .gpartitions import GPartition, is_admissible, weight_of
 from .orders import coordinatewise_leq, dominance_leq, enumerate_dominant_below
 
 __all__ = ["Certificate", "construct", "certify_theorem"]
@@ -38,26 +38,16 @@ class Certificate:
 class _Rows:
     """Mutable per-row slot store for the iterative constructions."""
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self):
         self.m = {}
         self.mp = {}
         self.mi = {}
-
-    def to_partition(self, family):
-        flat = []
-        for i, j in pair_slots(self.n):
-            flat.append(self.m.get((i, j), 0))
-            flat.append(self.mp.get((i, j), 0))
-        for i in range(1, self.n + 1):
-            flat.append(self.mi.get(i, 0))
-        return GPartition.from_flat(family, self.n, tuple(flat))
 
 
 def _case_a(datum, c):
     """Case A: every c_i even; build rows from index n down to 1."""
     n = datum.rank
-    rows = _Rows(n)
+    rows = _Rows()
     if not all(x % 2 == 0 for x in c):
         raise ArithmeticError(f"Case A needs every gap even, got {c}")
     rows.mi[n] = 0 if c[n - 1] == 0 else 2
@@ -108,10 +98,8 @@ def construct(datum, lam, force_case=None):
     """
     if datum.family not in ("B", "C", "D"):
         raise ValueError(f"construction covers families B, C, D, not {datum.family}")
-    datum.check_weight(lam)
+    datum.require_dominant(lam)
     two_rho = 2 * datum.rho
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
     if not dominance_leq(datum, lam, two_rho):
         raise ValueError(f"order test failed: {lam} is not below 2*rho in dominance")
     if not coordinatewise_leq(lam, two_rho):
@@ -154,7 +142,7 @@ def construct(datum, lam, force_case=None):
             for i in odd:
                 rows.mi[i] = 1
 
-    partition = rows.to_partition(datum.family)
+    partition = GPartition.from_slots(datum.family, n, rows.m, rows.mp, rows.mi)
     ones = (1,) * n
     associated = weight_of(datum, partition) == two_rho - lam
     admissible = is_admissible(datum, partition, ones, ones)

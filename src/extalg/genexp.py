@@ -10,7 +10,7 @@ coefficient table in ``recurrence``.  The closed formulas divide exactly in
 from functools import lru_cache
 
 from .core import PolyT
-from .recurrence import coefficient_table
+from .recurrence import chain_count, chain_weight, coefficient_table
 
 __all__ = [
     "UnsupportedWeightError",
@@ -63,16 +63,11 @@ def _chain_index(datum, lam):
 
 
 def covered_small_weights(datum):
-    """The small weights whose E-polynomial has a closed formula here, in order."""
-    n = datum.rank
-    mk = lambda k: datum.weight(tuple([2] * k + [0] * (n - k)))
-    if datum.family == "B":
-        return [mk(k) for k in range(1, n + 1)]
-    if datum.family == "C":
-        return [mk(2 * k) for k in range(1, n // 2 + 1)]
-    if datum.family == "D":
-        return [mk(2 * k) for k in range(1, n // 2 + 1)]
-    raise UnsupportedWeightError(f"no covered weights for family {datum.family}")
+    """The small weights whose E-polynomial has a closed formula here, in order:
+    the chain weights of ``recurrence``."""
+    if datum.family not in ("B", "C", "D"):
+        raise UnsupportedWeightError(f"no covered weights for family {datum.family}")
+    return [chain_weight(datum, k) for k in range(1, chain_count(datum) + 1)]
 
 
 def closed_E(datum, lam):

@@ -17,7 +17,6 @@ from .core import DEFAULT_CELL_CAP, ResourceCapError
 
 __all__ = [
     "GPartition",
-    "pair_slots",
     "weight_of",
     "is_admissible",
     "count_lr",
@@ -25,9 +24,10 @@ __all__ = [
 ]
 
 
-def pair_slots(n):
-    """The (i, j) pairs with i < j in the canonical lexicographic layout."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def _pair_index(n, i, j):
+    """Flat index of m_ij, 1 <= i < j <= n (mp_ij follows it): the pairs before
+    row i, then the offset of j in row i, two slots per pair."""
+    return 2 * ((i - 1) * (2 * n - i) // 2 + j - i - 1)
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,31 @@ class GPartition:
                 raise ValueError(f"type D requires m_{i} = 0")
         return p
 
-    def _pair_base(self, i, j):
-        # index of (i, j) in the lex list: pairs before row i, then offset
-        n = self.n
-        before = (i - 1) * (2 * n - i) // 2
-        return 2 * (before + (j - i - 1))
+    @classmethod
+    def from_slots(cls, family, n, m, mp, mi):
+        """The partition with the values ``m[(i, j)]``, ``mp[(i, j)]`` and
+        ``mi[i]`` in their slots, every slot not named being 0."""
+        flat = [0] * (n * n)
+        for offset, values in ((0, m), (1, mp)):
+            for (i, j), v in values.items():
+                if not 1 <= i < j <= n:
+                    raise ValueError(f"no slot ({i}, {j}) in rank {n}")
+                flat[_pair_index(n, i, j) + offset] = v
+        for i, v in mi.items():
+            if not 1 <= i <= n:
+                raise ValueError(f"no slot m_{i} in rank {n}")
+            flat[n * (n - 1) + i - 1] = v
+        return cls.from_flat(family, n, flat)
 
     def m(self, i, j):
         if not 1 <= i < j <= self.n:
             return 0
-        return self.flat[self._pair_base(i, j)]
+        return self.flat[_pair_index(self.n, i, j)]
 
     def mp(self, i, j):
         if not 1 <= i < j <= self.n:
             return 0
-        return self.flat[self._pair_base(i, j) + 1]
+        return self.flat[_pair_index(self.n, i, j) + 1]
 
     def mi(self, i):
         if not 1 <= i <= self.n:
@@ -98,13 +108,16 @@ class GPartition:
 def weight_of(datum, p):
     """The weight sum(m_ij (e_i - e_j)) + sum(mp_ij (e_i + e_j)) + sum(m_i e_i)."""
     _check_partition(datum, p)
-    n = datum.rank
-    acc = [0] * n
-    for i, j in pair_slots(n):
-        acc[i - 1] += p.m(i, j) + p.mp(i, j)
-        acc[j - 1] += p.mp(i, j) - p.m(i, j)
-    for i in range(1, n + 1):
-        acc[i - 1] += p.mi(i)
+    acc = [0] * datum.rank
+    flat = p.flat
+    for k, kind, i, j in _compiled(datum).slots:
+        v = flat[k]
+        if v:
+            acc[i] += v
+            if kind == _M:
+                acc[j] -= v
+            elif kind == _MP:
+                acc[j] += v
     return datum.weight(tuple(2 * a for a in acc))
 
 
@@ -326,12 +339,11 @@ def _compile(datum):
         for f, (value, j, t, barred) in enumerate(evaluators):
             rows[f][k] = value(datum, unit, j, t, barred)
 
-    base = {pair: 2 * idx for idx, pair in enumerate(pair_slots(n))}
     slots = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            slots.append((base[(i, j)], _M, i - 1, j - 1))
-            slots.append((base[(i, j)] + 1, _MP, i - 1, j - 1))
+            slots.append((_pair_index(n, i, j), _M, i - 1, j - 1))
+            slots.append((_pair_index(n, i, j) + 1, _MP, i - 1, j - 1))
         slots.append((2 * pairs + i - 1, _ROW_END, i - 1, None))
 
     steps = []
@@ -381,9 +393,7 @@ def count_lr(datum, lam, mu, nu, want_witnesses=False, cap=DEFAULT_CELL_CAP):
     beyond it).
     """
     for w in (lam, mu, nu):
-        datum.check_weight(w)
-        if not datum.is_dominant(w):
-            raise ValueError(f"{w} is not dominant")
+        datum.require_dominant(w)
     a = datum.fundamental_coefficients(lam)
     b = datum.fundamental_coefficients(mu)
     target = lam + mu - nu

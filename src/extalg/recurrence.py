@@ -17,10 +17,9 @@ rows, and ``genexp.recur_E`` solves their q = 0 form for the generalized
 exponents of the small chain weights.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .core import (DEFAULT_CELL_CAP, PolyT, ResourceCapError, _first_unequal, _record,
                    _unequal, check)
@@ -35,6 +34,7 @@ __all__ = [
     "a_integers",
     "verify_aggregate",
     "coefficient_table",
+    "chain_count",
     "chain_weight",
     "exterior_specialization",
 ]
@@ -127,30 +127,22 @@ class RecurrenceRow:
     zero_points: int  # orbit points v with v + rho conjugated to rho (|Omega_0|)
 
 
+def chain_count(datum):
+    """The number of small chain weights: n in type B, n // 2 in types C and D."""
+    if datum.family == "B":
+        return datum.rank
+    if datum.family in ("C", "D"):
+        return datum.rank // 2
+    raise ValueError(f"no chain weights for family {datum.family}")
+
+
 def chain_weight(datum, k):
-    """The k-th small chain weight: (1^k, 0^*) in type B, (1^(2k), 0^*) in type D."""
+    """The k-th small chain weight: (1^k, 0^*) in type B, (1^(2k), 0^*) in types C and D."""
     n = datum.rank
     ones = k if datum.family == "B" else 2 * k
     if not 0 <= ones <= n:
         raise ValueError(f"chain index {k} out of range for {datum.family}{n}")
     return datum.weight((2,) * ones + (0,) * (n - ones))
-
-
-def _check_orbit_cap(datum, lam, cap):
-    """Raise ResourceCapError when the orbit of ``lam`` (B, D) has over cap + 1 points.
-
-    The size is counted without listing the orbit: the arrangements of the
-    absolute values times the sign patterns of the nonzero entries, half of
-    them in D when no entry is zero.
-    """
-    counts = Counter(abs(c) for c in lam.coords2)
-    size = factorial(datum.dim)
-    for m in counts.values():
-        size //= factorial(m)
-    nonzero = datum.dim - counts[0]
-    size <<= nonzero - (datum.family == "D" and nonzero == datum.dim)
-    if size > cap + 1:
-        raise ResourceCapError(f"orbit of {lam} exceeds cap {cap}")
 
 
 def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
@@ -162,19 +154,19 @@ def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
     moves e_1 to the e_j with lam_j = +-lam_1, and any w with w(lam) = v
     sends such an e_j to +-e_i with |v_i| = lam_1 and the sign of v_i, so the
     transported images at v are {sign(v_i) e_i : |v_i| = lam_1}.  Supported
-    families: B, D.
+    families: B, D.  An orbit of more than cap + 1 points raises
+    ResourceCapError before it is listed.
     """
     if datum.family not in ("B", "D"):
         raise ValueError(
             f"e_1 is a minuscule coweight for families B and D only, not {datum.family}")
-    datum.check_weight(lam)
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    datum.require_dominant(lam)
     if lam.is_zero():
         raise ValueError("the recurrence row for the zero weight is vacuous")
     if lam.coords2[0] % 2:
         raise ValueError("the q-exponent (lam, e_1) must be an integer")
-    _check_orbit_cap(datum, lam, cap)
+    if datum.orbit_size(lam.coords2) > cap + 1:
+        raise ResourceCapError(f"orbit of {lam} exceeds cap {cap}")
     top = lam.coords2[0]
     q_exp = top // 2
 
@@ -521,7 +513,7 @@ def verify_aggregate(datum, k, cap=DEFAULT_CELL_CAP):
     if datum.family not in ("B", "D"):
         raise ValueError("verification covers families B and D")
     type_b = datum.family == "B"
-    top = n if type_b else n // 2
+    top = chain_count(datum)
     if not 1 <= k <= top:
         raise ValueError(f"k must lie in 1..{top}")
     checks = _omega0_checks(datum, k, cap,

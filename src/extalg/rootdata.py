@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import factorial
 
 __all__ = [
     "ConfigurationError",
@@ -130,6 +131,11 @@ class RootDatum:
     def check_weight(self, w):
         if (w.family, w.rank) != (self.family, self.rank):
             raise DatumMismatchError(f"{w} does not belong to {self.family}{self.rank}")
+
+    def require_dominant(self, w):
+        """Raise ``ValueError`` unless ``w`` is a dominant weight of this datum."""
+        if not self.is_dominant(w):
+            raise ValueError(f"{w} is not dominant")
 
     # -- Weyl group action --------------------------------------------------
 
@@ -316,6 +322,27 @@ class RootDatum:
                 if odd is None or (sum(c < 0 for c in signed) & 1) == odd:
                     orbit.append(signed)
         return sorted(orbit)
+
+    def orbit_size(self, x2):
+        """|W x2|, the number of points :meth:`orbit2` lists.
+
+        For A-D it is counted without listing the orbit: the arrangements of
+        the entries (of their absolute values outside A) times, outside A, the
+        sign patterns on the nonzero entries, halved in D when no entry is
+        zero (the number of negative signs keeps its parity).  G2 counts
+        :meth:`orbit2`.
+        """
+        f = self.family
+        if f == "G2":
+            return len(self.orbit2(x2))
+        entries = x2 if f == "A" else [abs(c) for c in x2]
+        size = factorial(len(entries))
+        for count in Counter(entries).values():
+            size //= factorial(count)
+        if f != "A":
+            nonzero = sum(1 for c in entries if c)
+            size <<= nonzero - (f == "D" and nonzero == len(entries))
+        return size
 
     # -- lattice geometry ----------------------------------------------------
 

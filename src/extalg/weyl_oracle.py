@@ -120,9 +120,7 @@ def dominant_multiplicities(datum, lam):
     every W_J-orbit of roots and each orbit is evaluated once, weighted by
     its number of positive roots (:func:`_root_orbits`).
     """
-    datum.check_weight(lam)
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    datum.require_dominant(lam)
     key = (datum.family, datum.rank, lam.coords2)
     if key in _dominant_cache:
         return _dominant_cache[key]
@@ -174,16 +172,17 @@ def dominant_multiplicities(datum, lam):
 
 
 def freudenthal(datum, lam, cap=DEFAULT_CELL_CAP):
-    """Full weight system of V_lam with multiplicities (all Weyl images)."""
+    """Full weight system of V_lam with multiplicities (all Weyl images).
+
+    ``cap`` bounds its cells, counted from the orbit sizes of the dominant
+    weights before any orbit is listed.
+    """
     table = dominant_multiplicities(datum, lam)
+    if sum(datum.orbit_size(mu.coords2) for mu in table) > cap:
+        raise ResourceCapError(f"weight system of {lam} exceeds cap {cap}")
     full = {}
-    cells = 0
     for mu, m in table.items():
-        orbit = datum.orbit2(mu.coords2)
-        cells += len(orbit)
-        if cells > cap:
-            raise ResourceCapError(f"weight system of {lam} exceeds cap {cap}")
-        for v in orbit:
+        for v in datum.orbit2(mu.coords2):
             full[Weight(datum.family, datum.rank, v)] = m
     return WeightMultMap(datum.family, datum.rank, lam, full)
 
@@ -199,27 +198,6 @@ def weyl_dim(datum, lam):
     if num % den:
         raise ArithmeticError("Weyl dimension did not come out integral")
     return num // den
-
-
-def _orbit_size(datum, v2):
-    """|W v|, the number of Weyl images of a dominant doubled-coordinate vector.
-
-    For A-D it is the number of arrangements of the entries (of their
-    absolute values outside A) times, outside A, the sign patterns on the
-    nonzero entries, halved in D when no entry is zero (the number of
-    negative signs keeps its parity).  G2 counts :meth:`RootDatum.orbit2`.
-    """
-    f = datum.family
-    if f == "G2":
-        return len(datum.orbit2(v2))
-    entries = v2 if f == "A" else [abs(c) for c in v2]
-    size = math.factorial(len(entries))
-    for count in Counter(entries).values():
-        size //= math.factorial(count)
-    if f != "A":
-        nonzero = sum(1 for c in entries if c)
-        size <<= nonzero - (f == "D" and nonzero == len(entries))
-    return size
 
 
 def _klimyk_walk(datum, shifted, table):
@@ -309,11 +287,10 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     orbit sizes of its dominant weights before :func:`_reduce_orbits`
     reduces them.
     """
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    datum.require_dominant(lam)
     datum.check_weight(mu)
     table = dominant_multiplicities(datum, mu)
-    cells = sum(_orbit_size(datum, nu.coords2) for nu in table)
+    cells = sum(datum.orbit_size(nu.coords2) for nu in table)
     if cells > cap:
         raise ResourceCapError(f"weight system of {mu} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
@@ -341,7 +318,7 @@ def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
     order of :func:`enumerate_dominant_below`.
     """
     below = enumerate_dominant_below(datum, top, "dominance")
-    cells = sum(_orbit_size(datum, kappa.coords2) for kappa in below)
+    cells = sum(datum.orbit_size(kappa.coords2) for kappa in below)
     if cells > cap:
         raise ResourceCapError(f"orbits of the weights below {top} exceed cap {cap}")
     top2, rho2, zero2 = top.coords2, datum.rho.coords2, datum.zero.coords2
@@ -478,9 +455,7 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
     Only the terms with w(lam+rho) - rho in the positive root cone are
     visited (see :func:`_cone_images`); every other term is zero.
     """
-    datum.check_weight(lam)
-    if not datum.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    datum.require_dominant(lam)
     if not datum.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     if datum.family == "G2":

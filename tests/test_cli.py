@@ -322,6 +322,39 @@ def test_lr_rejects_a_non_dominant_weight(extra):
     assert err == "error: W[B2](2,-1) is not dominant\n"
 
 
+@pytest.mark.parametrize("lam", ["1,,0", "1,0,", ",1,0"])
+def test_weight_with_an_empty_field_is_a_usage_error(lam):
+    code, out, err = run_cli(["lr", "--family", "B", "--rank", "2", "--lam", lam,
+                              "--mu", "0,1", "--nu", "1,1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed coefficient '' in {lam!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["lr", "--family", "B", "--rank", "2", "--lam", "1,0",
+                                   "--mu", "0,1", "--nu", ""],
+                                  ["orders", "--family", "B", "--rank", "2", "--bound", ""]],
+                         ids=["nu", "bound"])
+def test_empty_optional_weight_is_a_usage_error(argv):
+    # an empty --nu or --bound is not read as an absent one
+    assert run_cli(argv) == (2, "", "error: malformed coefficient '' in ''\n")
+
+
+@pytest.mark.parametrize("lam", ["1 0", "1_0"])
+def test_coefficient_read_as_ten_is_a_usage_error(lam):
+    code, out, err = run_cli(["lr", "--family", "B", "--rank", "1", "--lam", lam,
+                              "--mu", "0", "--nu", "10"])
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed coefficient {lam!r} in {lam!r}\n"
+
+
+def test_weight_fields_may_carry_spaces():
+    spaced = run_cli(["lr", "--family", "B", "--rank", "2", "--lam", "1, 0",
+                      "--mu", "0,1", "--nu", "1,1"])
+    assert spaced[0] == 0
+    assert spaced == run_cli(["lr", "--family", "B", "--rank", "2", "--lam", "1,0",
+                              "--mu", "0,1", "--nu", "1,1"])
+
+
 def test_fault_injection_reaches_exit_one(monkeypatch):
     # corrupt one closed-form coefficient: the mismatch must surface as exit 1
     real = genexp.closed_E

@@ -2,9 +2,13 @@ import pytest
 
 from extalg.checks import kostant_verify
 from extalg.constructor import certify_theorem, construct
-from extalg.gpartitions import pair_slots
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
+
+
+def pair_slots(n):
+    """The (i, j) pairs with i < j in the canonical lexicographic layout."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,23 @@ def test_recurrence_matches_closed(family, rank):
         assert poly == closed_E(datum, lam)
 
 
+@pytest.mark.parametrize("family,rank,coords2", [
+    ("B", 3, [(2, 0, 0), (2, 2, 0), (2, 2, 2)]),
+    ("C", 5, [(2, 2, 0, 0, 0), (2, 2, 2, 2, 0)]),
+    ("D", 5, [(2, 2, 0, 0, 0), (2, 2, 2, 2, 0)]),
+    ("D", 6, [(2, 2, 0, 0, 0, 0), (2, 2, 2, 2, 0, 0), (2, 2, 2, 2, 2, 2)]),
+])
+def test_covered_small_weights_are_pinned(family, rank, coords2):
+    datum = build_root_datum(family, rank)
+    assert [w.coords2 for w in covered_small_weights(datum)] == coords2
+
+
+def test_covered_small_weights_need_a_classical_bcd_family():
+    for family, rank in [("A", 3), ("G2", 2)]:
+        with pytest.raises(UnsupportedWeightError):
+            covered_small_weights(build_root_datum(family, rank))
+
+
 def _recur_B(datum):
     # the type-B q = 0 recurrence written out: b_i = -t^(n-i+1) (t^(2i-1) - 1),
     # c_k = t^k - 1

@@ -6,11 +6,29 @@ import pytest
 
 from extalg.constructor import construct
 from extalg.gpartitions import (GPartition, _check_partition, _compiled, _L_value, _N0,
-                                _N1_value, _row_end, _start_residual, _suffix_feasible,
-                                count_lr, form_keys, is_admissible, pair_slots, weight_of)
+                                _N1_value, _pair_index, _row_end, _start_residual,
+                                _suffix_feasible, count_lr, form_keys, is_admissible, weight_of)
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import ResourceCapError, klimyk_tensor, weyl_dim
+
+
+def pair_slots(n):
+    """The (i, j) pairs with i < j in the canonical lexicographic layout."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def reference_weight_of(datum, p):
+    """``weight_of`` through the ``GPartition`` accessors, pair by pair."""
+    _check_partition(datum, p)
+    n = datum.rank
+    acc = [0] * n
+    for i, j in pair_slots(n):
+        acc[i - 1] += p.m(i, j) + p.mp(i, j)
+        acc[j - 1] += p.mp(i, j) - p.m(i, j)
+    for i in range(1, n + 1):
+        acc[i - 1] += p.mi(i)
+    return datum.weight(tuple(2 * a for a in acc))
 
 
 # -- reference evaluators: the forms uncompiled, and their original definitions
@@ -213,6 +231,28 @@ def test_layout_and_validation():
         GPartition.from_flat("B", 3, (-1,) + (0,) * 8)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_index_follows_the_pair_slots(n):
+    assert [_pair_index(n, i, j) for i, j in pair_slots(n)] == list(range(0, n * (n - 1), 2))
+
+
+def test_from_slots_round_trips():
+    rng = random.Random(11)
+    for family, n in [("B", 3), ("C", 4), ("D", 5)]:
+        pairs = pair_slots(n)
+        m = {pair: rng.randrange(3) for pair in rng.sample(pairs, len(pairs) // 2)}
+        mp = {pair: rng.randrange(3) for pair in rng.sample(pairs, len(pairs) // 2)}
+        mi = {} if family == "D" else {1: 2, n: 4}
+        p = GPartition.from_slots(family, n, m, mp, mi)
+        assert all(p.m(i, j) == m.get((i, j), 0) and p.mp(i, j) == mp.get((i, j), 0)
+                   for i, j in pairs)
+        assert all(p.mi(i) == mi.get(i, 0) for i in range(1, n + 1))
+    with pytest.raises(ValueError, match="no slot"):
+        GPartition.from_slots("B", 3, {(2, 1): 1}, {}, {})
+    with pytest.raises(ValueError, match="no slot"):
+        GPartition.from_slots("B", 3, {}, {}, {4: 1})
+
+
 def test_weight_of_examples(c3):
     p = GPartition.from_flat("C", 3, (1, 1, 1, 1, 1, 1, 0, 0, 0))
     assert weight_of(c3, p).coords2 == (8, 4, 0)   # (4,2,0) = 2rho - 2w3
@@ -374,6 +414,7 @@ def test_compiled_rows_match_evaluate_forms(family, rank):
         expected = [2 * getattr(fv, kind)[key] for kind, key in table.forms]
         got = [sum(c * x for c, x in zip(row, p.flat)) for row in table.rows]
         assert got == expected, p
+        assert weight_of(datum, p) == reference_weight_of(datum, p), p
         # admissibility on the compiled rows, with a = b and with b = 2 - a
         for a in bound_vectors:
             for b in (a, tuple(2 - x for x in a)):
@@ -398,6 +439,16 @@ def test_sparse_scoring_matches_dense_on_certificates(family, rank):
         got = [is_admissible(datum, p, a, b) for p in partitions]
         assert got == [reference_is_admissible(datum, p, a, b) for p in partitions], (a, b)
         assert all(got) if a == b == ones else not all(got), (a, b)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 2),
+                                         ("C", 3), ("C", 4), ("C", 5), ("D", 4), ("D", 5)])
+def test_weight_of_matches_reference_on_certificates(family, rank):
+    datum = build_root_datum(family, rank)
+    eligible = enumerate_dominant_below(datum, 2 * datum.rho, "dominance_and_coordinatewise")
+    for lam in eligible:
+        p = construct(datum, lam).partition
+        assert weight_of(datum, p) == reference_weight_of(datum, p) == 2 * datum.rho - lam, lam
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4)])

@@ -6,7 +6,8 @@ through the other and compare a result with itself.  Only ``checks``, ``cli``
 and the package root import both.  The graph is read from the source with
 ``ast``, so those tests need no import of the package.  Every name a module
 exports must resolve, so that moving or deleting a function cannot leave a
-stale export behind.
+stale export behind.  No module asserts an invariant: ``python -O`` would
+strip the check.
 """
 
 import ast
@@ -75,3 +76,10 @@ def test_every_export_resolves():
         mod = importlib.import_module(module)
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"{module}.__all__ names {missing}"
+
+
+def test_no_assert_statement_in_the_package():
+    # invariants are raised, not asserted: python -O strips assert statements
+    for module, tree in _trees().items():
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{module}.py asserts at lines {lines}"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from extalg.exterior_oracle import weyl_alternation
 from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import Weight, build_root_datum, weight_from_fundamental
-from extalg.weyl_oracle import (ResourceCapError, _orbit_size, _root_orbits, _weyl_group_order,
+from extalg.weyl_oracle import (ResourceCapError, _root_orbits, _weyl_group_order,
                                 dominant_multiplicities, freudenthal, klimyk_tensor, lusztig_E,
                                 q_kostant, weyl_dim, zero_weight_column)
 
@@ -271,11 +272,20 @@ def test_orbit_size_counts_the_orbit(family, rank):
     datum = build_root_datum(family, rank)
     below = enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
     for v in below:
-        assert _orbit_size(datum, v.coords2) == len(datum.orbit2(v.coords2)), v
+        assert datum.orbit_size(v.coords2) == len(datum.orbit2(v.coords2)), v
     if family == "D":
         # a zero entry, no zero entry, and a negative last entry all occur
         lasts = {(v.coords2[-1] > 0) - (v.coords2[-1] < 0) for v in below}
         assert lasts == {-1, 0, 1}
+
+
+def test_orbit_size_of_rho_is_the_weyl_group_order():
+    # rho is regular, so W acts simply transitively on its orbit
+    for family, ranks in [("A", range(1, 7)), ("B", range(1, 8)), ("C", range(1, 8)),
+                          ("D", range(3, 8))]:
+        for rank in ranks:
+            datum = build_root_datum(family, rank)
+            assert datum.orbit_size(datum.rho.coords2) == _weyl_group_order(datum), datum
 
 
 @pytest.mark.parametrize("family,rank,coeffs", [
@@ -421,6 +431,14 @@ def test_lusztig_matches_full_weyl_sum_on_covered_weights(family, rank):
 def test_freudenthal_cap(b3):
     with pytest.raises(ResourceCapError):
         freudenthal(b3, 2 * b3.rho, cap=10)
+    # the cap counts the cells of the weight system before listing any orbit
+    for datum in (b3, build_root_datum("D", 4), build_root_datum("G2", 2)):
+        lam = datum.rho
+        cells = len(freudenthal(datum, lam).mult)
+        assert freudenthal(datum, lam, cap=cells) == freudenthal(datum, lam)
+        message = f"weight system of {lam!r} exceeds cap {cells - 1}"
+        with pytest.raises(ResourceCapError, match=f"^{re.escape(message)}$"):
+            freudenthal(datum, lam, cap=cells - 1)
 
 
 @pytest.mark.parametrize("family,rank", [
