@@ -492,6 +492,12 @@ def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):
      "e286009990536c685646ade7b1a4d023b487eb9120ccf7c0a18164579e5f96ef"),
     ("exterior-verify --family G2 --rank 2 --module little-adjoint",
      "bdce186eab73f30ec55a43abf9079f6359ce1b056bf9cbcf7f961ec00923c290"),
+    ("exterior-verify --family G2 --rank 2 --module adjoint",
+     "d015609982ba21d9ad6451d2574fadb3778aa5fc6f43f279907d4e88225cbe8c"),
+    ("short-kostant-verify --family G2 --rank 2",
+     "a88e0cf545fe54a8cfc9143346cc9274014521707a7842c113cf452da6a438b6"),
+    ("orders --family G2 --rank 2",
+     "7df7b2c5c2be1a524884d55807e255217bdadf56056f4758b1bba5d71205bf71"),
     ("short-kostant-verify --family B --rank 2",
      "e47eaa02e1ff7d7171b8534c41f19087a4b96b2c472112e1b19ecc8ccd0c1d67"),
     ("short-kostant-verify --family C --rank 4",
