@@ -87,9 +87,9 @@ def cmd_roots(args):
 def cmd_orders(args):
     datum = _datum(args)
     bound = _parse_weight(datum, args.bound) if args.bound is not None else 2 * datum.rho
-    dom = orders.enumerate_dominant_below(datum, bound, "dominance")
-    cw = orders.enumerate_dominant_below(datum, bound, "dominance_and_coordinatewise")
-    small = orders.enumerate_dominant_below(datum, bound, "small")
+    dom = orders.enumerate_dominant_below(datum, bound, "dominance", args.cap)
+    cw = orders.enumerate_dominant_below(datum, bound, "dominance_and_coordinatewise", args.cap)
+    small = orders.enumerate_dominant_below(datum, bound, "small", args.cap)
     delta_fail = 0
     subsets = 0
     for r in range(1, datum.rank + 1):
@@ -165,8 +165,8 @@ def build_parser():
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CELL_CAP,
-                       help="resource cap on oracle cells, lr enumeration steps "
-                            "and recurrence orbit points")
+                       help="resource cap on oracle cells, lr enumeration steps, "
+                            "recurrence orbit points and listed dominant weights")
         p.add_argument("--force-cap", action="store_true",
                        help="acknowledge a cap larger than the default")
 

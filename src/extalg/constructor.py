@@ -35,49 +35,43 @@ class Certificate:
         return self.associated_ok and self.admissible_ok
 
 
-class _Rows:
-    """Mutable per-row slot store for the iterative constructions."""
-
-    def __init__(self):
-        self.m = {}
-        self.mp = {}
-        self.mi = {}
-
-
 def _case_a(datum, c):
-    """Case A: every c_i even; build rows from index n down to 1."""
+    """Case A: every c_i even; build rows from index n down to 1.
+
+    Returns the slot dicts ``(m, mp, mi)`` of :meth:`GPartition.from_slots`.
+    """
     n = datum.rank
-    rows = _Rows()
+    m, mp, mi = {}, {}, {}
     if not all(x % 2 == 0 for x in c):
         raise ArithmeticError(f"Case A needs every gap even, got {c}")
-    rows.mi[n] = 0 if c[n - 1] == 0 else 2
+    mi[n] = 0 if c[n - 1] == 0 else 2
     for i in range(n, 1, -1):
         # build row i-1 from row i
         ci, cim1 = c[i - 1], c[i - 2]
-        nonzero = sorted((j for j in range(i + 1, n + 1) if rows.m.get((i, j), 0)),
+        nonzero = sorted((j for j in range(i + 1, n + 1) if m.get((i, j), 0)),
                          reverse=True)  # j_1 > j_2 > ... > j_k
         if cim1 == 0:
             continue
         if ci >= cim1 > 0:
-            rows.mi[i - 1] = rows.mi.get(i, 0)
-            s = cim1 // 2 if rows.mi.get(i, 0) == 0 else cim1 // 2 - 1
+            mi[i - 1] = mi.get(i, 0)
+            s = cim1 // 2 if mi.get(i, 0) == 0 else cim1 // 2 - 1
             cutoff = n + 1 if s == 0 else nonzero[s - 1]
             for j in range(cutoff, n + 1):
-                if rows.m.get((i, j), 0):
-                    rows.m[(i - 1, j)] = rows.m[(i, j)]
-                    rows.mp[(i - 1, j)] = rows.mp[(i, j)]
+                if m.get((i, j), 0):
+                    m[(i - 1, j)] = m[(i, j)]
+                    mp[(i - 1, j)] = mp[(i, j)]
         elif cim1 == ci + 2:
-            rows.mi[i - 1] = rows.mi.get(i, 0)
+            mi[i - 1] = mi.get(i, 0)
             for j in range(i + 1, n + 1):
-                if rows.m.get((i, j), 0):
-                    rows.m[(i - 1, j)] = rows.m[(i, j)]
-                    rows.mp[(i - 1, j)] = rows.mp[(i, j)]
-            rows.m[(i - 1, i)] = 1
-            rows.mp[(i - 1, i)] = 1
+                if m.get((i, j), 0):
+                    m[(i - 1, j)] = m[(i, j)]
+                    mp[(i - 1, j)] = mp[(i, j)]
+            m[(i - 1, i)] = 1
+            mp[(i - 1, i)] = 1
         else:
             raise ValueError(
                 f"Case A cannot proceed: c_{i - 1} = {cim1} vs c_{i} = {ci}")
-    return rows
+    return m, mp, mi
 
 
 def _gaps(datum, lam):
@@ -114,7 +108,7 @@ def construct(datum, lam, force_case=None):
     odd_set = ()
     if not odd:
         case = "A"
-        rows = _case_a(datum, c)
+        m, mp, mi = _case_a(datum, c)
     else:
         case_b_ok = (len(odd) % 2 == 0) and (c[n - 1] % 2 == 0 or lam_half[n - 1] != 0)
         if case_b_ok and not (force_case == "C" and datum.family == "B"):
@@ -126,9 +120,9 @@ def construct(datum, lam, force_case=None):
                 lam_prime[a - 1] += 1
                 lam_prime[b - 1] -= 1
             c_prime = [abs(r2) - abs(x) for r2, x in zip(datum.rho.coords2, lam_prime)]
-            rows = _case_a(datum, c_prime)
+            m, mp, mi = _case_a(datum, c_prime)
             for a, b in pairing:
-                rows.m[(a, b)] = rows.m.get((a, b), 0) + 1
+                m[(a, b)] = m.get((a, b), 0) + 1
         else:
             if datum.family != "B":
                 raise ValueError("Case C applies to type B only")
@@ -136,13 +130,13 @@ def construct(datum, lam, force_case=None):
             odd_set = tuple(odd)
             lam_prime = [x + (1 if i in odd else 0) for i, x in enumerate(lam_half, start=1)]
             c_prime = [abs(r2) - abs(x) for r2, x in zip(datum.rho.coords2, lam_prime)]
-            rows = _case_a(datum, c_prime)
-            if not all(rows.mi.get(i, 0) == 0 for i in range(1, n + 1)):
+            m, mp, mi = _case_a(datum, c_prime)
+            if not all(mi.get(i, 0) == 0 for i in range(1, n + 1)):
                 raise ArithmeticError("Case C base rows have a nonzero barred entry")
             for i in odd:
-                rows.mi[i] = 1
+                mi[i] = 1
 
-    partition = GPartition.from_slots(datum.family, n, rows.m, rows.mp, rows.mi)
+    partition = GPartition.from_slots(datum.family, n, m, mp, mi)
     ones = (1,) * n
     associated = weight_of(datum, partition) == two_rho - lam
     admissible = is_admissible(datum, partition, ones, ones)

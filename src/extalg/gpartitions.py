@@ -30,6 +30,11 @@ def _pair_index(n, i, j):
     return 2 * ((i - 1) * (2 * n - i) // 2 + j - i - 1)
 
 
+def _row_index(n, i):
+    """Flat index of m_i, 1 <= i <= n: the n * (n - 1) pair slots, then one per row."""
+    return n * (n - 1) + i - 1
+
+
 @dataclass(frozen=True)
 class GPartition:
     """Nonnegative integer tuple indexed by positive-root slots, flat layout.
@@ -71,7 +76,7 @@ class GPartition:
         for i, v in mi.items():
             if not 1 <= i <= n:
                 raise ValueError(f"no slot m_{i} in rank {n}")
-            flat[n * (n - 1) + i - 1] = v
+            flat[_row_index(n, i)] = v
         return cls.from_flat(family, n, flat)
 
     def m(self, i, j):
@@ -87,7 +92,7 @@ class GPartition:
     def mi(self, i):
         if not 1 <= i <= self.n:
             return 0
-        return self.flat[self.n * (self.n - 1) + i - 1]
+        return self.flat[_row_index(self.n, i)]
 
     def M(self, i, j):
         return self.m(i, j) - self.mp(i, j)
@@ -344,7 +349,7 @@ def _compile(datum):
         for j in range(i + 1, n + 1):
             slots.append((_pair_index(n, i, j), _M, i - 1, j - 1))
             slots.append((_pair_index(n, i, j) + 1, _MP, i - 1, j - 1))
-        slots.append((2 * pairs + i - 1, _ROW_END, i - 1, None))
+        slots.append((_row_index(n, i), _ROW_END, i - 1, None))
 
     steps = []
     for d, (k, _, _, _) in enumerate(slots):

@@ -6,6 +6,7 @@ an even-total condition in types C and D, and the two spin conditions in type
 D).  A comparison between weights in different lattice cosets is always False.
 """
 
+from .core import DEFAULT_CELL_CAP, ResourceCapError
 from .rootdata import DatumMismatchError, weight_from_fundamental
 
 __all__ = [
@@ -49,7 +50,14 @@ def _parity_floor(hi, parity):
     return hi if (hi - parity) % 2 == 0 else hi - 1
 
 
-def _enumerate_classical(datum, bound):
+def _keep(out, mu, cap, bound):
+    """Append ``mu`` to ``out``, raising once ``out`` holds more than ``cap`` weights."""
+    out.append(mu)
+    if len(out) > cap:
+        raise ResourceCapError(f"dominant weights below {bound} exceed cap {cap}")
+
+
+def _enumerate_classical(datum, bound, cap):
     """All dominant weights <= bound (dominance) for families A, B, C, D."""
     f, n = datum.family, datum.rank
     b2 = bound.coords2
@@ -62,7 +70,7 @@ def _enumerate_classical(datum, bound):
         def rec_a(k, prev2, used):
             if k == datum.dim:
                 if used == total:
-                    out.append(datum.weight(coords))
+                    _keep(out, datum.weight(coords), cap, bound)
                 return
             remaining = datum.dim - k - 1
             hi = _parity_floor(min(prev2, sum(b2[:k + 1]) - used), b2[k] % 2)
@@ -93,13 +101,13 @@ def _enumerate_classical(datum, bound):
                     a, b = p2 - xn2, p2 + xn2
                     if a >= 0 and b >= 0 and a % 4 == 0 and b % 4 == 0:
                         coords[n - 1] = d
-                        out.append(datum.weight(coords))
+                        _keep(out, datum.weight(coords), cap, bound)
                 coords[n - 1] = 0
             coords[k] = 0
             return
         if k == n:
             if f == "B" or slack2 % 4 == 0:
-                out.append(datum.weight(coords))
+                _keep(out, datum.weight(coords), cap, bound)
             return
         hi = _parity_floor(min(prev2, b2[k] + slack2), b2[k] % 2)
         for c in range(hi, -1, -2):
@@ -111,27 +119,28 @@ def _enumerate_classical(datum, bound):
     return out
 
 
-def _enumerate_g2(datum, bound):
+def _enumerate_g2(datum, bound, cap):
     # the third coordinate of a*w1 + b*w2 is a + 2b, and the second simple-root
     # coefficient of (bound - mu) is exactly its third-coordinate difference
-    cap = max(bound.coords2[2] // 2, 0)
+    top = max(bound.coords2[2] // 2, 0)
     out = []
-    for a in range(cap + 1):
-        for b in range(cap // 2 + 1):
+    for a in range(top + 1):
+        for b in range(top // 2 + 1):
             mu = weight_from_fundamental(datum, (a, b))
             diff = tuple(x - y for x, y in zip(bound.coords2, mu.coords2))
             coeffs = datum.root_coefficients2(diff)
             if coeffs is not None and all(c >= 0 for c in coeffs):
-                out.append(mu)
+                _keep(out, mu, cap, bound)
     return out
 
 
-def enumerate_dominant_below(datum, bound, filt="dominance"):
+def enumerate_dominant_below(datum, bound, filt="dominance", cap=DEFAULT_CELL_CAP):
     """Exhaustive list of dominant weights below a dominant bound.
 
     ``filt`` selects the order: "dominance", "dominance_and_coordinatewise",
     or "small" (dominance plus smallness).  The result is duplicate-free and
-    sorted lexicographically by doubled coordinates.
+    sorted lexicographically by doubled coordinates.  ``cap`` bounds the
+    dominant weights listed before the filter, counted as they are listed.
     """
     datum.check_weight(bound)
     if not datum.is_dominant(bound):
@@ -139,9 +148,9 @@ def enumerate_dominant_below(datum, bound, filt="dominance"):
     if filt not in ("dominance", "dominance_and_coordinatewise", "small"):
         raise ValueError(f"unknown filter {filt!r}")
     if datum.family == "G2":
-        cands = _enumerate_g2(datum, bound)
+        cands = _enumerate_g2(datum, bound, cap)
     else:
-        cands = _enumerate_classical(datum, bound)
+        cands = _enumerate_classical(datum, bound, cap)
     if filt == "dominance_and_coordinatewise":
         cands = [m for m in cands if coordinatewise_leq(m, bound)]
     elif filt == "small":

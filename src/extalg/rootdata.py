@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 __all__ = [
@@ -197,29 +197,21 @@ class RootDatum:
         when ``rep`` is regular: on a wall the stabilizer of ``rep`` holds
         reflections, so callers read it only for regular ``rep``.
 
-        For A-D the Weyl group acts by (signed) permutations and every
+        Every family's Weyl group acts by signed permutations, and every
         reflection has determinant -1, so a descending insertion sort of the
-        entries (of their absolute values outside A) finds ``rep``, and the
-        sign is the parity of the swaps and, in B and C, of the sign changes.
-        In D the sign changes come in pairs, of determinant 1, and an odd
-        number of negative entries leaves the smallest entry negative.  G2
-        walks down by simple reflections.
+        entries (of their absolute values in B-D) finds ``rep``, and the sign
+        is the parity of the swaps and, in B and C, of the sign changes.  In D
+        the sign changes come in pairs, of determinant 1, and an odd number of
+        negative entries leaves the smallest entry negative.  In G2, on the
+        sum-zero plane, W = S_3 x {+-1}: if the sorted middle entry is > 0,
+        -1 (determinant 1 on the plane) makes the order ascending, one more
+        transposition; the sorted (a, b, c) is then read as (b, c, a), an
+        even permutation, in the chamber x_1 <= x_0 <= 0 <= x_2.
         """
         f = self.family
-        if f == "G2":
-            v = tuple(x2)
-            sign = 1
-            while True:
-                for i in (1, 2):
-                    if self.pairing2(i, v) < 0:
-                        v = self.apply_simple(i, v)
-                        sign = -sign
-                        break
-                else:
-                    return v, sign
         v = list(x2)
         neg = 0
-        if f != "A":
+        if f in ("B", "C", "D"):
             for i, c in enumerate(v):
                 if c < 0:
                     v[i] = -c
@@ -234,6 +226,11 @@ class RootDatum:
             v[j] = c
             swaps += i - j
         sign = -1 if swaps & 1 else 1
+        if f == "G2":
+            if v[1] > 0:
+                v = [-c for c in reversed(v)]
+                sign = -sign
+            return (v[1], v[2], v[0]), sign
         if f == "D":
             if neg & 1:
                 v[-1] = -v[-1]
@@ -282,26 +279,15 @@ class RootDatum:
     def orbit2(self, x2):
         """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism.
 
-        For A-D the orbit is every arrangement of the entries of the dominant
-        representative (of their absolute values outside A) with, outside A,
-        every sign pattern on the nonzero entries; in D without a zero entry
-        the number of negative signs keeps the parity it has in x2.  G2 runs
-        a breadth-first search over the simple reflections.
+        The orbit is every arrangement of the entries of the dominant
+        representative (of their absolute values in B-D) with, in B-D, every
+        sign pattern on the nonzero entries; in D without a zero entry the
+        number of negative signs keeps the parity it has in x2.  In G2 it is
+        every arrangement of x2 and of -x2.
         """
         f = self.family
         if f == "G2":
-            seen = {tuple(x2)}
-            frontier = [tuple(x2)]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for i in (1, 2):
-                        w = self.apply_simple(i, v)
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            return sorted(seen)
+            return sorted(set(permutations(x2)) | set(permutations([-c for c in x2])))
         rep = self._chamber2(x2)[0]
         cells = [[None] * len(rep)]
         for value, mult in Counter(rep if f == "A" else map(abs, rep)).items():
@@ -324,22 +310,22 @@ class RootDatum:
         return sorted(orbit)
 
     def orbit_size(self, x2):
-        """|W x2|, the number of points :meth:`orbit2` lists.
+        """|W x2|, the number of points :meth:`orbit2` lists, counted without listing them.
 
-        For A-D it is counted without listing the orbit: the arrangements of
-        the entries (of their absolute values outside A) times, outside A, the
-        sign patterns on the nonzero entries, halved in D when no entry is
-        zero (the number of negative signs keeps its parity).  G2 counts
-        :meth:`orbit2`.
+        It is the number of arrangements of the entries (of their absolute
+        values in B-D) times, in B-D, the sign patterns on the nonzero
+        entries, halved in D when no entry is zero (the number of negative
+        signs keeps its parity), and doubled in G2 unless -x2 is itself an
+        arrangement of x2.
         """
         f = self.family
-        if f == "G2":
-            return len(self.orbit2(x2))
-        entries = x2 if f == "A" else [abs(c) for c in x2]
+        entries = [abs(c) for c in x2] if f in ("B", "C", "D") else x2
         size = factorial(len(entries))
         for count in Counter(entries).values():
             size //= factorial(count)
-        if f != "A":
+        if f == "G2":
+            size <<= sorted(x2) != sorted(-c for c in x2)
+        elif f != "A":
             nonzero = sum(1 for c in entries if c)
             size <<= nonzero - (f == "D" and nonzero == len(entries))
         return size

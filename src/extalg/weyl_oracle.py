@@ -10,13 +10,15 @@ root cone, where the partition function vanishes).  These are the reference
 implementations that the combinatorial constructions are checked against.
 
 Brauer-Klimyk sums m_mu(nu) det(w') over the weights nu of V_mu, where w'
-carries lam + rho + nu to lam' + rho with lam' dominant.  In A-D it does not
-expand V_mu's weight system: it walks each orbit W nu of a dominant nu of
-the Freudenthal table, placing one coordinate of x = lam + rho + w(nu) at a
-time, and cuts a branch as soon as two placed |x_i| coincide (x_i in A) or,
-in B and C, one is 0.  Every completion of such a prefix lies on a wall, is
-fixed by a reflection and so contributes nothing; the leaves are exactly
-the regular terms (21,352 of the 51,936 cells of V_rho on B5).
+carries lam + rho + nu to lam' + rho with lam' dominant.  It does not expand
+V_mu's weight system: it walks each orbit W nu of a dominant nu of the
+Freudenthal table, placing one coordinate of x = lam + rho + w(nu) at a
+time, and cuts a branch as soon as two placed |x_i| coincide (x_i in A and
+G2) or, in B and C, one is 0.  Every completion of such a prefix lies on a
+wall, is fixed by a reflection and so contributes nothing; the leaves are
+the regular terms (21,352 of the 51,936 cells of V_rho on B5).  In G2, W nu
+is the arrangements of nu and of -nu, and a leaf whose sorted middle entry
+is 0 lies on a long-root wall and is dropped.
 
 The zero-weight column m_lam(0), for every dominant lam below a bound, is
 one unitriangular solve: the same reduction at rho decomposes the orbit sum
@@ -201,36 +203,51 @@ def weyl_dim(datum, lam):
 
 
 def _klimyk_walk(datum, shifted, table):
-    """The signed sum of ``table``'s orbits reduced at ``shifted``, for A-D.
+    """The signed sum of ``table``'s orbits reduced at ``shifted``, ``{coords2: int}``.
 
-    The walk of the module docstring.  Each placed |x_pos| (x_pos in A) goes
-    into a sorted list; the number of smaller values already there is the
-    number of inversions it adds to the descending sort, so their parity and,
-    in B and C, that of the negative entries of x give det(w') for the w'
-    that sorts x.  Each leaf adds det(w') * m(nu) at the sorted x (its last
-    entry negated in D after an odd number of negative entries) minus rho.
+    The walk of the module docstring.  Each placed |x_pos| (x_pos in A and
+    G2) goes into a sorted list; the number of smaller values already there
+    is the number of inversions it adds to the descending sort, so their
+    parity and, in B and C, that of the negative entries of x give det(w')
+    for the w' that sorts x.  Each leaf adds det(w') * m(nu) at the sorted x
+    (its last entry negated in D after an odd number of negative entries;
+    in G2 taken through the last step of :meth:`RootDatum._chamber2`) minus
+    rho.  In G2 the orbit of nu is the arrangements of nu and of -nu, so -nu
+    is walked too unless it is an arrangement of nu.
     """
     f = datum.family
     dim = datum.dim
     rho2 = datum.rho.coords2
-    signed = f != "A"
+    chamber = datum._chamber2
+    signed = f in ("B", "C", "D")
     flip_det = f in ("B", "C")
     out = {}
     placed = []
-
+    starts = []
     for nu, m in table.items():
-        entries = Counter(map(abs, nu.coords2) if signed else nu.coords2)
+        starts.append((nu.coords2, m))
+        neg = tuple(-c for c in nu.coords2)
+        if f == "G2" and sorted(neg) != sorted(nu.coords2):
+            starts.append((neg, m))
+
+    for nu2, m in starts:
+        entries = Counter(map(abs, nu2) if signed else nu2)
         values = list(entries)
         left = [entries[a] for a in values]
         choices = [(k, (a, -a) if signed and a else (a,)) for k, a in enumerate(values)]
         # in D without a zero entry, the negative entries of w(nu) keep nu's parity
-        parity = nu.coords2[-1] < 0 if f == "D" and nu.coords2[-1] else None
+        parity = nu2[-1] < 0 if f == "D" and nu2[-1] else None
 
         def walk(pos, det, neg_x, neg_nu):
             if pos == dim:
                 rep = placed[::-1]
                 if f == "D" and neg_x & 1:
                     rep[-1] = -rep[-1]
+                elif f == "G2":
+                    rep, sign = chamber(rep)
+                    if not rep[0]:
+                        return  # the sorted middle entry is 0: a long-root wall
+                    det *= sign
                 key = tuple(map(sub, rep, rho2))
                 out[key] = out.get(key, 0) + det * m
                 return
@@ -262,30 +279,12 @@ def _klimyk_walk(datum, shifted, table):
     return out
 
 
-def _reduce_orbits(datum, shifted, table):
-    """The signed sum of ``table``'s orbits reduced at ``shifted``, ``{coords2: int}``.
-
-    A-D walk the orbits with :func:`_klimyk_walk`, which skips the singular
-    points; G2 reduces every cell of every orbit.
-    """
-    if datum.family != "G2":
-        return _klimyk_walk(datum, shifted, table)
-    out = {}
-    for nu, m in table.items():
-        for v in datum.orbit2(nu.coords2):
-            red = datum._reduce2(tuple(map(add, shifted, v)))
-            if red is not None:
-                target, sign = red
-                out[target] = out.get(target, 0) + sign * m
-    return out
-
-
 def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     """Decomposition of V_lam (x) V_mu by the rho-shifted reduction rule.
 
     ``cap`` bounds the cells of V_mu's weight system, counted from the
-    orbit sizes of its dominant weights before :func:`_reduce_orbits`
-    reduces them.
+    orbit sizes of its dominant weights before :func:`_klimyk_walk`
+    walks them.
     """
     datum.require_dominant(lam)
     datum.check_weight(mu)
@@ -294,7 +293,7 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     if cells > cap:
         raise ResourceCapError(f"weight system of {mu} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    out = _reduce_orbits(datum, shifted, table)
+    out = _klimyk_walk(datum, shifted, table)
     result = {}
     for v, m in out.items():
         w = Weight(datum.family, datum.rank, v)
@@ -310,7 +309,7 @@ def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
 
     The orbit sum M_kappa of a dominant kappa is sum_lam N[kappa][lam] chi_lam,
     N[kappa][lam] being the signed count of the nu in W kappa with nu + rho
-    reducing to lam + rho: row kappa is :func:`_reduce_orbits` of
+    reducing to lam + rho: row kappa is :func:`_klimyk_walk` of
     ``{kappa: 1}`` at rho.  N is unitriangular in the dominance order and
     inverts the matrix of multiplicities m_lam(kappa), so N x = e_0 for
     x_lam = m_lam(0), solved in increasing height.  ``cap`` bounds the orbit
@@ -324,7 +323,7 @@ def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
     top2, rho2, zero2 = top.coords2, datum.rho.coords2, datum.zero.coords2
     x = {}
     for kappa in sorted(below, key=lambda w: -datum.height2(tuple(map(sub, top2, w.coords2)))):
-        row = _reduce_orbits(datum, rho2, {kappa: 1})
+        row = _klimyk_walk(datum, rho2, {kappa: 1})
         k2 = kappa.coords2
         if row.pop(k2, 0) != 1 or not row.keys() <= x.keys():
             raise ArithmeticError(f"orbit sum of {kappa} is not unitriangular")

@@ -86,6 +86,16 @@ def test_recurrence_verify_resource_cap():
     assert code == 0 and err == ""
 
 
+def test_orders_resource_cap():
+    argv = ["orders", "--family", "B", "--rank", "3"]   # 39 dominant weights below 2 rho
+    code, out, err = run_cli(argv + ["--cap", "38"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: dominant weights below ") and err.count("\n") == 1
+    code, out, err = run_cli(argv + ["--cap", "39"])
+    assert code == 0 and err == "" and json.loads(out)["count_dominance"] == 39
+    assert out == run_cli(argv)[1]
+
+
 @pytest.mark.parametrize("argv", [
     "kostant-verify --family B --rank 3 --oracle --cap 0",
     "short-kostant-verify --family C --rank 3 --cap 1",

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from extalg.core import ResourceCapError
 from extalg.orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
                            is_small, two_rho_minus_delta)
 from extalg.rootdata import build_root_datum, weight_from_fundamental
@@ -184,3 +185,16 @@ def test_g2_enumeration():
     below = enumerate_dominant_below(g2, 2 * g2.rho_short, "dominance")
     coeffs = sorted(g2.fundamental_coefficients(w) for w in below)
     assert coeffs == [(0, 0), (0, 1), (1, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_enumerate_cap_counts_the_listed_weights(family, rank):
+    # the cap counts the dominant weights listed before any filter
+    datum = build_root_datum(family, rank)
+    bound = 2 * datum.rho
+    count = len(enumerate_dominant_below(datum, bound, "dominance"))
+    for filt in ("dominance", "dominance_and_coordinatewise", "small"):
+        assert enumerate_dominant_below(datum, bound, filt, cap=count) == \
+            enumerate_dominant_below(datum, bound, filt)
+        with pytest.raises(ResourceCapError, match=f"^dominant weights .* cap {count - 1}$"):
+            enumerate_dominant_below(datum, bound, filt, cap=count - 1)

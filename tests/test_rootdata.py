@@ -179,9 +179,9 @@ def test_g2_realization():
 
 # -- the closed-form Weyl-group kernel against the reflection references ----
 #
-# For A-D the library reduces to the dominant chamber by a signed sort and
-# lists orbits directly; these are the simple-reflection loop and the
-# breadth-first orbit search it replaced (G2 still runs both in the library).
+# The library reduces to the dominant chamber by a signed sort and lists
+# orbits directly, in G2 as in A-D; these are the simple-reflection loop and
+# the breadth-first orbit search it replaced.
 
 
 def reference_chamber2(datum, x2):

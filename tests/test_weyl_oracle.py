@@ -178,7 +178,7 @@ def test_zero_weight_column_cap_counts_orbit_cells(family, rank):
 def test_zero_weight_column_checks_its_solve(monkeypatch, bump, message):
     # a doubled diagonal entry, or an orbit sum with too much of V_0 in it
     b3 = build_root_datum("B", 3)
-    real = weyl_oracle._reduce_orbits
+    real = weyl_oracle._klimyk_walk
 
     def corrupted(datum, shifted, table):
         row = dict(real(datum, shifted, table))
@@ -186,7 +186,7 @@ def test_zero_weight_column_checks_its_solve(monkeypatch, bump, message):
             row[v] = row.get(v, 0) + n
         return row
 
-    monkeypatch.setattr(weyl_oracle, "_reduce_orbits", corrupted)
+    monkeypatch.setattr(weyl_oracle, "_klimyk_walk", corrupted)
     with pytest.raises(ArithmeticError, match=message):
         zero_weight_column(b3, 2 * b3.rho)
 
@@ -250,10 +250,12 @@ def test_klimyk_symmetry_and_dimensions(c2):
     ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G2", 2),
 ])
 def test_klimyk_matches_cell_reduction_on_small_pairs(family, rank):
-    # every (lam, mu) with fundamental-coefficient sums at most 2
+    # every (lam, mu) with fundamental-coefficient sums at most 2, and 3 in
+    # G2, where some leaves of the walk lie on a long-root wall
+    top = 3 if family == "G2" else 2
     datum = build_root_datum(family, rank)
     weights = [weight_from_fundamental(datum, c)
-               for c in itertools.product(range(3), repeat=rank) if sum(c) <= 2]
+               for c in itertools.product(range(top + 1), repeat=rank) if sum(c) <= top]
     for lam in weights:
         for mu in weights:
             assert klimyk_tensor(datum, lam, mu) == reference_klimyk(datum, lam, mu), (lam, mu)
@@ -277,12 +279,20 @@ def test_orbit_size_counts_the_orbit(family, rank):
         # a zero entry, no zero entry, and a negative last entry all occur
         lasts = {(v.coords2[-1] > 0) - (v.coords2[-1] < 0) for v in below}
         assert lasts == {-1, 0, 1}
+    if family == "G2":
+        # -x is an arrangement of x (theta_s), or it is not (theta, rho)
+        sizes = {v: datum.orbit_size(v.coords2)
+                 for v in (datum.theta_short, datum.theta, datum.rho)}
+        assert all(v in below for v in sizes)
+        assert sizes == {datum.theta_short: 6, datum.theta: 6, datum.rho: 12}
+        assert sorted(-c for c in datum.theta_short.coords2) == sorted(datum.theta_short.coords2)
+        assert sorted(-c for c in datum.theta.coords2) != sorted(datum.theta.coords2)
 
 
 def test_orbit_size_of_rho_is_the_weyl_group_order():
     # rho is regular, so W acts simply transitively on its orbit
     for family, ranks in [("A", range(1, 7)), ("B", range(1, 8)), ("C", range(1, 8)),
-                          ("D", range(3, 8))]:
+                          ("D", range(3, 8)), ("G2", (2,))]:
         for rank in ranks:
             datum = build_root_datum(family, rank)
             assert datum.orbit_size(datum.rho.coords2) == _weyl_group_order(datum), datum
