@@ -534,6 +534,16 @@ def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):
      "0e032134496c6d69fa8c48d5d6893b201cf6c2d41df70611ad530d5bf0cb9752"),
     ("recurrence-verify --family D --rank 8",
      "b63118d2df38c118f9d044fde7d8dcd0128979d5eed7db0d609090146d9bbaeb"),
+    ("orders --family D --rank 4",
+     "b0c0cc3cb6569b627e5ac5af1e59f2d4bfa779eb827fa858ddaefe609c8e593f"),
+    ("orders --family A --rank 3",
+     "14504a96512ff8fc69af192f67ce985139778ba15de70c5d8b22f95c89ae33e6"),
+    ("orders --family B --rank 3 --bound 1,1,1",
+     "1c5bccf743c4b88f66b194ba9b1507d2959d98b4f9aadc65cab4268b52d3c089"),
+    ("exterior-verify --family D --rank 4 --module adjoint --dim-cap 28",
+     "614afc9cd027f91f6603b8862ce3da2030d975ef58dd11825f144c5004f1b536"),
+    ("kostant-verify --family D --rank 4 --oracle",
+     "7316a93fe6003ba8eadf9f9e19c31fd66cdef2849abdceedcb9c2409c62151d3"),
 ])
 def test_check_report_bytes_pinned(argv, digest):
     code, out, _ = run_cli(argv.split())
