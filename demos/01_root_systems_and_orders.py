@@ -16,14 +16,14 @@ print(f"C3: rho = {c3.rho.pretty()}, positive roots: {len(c3.positive_roots)}, "
       f"exponents {c3.exponents}, Coxeter number {c3.coxeter_number}")
 
 two_rho = 2 * c3.rho
-below = enumerate_dominant_below(c3, two_rho, "dominance")
+below = enumerate_dominant_below(c3, two_rho)
 print(f"\ndominant weights <= 2*rho (dominance): {len(below)}")
 
-cw = enumerate_dominant_below(c3, two_rho, "dominance_and_coordinatewise")
+cw = [w for w in below if coordinatewise_leq(w, two_rho)]
 print(f"of these, coordinatewise below 2*rho:   {len(cw)}")
 print("excluded:", ", ".join(w.pretty() for w in below if w not in set(cw)))
 
-small = enumerate_dominant_below(c3, two_rho, "small")
+small = [w for w in below if is_small(c3, w)]
 print(f"small weights: {[c3.fund_string(w) for w in small]}")
 
 # the two orders genuinely disagree in both directions

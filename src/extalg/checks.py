@@ -64,7 +64,7 @@ def _square_support(datum, x, cap):
     """Klimyk V_x (x) V_x, the dominant weights below 2x, and the report
     fields comparing the support of the one with the other."""
     decomposition = weyl_oracle.klimyk_tensor(datum, x, x, cap=cap)
-    below = orders.enumerate_dominant_below(datum, 2 * x, "dominance")
+    below = orders.enumerate_dominant_below(datum, 2 * x)
     support, expected = set(decomposition), set(below)
     return decomposition, below, {
         "tensor_support": len(support),
@@ -100,7 +100,7 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
             raise ConfigurationError("little adjoint needs a non-simply-laced family")
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short, cap=dim_cap)
         totals = {w: p(1) for w, p in dec.items()}
-        below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short, "dominance")
+        below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short)
         label = "conjecture-check" if datum.family == "C" else "verified-case-check"
         # support indicators: "got 1, want 0" is a support weight above 2 rho_s
         _record(checks, f"support_iff_below_2rho_short ({label})",
@@ -167,7 +167,7 @@ def lr_verify(datum, lam, mu, nu=None, witnesses=False, oracle=False, cap=DEFAUL
         entries = [(nu, report)]
     else:
         entries = []
-        for w in orders.enumerate_dominant_below(datum, lam + mu, "dominance"):
+        for w in orders.enumerate_dominant_below(datum, lam + mu):
             count, _ = gpartitions.count_lr(datum, lam, mu, w, cap=cap)
             if count:
                 entries.append((w, {"nu": _weight_json(datum, w), "count": count}))

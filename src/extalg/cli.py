@@ -87,9 +87,9 @@ def cmd_roots(args):
 def cmd_orders(args):
     datum = _datum(args)
     bound = _parse_weight(datum, args.bound) if args.bound is not None else 2 * datum.rho
-    dom = orders.enumerate_dominant_below(datum, bound, "dominance", args.cap)
-    cw = orders.enumerate_dominant_below(datum, bound, "dominance_and_coordinatewise", args.cap)
-    small = orders.enumerate_dominant_below(datum, bound, "small", args.cap)
+    dom = orders.enumerate_dominant_below(datum, bound, args.cap)
+    cw = [w for w in dom if orders.coordinatewise_leq(w, bound)]
+    small = [w for w in dom if orders.is_small(datum, w)]
     delta_fail = 0
     subsets = 0
     for r in range(1, datum.rank + 1):

@@ -150,7 +150,9 @@ def certify_theorem(datum, force_case=None):
     Returns a report dict; ``failures`` lists any weight whose certificate
     failed a self-check (the covered theorem predicts none).
     """
-    eligible = enumerate_dominant_below(datum, 2 * datum.rho, "dominance_and_coordinatewise")
+    two_rho = 2 * datum.rho
+    eligible = [lam for lam in enumerate_dominant_below(datum, two_rho)
+                if coordinatewise_leq(lam, two_rho)]
     failures = []
     cases = {"A": 0, "B": 0, "C": 0}
     for lam in eligible:

@@ -6,6 +6,8 @@ an even-total condition in types C and D, and the two spin conditions in type
 D).  A comparison between weights in different lattice cosets is always False.
 """
 
+from itertools import combinations
+
 from .core import DEFAULT_CELL_CAP, ResourceCapError
 from .rootdata import DatumMismatchError, weight_from_fundamental
 
@@ -134,60 +136,39 @@ def _enumerate_g2(datum, bound, cap):
     return out
 
 
-def enumerate_dominant_below(datum, bound, filt="dominance", cap=DEFAULT_CELL_CAP):
-    """Exhaustive list of dominant weights below a dominant bound.
+def enumerate_dominant_below(datum, bound, cap=DEFAULT_CELL_CAP):
+    """Exhaustive list of the dominant weights below a dominant bound in dominance.
 
-    ``filt`` selects the order: "dominance", "dominance_and_coordinatewise",
-    or "small" (dominance plus smallness).  The result is duplicate-free and
-    sorted lexicographically by doubled coordinates.  ``cap`` bounds the
-    dominant weights listed before the filter, counted as they are listed.
+    The result is duplicate-free and sorted lexicographically by doubled
+    coordinates; callers that want a finer order (coordinatewise, small)
+    filter it with :func:`coordinatewise_leq` or :func:`is_small`.  ``cap``
+    bounds the dominant weights listed, counted as they are listed.
     """
     datum.check_weight(bound)
     if not datum.is_dominant(bound):
         raise ValueError(f"bound {bound} is not dominant")
-    if filt not in ("dominance", "dominance_and_coordinatewise", "small"):
-        raise ValueError(f"unknown filter {filt!r}")
     if datum.family == "G2":
         cands = _enumerate_g2(datum, bound, cap)
     else:
         cands = _enumerate_classical(datum, bound, cap)
-    if filt == "dominance_and_coordinatewise":
-        cands = [m for m in cands if coordinatewise_leq(m, bound)]
-    elif filt == "small":
-        cands = [m for m in cands if is_small(datum, m)]
     return sorted(set(cands), key=lambda w: w.coords2)
 
 
-def _dynkin_edges(datum):
-    n = datum.rank
-    if datum.family == "D":
-        return [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
-    return [(i, i + 1) for i in range(1, n)]
-
-
 def two_rho_minus_delta(datum, subset):
-    """The weight 2*rho - delta_I and the component count of the subdiagram on I."""
+    """The weight 2*rho - delta_I and the component count of the subdiagram on I.
+
+    delta_I is the sum of the simple roots alpha_i, i in I.  Nodes i and j of
+    the Dynkin diagram are joined when (alpha_i, alpha_j) != 0; the diagram
+    is a tree, so the subdiagram on I has |I| minus its edges as components.
+    """
     subset = sorted(set(subset))
     for i in subset:
         if not 1 <= i <= datum.rank:
             raise ValueError(f"simple-root index {i} out of range")
+    simple = [datum.simple_roots[i - 1].coords2 for i in subset]
     acc = list((2 * datum.rho).coords2)
-    for i in subset:
-        for k, c in enumerate(datum.simple_roots[i - 1].coords2):
+    for root in simple:
+        for k, c in enumerate(root):
             acc[k] -= c
-    in_set = set(subset)
-    edges = [(a, b) for a, b in _dynkin_edges(datum) if a in in_set and b in in_set]
-    parent = {i: i for i in subset}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps = len({find(i) for i in subset})
-    return datum.weight(acc), comps
+    edges = sum(datum.dot2(a, b) != 0 for a, b in combinations(simple, 2))
+    return datum.weight(acc), len(subset) - edges

@@ -161,27 +161,6 @@ class RootDatum:
             return x2[0] - x2[1]
         return -x2[0]
 
-    def apply_simple(self, i, x2):
-        f, n = self.family, self.rank
-        y = list(x2)
-        if f == "G2":
-            if i == 1:
-                y[0], y[1] = y[1], y[0]
-            else:
-                # s_alpha2(x) = x + x1 * alpha2 on sum-zero vectors
-                a = y[0]
-                y[0] -= 2 * a
-                y[1] += a
-                y[2] += a
-            return tuple(y)
-        if f == "A" or i < n:
-            y[i - 1], y[i] = y[i], y[i - 1]
-        elif f == "B" or f == "C":
-            y[n - 1] = -y[n - 1]
-        else:  # D
-            y[n - 2], y[n - 1] = -y[n - 1], -y[n - 2]
-        return tuple(y)
-
     def is_dominant2(self, x2):
         return all(self.pairing2(i, x2) >= 0 for i in range(1, self.rank + 1))
 

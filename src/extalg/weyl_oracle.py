@@ -2,8 +2,7 @@
 
 Everything here is deliberately independent of the polytope machinery in
 ``gpartitions``: weight multiplicities come from the Freudenthal recursion
-(in its orbit-weighted form, from the root data alone),
-tensor products from the Brauer-Klimyk rho-shift rule, and the
+(from the root data alone), tensor products from the Brauer-Klimyk rho-shift rule, and the
 generalized-exponent oracle from the signed Weyl-group sum over the graded
 partition function (skipping the terms whose argument leaves the positive
 root cone, where the partition function vanishes).  These are the reference
@@ -72,62 +71,22 @@ _dominant_cache = {}
 _chamber_reps = {}
 
 
-@lru_cache(maxsize=None)
-def _root_orbits(family, rank, fixed):
-    """The orbits of the parabolic subgroup W_J on the roots that meet the positive roots.
-
-    ``fixed`` is J, the tuple of simple-root indices whose reflections
-    generate W_J.  Each orbit O is searched breadth-first over those
-    reflections, acting on the whole root system (a reflection may turn a
-    positive root negative), and is returned as ``(rep, |O ∩ Φ⁺|, (rep, rep))``
-    with ``rep`` a positive root of O, in doubled coordinates.  The counts sum
-    to the number of positive roots.
-    """
-    datum = build_root_datum(family, rank)
-    positive = [alpha.coords2 for alpha in datum.positive_roots]
-    positive_set = set(positive)
-    seen = set()
-    orbits = []
-    for rep in positive:
-        if rep in seen:
-            continue
-        seen.add(rep)
-        frontier = [rep]
-        count = 0
-        while frontier:
-            v = frontier.pop()
-            count += v in positive_set
-            for i in fixed:
-                w = datum.apply_simple(i, v)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        orbits.append((rep, count, datum.dot2(rep, rep)))
-    return tuple(orbits)
-
-
 def dominant_multiplicities(datum, lam):
     """Multiplicities of the dominant weights of V_lam, by the Freudenthal recursion.
 
     Returns a ``{Weight: multiplicity}`` table over the dominant weights
     below ``lam``, in order of height below ``lam``; every other weight of
     V_lam is a Weyl image of one of them with the same multiplicity.  The
-    table is memoised and must not be mutated.
-
-    The sum over the positive roots is orbit-weighted (Moody-Patera, "Fast
-    recursion formula for weight multiplicities", Bull. AMS 7, 1982): the
-    subgroup W_J generated by the simple reflections fixing mu permutes the
-    terms f(alpha) = sum_k m(mu + k alpha) (mu + k alpha, alpha), and
-    f(-alpha) = f(alpha) when alpha is orthogonal to mu, so f is constant on
-    every W_J-orbit of roots and each orbit is evaluated once, weighted by
-    its number of positive roots (:func:`_root_orbits`).
+    table is memoised and must not be mutated.  Each mu sums over every
+    positive root, as in Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, section 22.3.
     """
     datum.require_dominant(lam)
     key = (datum.family, datum.rank, lam.coords2)
     if key in _dominant_cache:
         return _dominant_cache[key]
 
-    doms = enumerate_dominant_below(datum, lam, "dominance")
+    doms = enumerate_dominant_below(datum, lam)
     lam2 = lam.coords2
     order = sorted((w.coords2 for w in doms), key=lambda v: datum.height2(
         tuple(a - b for a, b in zip(lam2, v))))
@@ -135,16 +94,16 @@ def dominant_multiplicities(datum, lam):
     shifted = tuple(a + b for a, b in zip(lam2, rho2))
     lam_norm = datum.dot2(shifted, shifted)
     chamber = datum._chamber2
-    simples = range(1, datum.rank + 1)
+    roots = [(alpha.coords2, datum.dot2(alpha.coords2, alpha.coords2))
+             for alpha in datum.positive_roots]
     table = {}
     reps = _chamber_reps.setdefault((datum.family, datum.rank), {})
     for mu in order:
         if mu == lam2:
             table[mu] = 1
             continue
-        fixed = tuple(i for i in simples if datum.pairing2(i, mu) == 0)
         acc = 0
-        for alpha, count, norm in _root_orbits(datum.family, datum.rank, fixed):
+        for alpha, norm in roots:
             # the string mu + k alpha, k >= 1, adds m_k (mu + k alpha, alpha)
             # = m_k ((mu, alpha) + k (alpha, alpha)) for as long as m_k > 0
             v = mu
@@ -161,7 +120,7 @@ def dominant_multiplicities(datum, lam):
                 total += m
                 weighted += k * m
             if total:
-                acc += count * (total * datum.dot2(mu, alpha) + weighted * norm)
+                acc += total * datum.dot2(mu, alpha) + weighted * norm
         shifted = tuple(a + b for a, b in zip(mu, rho2))
         denom = lam_norm - datum.dot2(shifted, shifted)
         num = 2 * acc
@@ -316,7 +275,7 @@ def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
     cells sum |W kappa|, counted before any walk.  The column is listed in the
     order of :func:`enumerate_dominant_below`.
     """
-    below = enumerate_dominant_below(datum, top, "dominance")
+    below = enumerate_dominant_below(datum, top)
     cells = sum(datum.orbit_size(kappa.coords2) for kappa in below)
     if cells > cap:
         raise ResourceCapError(f"orbits of the weights below {top} exceed cap {cap}")

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import extalg
-from extalg import checks, cli, genexp, gpartitions, recurrence, weyl_oracle
+from extalg import checks, cli, genexp, gpartitions, orders, recurrence, weyl_oracle
 
 
 def run_cli(argv):
@@ -37,6 +37,16 @@ def test_orders_census():
     assert rep["count_dominance_and_coordinatewise"] == 29
     assert rep["count_small"] == 4
     assert rep["two_rho_minus_delta"] == {"nonempty_subsets": 7, "fail_coordinatewise": 4}
+
+
+def test_orders_lists_its_census_once(monkeypatch):
+    # the coordinatewise and small counts filter the one dominance listing
+    calls = []
+    real = orders._enumerate_classical
+    monkeypatch.setattr(orders, "_enumerate_classical",
+                        lambda *args: calls.append(args) or real(*args))
+    code, _, _ = run_cli(["orders", "--family", "C", "--rank", "3"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_lr_full_decomposition():

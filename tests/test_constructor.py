@@ -2,8 +2,15 @@ import pytest
 
 from extalg.checks import kostant_verify
 from extalg.constructor import certify_theorem, construct
-from extalg.orders import enumerate_dominant_below
+from extalg.orders import coordinatewise_leq, enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
+
+
+def eligible(datum):
+    """The dominant weights below 2*rho that are also coordinatewise below it."""
+    two_rho = 2 * datum.rho
+    return [lam for lam in enumerate_dominant_below(datum, two_rho)
+            if coordinatewise_leq(lam, two_rho)]
 
 
 def pair_slots(n):
@@ -59,8 +66,7 @@ def test_golden_c4_omega4():
 
 def test_case_a_invariants(c3):
     # every Case-A output has paired slots and monotone singles
-    two_rho = 2 * c3.rho
-    for lam in enumerate_dominant_below(c3, two_rho, "dominance_and_coordinatewise"):
+    for lam in eligible(c3):
         cert = construct(c3, lam)
         p = cert.partition
         if cert.case_used != "A":
@@ -73,7 +79,7 @@ def test_case_a_invariants(c3):
 
 def test_case_b_invariants():
     c4 = build_root_datum("C", 4)
-    for lam in enumerate_dominant_below(c4, 2 * c4.rho, "dominance_and_coordinatewise"):
+    for lam in eligible(c4):
         cert = construct(c4, lam)
         if cert.case_used != "B":
             continue
@@ -88,7 +94,7 @@ def test_case_b_invariants():
 
 
 def test_case_c_invariants(b3):
-    for lam in enumerate_dominant_below(b3, 2 * b3.rho, "dominance_and_coordinatewise"):
+    for lam in eligible(b3):
         cert = construct(b3, lam, force_case="C")
         if cert.case_used != "C":
             continue
@@ -100,7 +106,7 @@ def test_case_c_invariants(b3):
 
 def test_case_c_also_covers_case_b(b3):
     # the type-B remark: the Case-C procedure works wherever Case B applies
-    for lam in enumerate_dominant_below(b3, 2 * b3.rho, "dominance_and_coordinatewise"):
+    for lam in eligible(b3):
         default = construct(b3, lam)
         forced = construct(b3, lam, force_case="C")
         assert default.ok and forced.ok

@@ -286,7 +286,7 @@ def test_kostant_scaled_tensor_square(b2, b2_adjoint, b2_checks):
 
 def test_reeder_small_equality_iff(b2, b2_adjoint, b2_checks):
     totals = {w: p(1) for w, p in b2_adjoint.items()}
-    for lam in enumerate_dominant_below(b2, 2 * b2.rho, "dominance"):
+    for lam in enumerate_dominant_below(b2, 2 * b2.rho):
         bound = 4 * freudenthal(b2, lam).zero_multiplicity()
         if is_small(b2, lam):
             assert totals.get(lam, 0) == bound
@@ -302,7 +302,7 @@ def test_panyushev_little_adjoint(family, rank):
     totals = {w: p(1) for w, p in dec.items()}
     kl = klimyk_tensor(datum, datum.rho_short, datum.rho_short)
     assert totals == {w: (2 ** datum.num_short_simple) * m for w, m in kl.items()}
-    below = enumerate_dominant_below(datum, 2 * datum.rho_short, "dominance")
+    below = enumerate_dominant_below(datum, 2 * datum.rho_short)
     assert set(totals) == set(below)
     records = exterior_checks(datum, "little-adjoint")
     assert len(records) == 2 and all(c["pass"] for c in records)
@@ -313,7 +313,7 @@ def test_g2_little_adjoint_conjecture():
     # for G2 (dimension 128 vs 98); the support iff still holds
     g2 = build_root_datum("G2", 2)
     dec = exterior_decomposition(g2, g2.theta_short)
-    below = enumerate_dominant_below(g2, 2 * g2.rho_short, "dominance")
+    below = enumerate_dominant_below(g2, 2 * g2.rho_short)
     assert set(dec) == set(below)
     assert [c["pass"] for c in exterior_checks(g2, "little-adjoint")] == [True]
     total_dim = sum(p(1) * weyl_dim(g2, w) for w, p in dec.items())
@@ -368,7 +368,7 @@ def _corrupt_factorization(monkeypatch):
 def _corrupt_support(monkeypatch):
     real = orders.enumerate_dominant_below
     monkeypatch.setattr(orders, "enumerate_dominant_below",
-                        lambda datum, bound, order: real(datum, bound, order)[:-1])
+                        lambda datum, bound: real(datum, bound)[:-1])
 
 
 @pytest.mark.parametrize("family,rank,module,corrupt,name,where", [

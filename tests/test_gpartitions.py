@@ -8,7 +8,7 @@ from extalg.constructor import construct
 from extalg.gpartitions import (GPartition, _check_partition, _compiled, _L_value, _N0,
                                 _N1_value, _pair_index, _row_end, _start_residual,
                                 _suffix_feasible, count_lr, form_keys, is_admissible, weight_of)
-from extalg.orders import enumerate_dominant_below
+from extalg.orders import coordinatewise_leq, enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import ResourceCapError, klimyk_tensor, weyl_dim
 
@@ -382,7 +382,7 @@ def test_oracle_equivalence_rank_two(family, rank):
     for lam in weights:
         for mu in weights:
             dec = klimyk_tensor(datum, lam, mu)
-            for nu in enumerate_dominant_below(datum, lam + mu, "dominance"):
+            for nu in enumerate_dominant_below(datum, lam + mu):
                 assert count_lr(datum, lam, mu, nu)[0] == dec.get(nu, 0)
 
 
@@ -390,7 +390,7 @@ def test_dimension_identity(c3):
     lam = weight_from_fundamental(c3, [1, 0, 1])
     mu = weight_from_fundamental(c3, [0, 1, 0])
     total = 0
-    for nu in enumerate_dominant_below(c3, lam + mu, "dominance"):
+    for nu in enumerate_dominant_below(c3, lam + mu):
         total += count_lr(c3, lam, mu, nu)[0] * weyl_dim(c3, nu)
     assert total == weyl_dim(c3, lam) * weyl_dim(c3, mu)
 
@@ -430,7 +430,9 @@ def test_sparse_scoring_matches_dense_on_certificates(family, rank):
     # and under alternating 0/1 bounds that some of its forms exceed; over this
     # grid, dropping the terms of any one slot changes some verdict
     datum = build_root_datum(family, rank)
-    eligible = enumerate_dominant_below(datum, 2 * datum.rho, "dominance_and_coordinatewise")
+    two_rho = 2 * datum.rho
+    eligible = [lam for lam in enumerate_dominant_below(datum, two_rho)
+                if coordinatewise_leq(lam, two_rho)]
     partitions = [construct(datum, lam).partition for lam in eligible]
     ones = (1,) * rank
     alt = tuple(i % 2 for i in range(rank))
@@ -445,10 +447,12 @@ def test_sparse_scoring_matches_dense_on_certificates(family, rank):
                                          ("C", 3), ("C", 4), ("C", 5), ("D", 4), ("D", 5)])
 def test_weight_of_matches_reference_on_certificates(family, rank):
     datum = build_root_datum(family, rank)
-    eligible = enumerate_dominant_below(datum, 2 * datum.rho, "dominance_and_coordinatewise")
+    two_rho = 2 * datum.rho
+    eligible = [lam for lam in enumerate_dominant_below(datum, two_rho)
+                if coordinatewise_leq(lam, two_rho)]
     for lam in eligible:
         p = construct(datum, lam).partition
-        assert weight_of(datum, p) == reference_weight_of(datum, p) == 2 * datum.rho - lam, lam
+        assert weight_of(datum, p) == reference_weight_of(datum, p) == two_rho - lam, lam
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("B", 3), ("C", 3), ("D", 4)])
@@ -457,7 +461,7 @@ def test_count_lr_matches_reference_enumeration(family, rank):
     weights = grid(datum)
     for lam in weights:
         for mu in weights:
-            for nu in enumerate_dominant_below(datum, lam + mu, "dominance"):
+            for nu in enumerate_dominant_below(datum, lam + mu):
                 count, wits = count_lr(datum, lam, mu, nu, want_witnesses=True)
                 ref_count, ref_wits = reference_count_lr(datum, lam, mu, nu)
                 assert count == ref_count, (lam, mu, nu)
@@ -475,7 +479,7 @@ def test_count_lr_matches_klimyk_rank_four(family, rank):
     for lam in weights:
         for mu in weights:
             dec = klimyk_tensor(datum, lam, mu)
-            for nu in enumerate_dominant_below(datum, lam + mu, "dominance"):
+            for nu in enumerate_dominant_below(datum, lam + mu):
                 assert count_lr(datum, lam, mu, nu)[0] == dec.get(nu, 0), (lam, mu, nu)
 
 
@@ -497,7 +501,7 @@ def test_count_lr_matches_klimyk_random():
         datum = build_root_datum(family, rank)
         coeffs = st.lists(st.integers(0, 2), min_size=rank, max_size=rank)
         lam, mu = (weight_from_fundamental(datum, draw(coeffs)) for _ in range(2))
-        below = enumerate_dominant_below(datum, lam + mu, "dominance")
+        below = enumerate_dominant_below(datum, lam + mu)
         return datum, lam, mu, draw(st.sampled_from(below))
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -62,9 +62,9 @@ def test_dominance_type_d_spin_condition():
 def test_c3_census(c3):
     # the 35 / small-4 / delta-failure-4 counts of the rank-3 symplectic example
     two_rho = 2 * c3.rho
-    dom = enumerate_dominant_below(c3, two_rho, "dominance")
+    dom = enumerate_dominant_below(c3, two_rho)
     assert len(dom) == 35
-    cw = enumerate_dominant_below(c3, two_rho, "dominance_and_coordinatewise")
+    cw = [w for w in dom if coordinatewise_leq(w, two_rho)]
     # the printed example says 30, but exactly six of the 35 violate the
     # coordinatewise definition: (4,3,3), (4,4,4), (5,4,3), (5,5,0), (5,5,2),
     # (6,3,3) all exceed a coordinate of (6,4,2); see notes/decisions.md
@@ -72,32 +72,30 @@ def test_c3_census(c3):
     excluded = sorted(w.coords2 for w in set(dom) - set(cw))
     assert excluded == [(8, 6, 6), (8, 8, 8), (10, 8, 6), (10, 10, 0),
                         (10, 10, 4), (12, 6, 6)]
-    small = enumerate_dominant_below(c3, two_rho, "small")
+    small = [w for w in dom if is_small(c3, w)]
     assert len(small) == 4
     assert {w.coords2 for w in small} == {(0, 0, 0), (4, 0, 0), (2, 2, 0), (4, 2, 2)}
 
 
 def test_enumerate_zero_bound(c3):
-    assert enumerate_dominant_below(c3, c3.zero, "dominance") == [c3.zero]
+    assert enumerate_dominant_below(c3, c3.zero) == [c3.zero]
 
 
 def test_enumerate_rejects_bad_input(c3):
     with pytest.raises(ValueError):
-        enumerate_dominant_below(c3, c3.weight_from_coords([0, 1, 0]), "dominance")
-    with pytest.raises(ValueError):
-        enumerate_dominant_below(c3, 2 * c3.rho, "no_such_filter")
+        enumerate_dominant_below(c3, c3.weight_from_coords([0, 1, 0]))
 
 
 def test_enumerate_downward_closed(c3):
-    below = enumerate_dominant_below(c3, 2 * c3.rho, "dominance")
+    below = enumerate_dominant_below(c3, 2 * c3.rho)
     index = set(below)
     for mu in below:
-        for nu in enumerate_dominant_below(c3, mu, "dominance"):
+        for nu in enumerate_dominant_below(c3, mu):
             assert nu in index
 
 
 def test_poset_laws(c3):
-    below = enumerate_dominant_below(c3, weight_from_fundamental(c3, [2, 1, 0]), "dominance")
+    below = enumerate_dominant_below(c3, weight_from_fundamental(c3, [2, 1, 0]))
     for a in below:
         assert dominance_leq(c3, a, a)
         for b in below:
@@ -111,17 +109,17 @@ def test_poset_laws(c3):
 def test_spin_weights_enumerated_when_lattice_allows():
     b2 = build_root_datum("B", 2)
     spin_bound = weight_from_fundamental(b2, [0, 2])  # (1,1), integral
-    got = enumerate_dominant_below(b2, spin_bound, "dominance")
+    got = enumerate_dominant_below(b2, spin_bound)
     assert {w.coords2 for w in got} == {(0, 0), (2, 0), (2, 2)}
     # a genuinely spin bound admits only spin weights below it
     spin = weight_from_fundamental(b2, [0, 1])
-    got = enumerate_dominant_below(b2, spin, "dominance")
+    got = enumerate_dominant_below(b2, spin)
     assert {w.coords2 for w in got} == {(1, 1)}
 
 
 def test_d4_enumeration_includes_mirror_weights():
     d4 = build_root_datum("D", 4)
-    below = enumerate_dominant_below(d4, 2 * d4.rho, "dominance")
+    below = enumerate_dominant_below(d4, 2 * d4.rho)
     assert len(below) == 89
     assert any(w.coords2[-1] < 0 for w in below)
     # tau-symmetry: the set is stable under flipping the last coordinate
@@ -145,12 +143,14 @@ def test_small_weights_are_coordinatewise_below(c3):
     for datum in (build_root_datum("B", 3), c3, build_root_datum("B", 4),
                   build_root_datum("C", 4)):
         two_rho = 2 * datum.rho
-        small = enumerate_dominant_below(datum, two_rho, "small")
-        cw = set(enumerate_dominant_below(datum, two_rho, "dominance_and_coordinatewise"))
+        dom = enumerate_dominant_below(datum, two_rho)
+        small = [w for w in dom if is_small(datum, w)]
+        cw = {w for w in dom if coordinatewise_leq(w, two_rho)}
         assert set(small) <= cw
     d4 = build_root_datum("D", 4)
-    small = set(enumerate_dominant_below(d4, 2 * d4.rho, "small"))
-    cw = set(enumerate_dominant_below(d4, 2 * d4.rho, "dominance_and_coordinatewise"))
+    dom = enumerate_dominant_below(d4, 2 * d4.rho)
+    small = {w for w in dom if is_small(d4, w)}
+    cw = {w for w in dom if coordinatewise_leq(w, 2 * d4.rho)}
     assert {w.coords2 for w in small - cw} == {(2, 2, 2, 2), (2, 2, 2, -2)}
 
 
@@ -180,21 +180,58 @@ def test_two_rho_minus_delta_d_fork():
     assert two_rho_minus_delta(d4, [3, 4])[1] == 2
 
 
+def reference_components(datum, subset):
+    """Components of the subdiagram on ``subset``, by union-find over the diagram's edges."""
+    n = datum.rank
+    if datum.family == "D":
+        edges = [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+    else:
+        edges = [(i, i + 1) for i in range(1, n)]
+    parent = {i: i for i in subset}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        if a in parent and b in parent:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(i) for i in subset})
+
+
+def test_two_rho_minus_delta_components_match_union_find():
+    # the Dynkin diagram read off the root data: every subset, empty included
+    grid = ([("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 7)]
+            + [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 8)]
+            + [("G2", 2)])
+    checked = 0
+    for family, rank in grid:
+        datum = build_root_datum(family, rank)
+        for size in range(rank + 1):
+            for subset in itertools.combinations(range(1, rank + 1), size):
+                got = two_rho_minus_delta(datum, subset)[1]
+                assert got == reference_components(datum, subset), (family, rank, subset)
+                checked += 1
+    assert checked == 626
+
+
 def test_g2_enumeration():
     g2 = build_root_datum("G2", 2)
-    below = enumerate_dominant_below(g2, 2 * g2.rho_short, "dominance")
+    below = enumerate_dominant_below(g2, 2 * g2.rho_short)
     coeffs = sorted(g2.fundamental_coefficients(w) for w in below)
     assert coeffs == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
 def test_enumerate_cap_counts_the_listed_weights(family, rank):
-    # the cap counts the dominant weights listed before any filter
     datum = build_root_datum(family, rank)
     bound = 2 * datum.rho
-    count = len(enumerate_dominant_below(datum, bound, "dominance"))
-    for filt in ("dominance", "dominance_and_coordinatewise", "small"):
-        assert enumerate_dominant_below(datum, bound, filt, cap=count) == \
-            enumerate_dominant_below(datum, bound, filt)
-        with pytest.raises(ResourceCapError, match=f"^dominant weights .* cap {count - 1}$"):
-            enumerate_dominant_below(datum, bound, filt, cap=count - 1)
+    listed = enumerate_dominant_below(datum, bound)
+    count = len(listed)
+    assert enumerate_dominant_below(datum, bound, cap=count) == listed
+    with pytest.raises(ResourceCapError, match=f"^dominant weights .* cap {count - 1}$"):
+        enumerate_dominant_below(datum, bound, cap=count - 1)

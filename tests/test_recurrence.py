@@ -9,6 +9,7 @@ from extalg.recurrence import (LaurentQS, a_integers, chain_weight, coefficient_
                                omega0_count, verify_aggregate)
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import ResourceCapError
+from reflections import apply_simple
 
 
 def reference_minuscule_row_entries(datum, lam):
@@ -26,7 +27,7 @@ def reference_minuscule_row_entries(datum, lam):
         nxt = []
         for v in frontier:
             for i in stab:
-                w = datum.apply_simple(i, v)
+                w = apply_simple(datum, i, v)
                 if w not in orbit:
                     orbit.add(w)
                     nxt.append(w)
@@ -37,9 +38,9 @@ def reference_minuscule_row_entries(datum, lam):
         nxt = []
         for vec in frontier:
             for i in range(1, datum.rank + 1):
-                w = datum.apply_simple(i, vec)
+                w = apply_simple(datum, i, vec)
                 if w not in seen:
-                    seen[w] = tuple(datum.apply_simple(i, p) for p in seen[vec])
+                    seen[w] = tuple(apply_simple(datum, i, p) for p in seen[vec])
                     nxt.append(w)
         frontier = nxt
 
@@ -166,7 +167,7 @@ def test_row_matches_reflection_search_on_chain_weights(family, ranks):
 def test_row_matches_reflection_search_below_two_rho(family, rank):
     # includes weights such as (1,1,1,-1) in D4, whose stabilizer holds s_n
     datum = build_root_datum(family, rank)
-    weights = [lam for lam in enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+    weights = [lam for lam in enumerate_dominant_below(datum, 2 * datum.rho)
                if not lam.is_zero() and lam.coords2[0] % 2 == 0]
     assert weights
     if family == "D":

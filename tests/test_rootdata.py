@@ -5,6 +5,7 @@ import pytest
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
+from reflections import apply_simple
 
 
 def test_rho_realizations():
@@ -181,7 +182,9 @@ def test_g2_realization():
 #
 # The library reduces to the dominant chamber by a signed sort and lists
 # orbits directly, in G2 as in A-D; these are the simple-reflection loop and
-# the breadth-first orbit search it replaced.
+# the breadth-first orbit search it replaced.  The simple reflection itself
+# lives only in the tests, in tests/reflections.py, with the other
+# reflection references (tests/test_recurrence.py, tests/test_weyl_oracle.py).
 
 
 def reference_chamber2(datum, x2):
@@ -190,7 +193,7 @@ def reference_chamber2(datum, x2):
     while True:
         for i in range(1, datum.rank + 1):
             if datum.pairing2(i, v) < 0:
-                v, sign = datum.apply_simple(i, v), -sign
+                v, sign = apply_simple(datum, i, v), -sign
                 break
         else:
             return v, sign
@@ -211,7 +214,7 @@ def reference_orbit2(datum, x2):
         nxt = []
         for v in frontier:
             for i in range(1, datum.rank + 1):
-                w = datum.apply_simple(i, v)
+                w = apply_simple(datum, i, v)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -263,7 +266,7 @@ def test_kernel_matches_reflection_references(family, rank):
     # to 19M, so those weights are reduced on sampled images, and orbits are
     # compared below rho (D6: 0, the fundamental weights and rho)
     datum = build_root_datum(family, rank)
-    below = enumerate_dominant_below(datum, 2 * datum.rho, "dominance")
+    below = enumerate_dominant_below(datum, 2 * datum.rho)
     rng = random.Random(f"{family}{rank}")
     if rank <= 4:
         for w in below:
@@ -276,7 +279,7 @@ def test_kernel_matches_reflection_references(family, rank):
             for _ in range(8):
                 assert_kernel_matches(datum, random_weyl_image(datum, w.coords2, rng))
         if rank == 5:
-            orbit_weights = enumerate_dominant_below(datum, datum.rho, "dominance")
+            orbit_weights = enumerate_dominant_below(datum, datum.rho)
         else:
             orbit_weights = [datum.zero, *datum.fundamental_weights, datum.rho]
         for w in orbit_weights:
