@@ -554,6 +554,22 @@ def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):
      "614afc9cd027f91f6603b8862ce3da2030d975ef58dd11825f144c5004f1b536"),
     ("kostant-verify --family D --rank 4 --oracle",
      "7316a93fe6003ba8eadf9f9e19c31fd66cdef2849abdceedcb9c2409c62151d3"),
+    ("roots --family A --rank 1",
+     "a84376ca21c30be8af454c07f50c3354a0a37f45ef2a354d1f634a1eefb3167e"),
+    ("roots --family A --rank 3",
+     "24ba04204e1d3e1ff8966ac03b65ba2b8afd53508fdc86bee05b260a813772e9"),
+    ("roots --family B --rank 1",
+     "e83420d752b5033b1f83390d7731b04fdf43965623af3584a3f086b608872886"),
+    ("roots --family B --rank 3",
+     "4c7d0149549e4718299f906b6ed351da10d261ca619894d51fba3b7c2ed427a4"),
+    ("roots --family C --rank 1",
+     "faaeaf7e7979faa4dfda3cd11f525e42f96fa6ac1ec7cecd6614a3d35241988a"),
+    ("roots --family C --rank 4",
+     "592468ead64eaff4caf8895f3705174ac1812971ba9c32be176a00cb41193438"),
+    ("roots --family D --rank 4",
+     "2256628e8d0798e4ef74122f0ea25682812e16d351ad7be2b21209189c52ec5f"),
+    ("roots --family G2 --rank 2",
+     "b9778241e37466eac6eb2eeb4ded2aa6182ff76d18979ffcabb9944a2952f4fa"),
 ])
 def test_check_report_bytes_pinned(argv, digest):
     code, out, _ = run_cli(argv.split())
