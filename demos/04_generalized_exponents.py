@@ -19,7 +19,7 @@ for family, rank in [("B", 3), ("C", 4), ("D", 4)]:
     print(f"{family}{rank}:")
     for lam in covered_small_weights(datum):
         name = datum.fund_string(lam)
-        zero_dim = freudenthal(datum, lam).zero_multiplicity()
+        zero_dim = freudenthal(datum, lam).mult.get(datum.zero, 0)
         print(f"  E_{name:7s} = {closed_E(datum, lam)}   "
               f"[three-way agree: {agree[name]}, E(1) = dim zero space = {zero_dim}]")
 

@@ -88,10 +88,12 @@ def construct(datum, lam, force_case=None):
     Preconditions: lam dominant, lam <= 2*rho in dominance and lam
     coordinatewise below 2*rho; family B, C or D.  ``force_case="C"``
     switches type-B inputs eligible for Case B to the Case-C construction
-    for cross-validation.
+    for cross-validation; outside type B it raises ``ValueError``.
     """
     if datum.family not in ("B", "C", "D"):
         raise ValueError(f"construction covers families B, C, D, not {datum.family}")
+    if force_case == "C" and datum.family != "B":
+        raise ValueError(f"Case C applies to type B only, not {datum.family}")
     datum.require_dominant(lam)
     two_rho = 2 * datum.rho
     if not dominance_leq(datum, lam, two_rho):
@@ -111,7 +113,7 @@ def construct(datum, lam, force_case=None):
         m, mp, mi = _case_a(datum, c)
     else:
         case_b_ok = (len(odd) % 2 == 0) and (c[n - 1] % 2 == 0 or lam_half[n - 1] != 0)
-        if case_b_ok and not (force_case == "C" and datum.family == "B"):
+        if case_b_ok and force_case != "C":
             case = "B"
             k = len(odd) // 2
             pairing = tuple((odd[j], odd[j + k]) for j in range(k))

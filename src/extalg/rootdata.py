@@ -10,6 +10,12 @@ Every family is realized in an explicit orthonormal coordinate system:
 Weights are stored with *doubled* coordinates so that spin weights and the
 Weyl vector of ``B_n`` stay integral; every public API speaks doubled units
 internally and halves only on display.
+
+Each family declares only its realization: the positive roots (in the order
+``gexp roots`` prints them), the simple roots, the short roots (none when
+simply laced), the fundamental weights and the exponents.  rho, rho_short,
+theta, theta_short, the Coxeter number, the number of short simple roots
+and the dimension are derived from these, by one rule each.
 """
 
 from collections import Counter
@@ -113,16 +119,6 @@ class RootDatum:
         if len(coords2) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords2)}")
         return Weight(self.family, self.rank, coords2)
-
-    def weight_from_coords(self, coords):
-        """Build a weight from plain (possibly half-integer) coordinates."""
-        doubled = []
-        for c in coords:
-            d = Fraction(c) * 2
-            if d.denominator != 1:
-                raise ValueError(f"coordinate {c} is not a half-integer")
-            doubled.append(int(d))
-        return self.weight(doubled)
 
     @property
     def zero(self):
@@ -395,9 +391,11 @@ class RootDatum:
         return "+".join(parts) if parts else "0"
 
 
-def _e(dim, i, val=2):
+def _eps(dim, *terms):
+    """Doubled coordinates of the sum of c * e_i over the ``(i, c)`` terms."""
     v = [0] * dim
-    v[i - 1] = val
+    for i, c in terms:
+        v[i - 1] += 2 * c
     return tuple(v)
 
 
@@ -407,136 +405,93 @@ def build_root_datum(family, rank):
 
     Supported: A (rank >= 1), B and C (rank >= 1, degenerate below 2), D
     (rank >= 3), G2 (rank exactly 2).  Anything else raises
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`.  Each family declares its realization
+    (positive roots in display order, simple roots, short roots, fundamental
+    weights, exponents); :func:`_derive` reads everything else off it.
     """
     n = rank
     if family == "A":
         if n < 1:
             raise ConfigurationError("A needs rank >= 1")
         dim = n + 1
-        pos = [pos_ij(i, j, dim)
+        pos = [_eps(dim, (i, 1), (j, -1))
                for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
-        simple = [pos_ij(i, i + 1, dim) for i in range(1, n + 1)]
+        simple = [_eps(dim, (i, 1), (i + 1, -1)) for i in range(1, n + 1)]
         fund = [tuple(2 if k <= i else 0 for k in range(1, dim + 1)) for i in range(1, n + 1)]
-        rho2 = tuple(n - 2 * (i - 1) for i in range(1, dim + 1))
-        theta2 = pos_ij(1, dim, dim)
-        exps = tuple(range(1, n + 1))
-        datum = RootDatum(
-            family, n, dim,
-            tuple(Weight(family, n, p) for p in pos),
-            tuple(Weight(family, n, s) for s in simple),
-            tuple(Weight(family, n, f) for f in fund),
-            Weight(family, n, rho2), Weight(family, n, rho2),
-            Weight(family, n, theta2), None, exps, n + 1, n)
-        return datum
+        return _derive(family, n, pos, simple, None, fund, range(1, n + 1))
 
-    if family in ("B", "C"):
-        if n < 1:
-            raise ConfigurationError(f"{family} needs rank >= 1")
-        dim = n
-        pos, short = [], []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pos.append(pos_ij(i, j, dim))
-                pos.append(pos_ij_plus(i, j, dim))
+    if family in ("B", "C", "D"):
+        least = 3 if family == "D" else 1
+        if n < least:
+            raise ConfigurationError(f"{family} needs rank >= {least}")
+        pairs = [_eps(n, (i, 1), (j, s))
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1) for s in (-1, 1)]
+        simple = [_eps(n, (i, 1), (i + 1, -1)) for i in range(1, n)]
+        fund = [tuple(2 if k <= i else 0 for k in range(1, n + 1)) for i in range(1, n + 1)]
+        exps = [2 * i - 1 for i in range(1, n + 1)]
         if family == "B":
-            for i in range(1, n + 1):
-                p = _e(dim, i, 2)
-                pos.append(p)
-                short.append(p)
-            simple = [pos_ij(i, i + 1, dim) for i in range(1, n)] + [_e(dim, n, 2)]
-            fund = [tuple(2 if k <= i else 0 for k in range(1, n + 1)) for i in range(1, n)]
-            fund.append(tuple(1 for _ in range(n)))
-            rho2 = tuple(2 * (n - i) + 1 for i in range(1, n + 1))
-            rho_s2 = tuple(1 for _ in range(n))
-            theta2 = pos_ij_plus(1, 2, dim) if n >= 2 else _e(dim, 1, 2)
-            theta_s2 = _e(dim, 1, 2)
-            nss = 1
+            short = [_eps(n, (i, 1)) for i in range(1, n + 1)]
+            pos = pairs + short
+            simple.append(short[-1])
+            fund[-1] = (1,) * n
+        elif family == "C":
+            short = pairs
+            pos = pairs + [_eps(n, (i, 2)) for i in range(1, n + 1)]
+            simple.append(pos[-1])
         else:
-            short = [pos_ij(i, j, dim) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            short += [pos_ij_plus(i, j, dim) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            for i in range(1, n + 1):
-                pos.append(_e(dim, i, 4))
-            simple = [pos_ij(i, i + 1, dim) for i in range(1, n)] + [_e(dim, n, 4)]
-            fund = [tuple(2 if k <= i else 0 for k in range(1, n + 1)) for i in range(1, n + 1)]
-            rho2 = tuple(2 * (n - i + 1) for i in range(1, n + 1))
-            rho_s2 = tuple(2 * (n - i) for i in range(1, n + 1))
-            theta2 = _e(dim, 1, 4)
-            theta_s2 = pos_ij_plus(1, 2, dim) if n >= 2 else None
-            nss = n - 1
-        exps = tuple(2 * i - 1 for i in range(1, n + 1))
-        theta_s = Weight(family, n, theta_s2) if theta_s2 is not None else None
-        return RootDatum(
-            family, n, dim,
-            tuple(Weight(family, n, p) for p in pos),
-            tuple(Weight(family, n, s) for s in simple),
-            tuple(Weight(family, n, f) for f in fund),
-            Weight(family, n, rho2), Weight(family, n, rho_s2),
-            Weight(family, n, theta2), theta_s, exps, 2 * n, nss)
-
-    if family == "D":
-        if n < 3:
-            raise ConfigurationError("D needs rank >= 3")
-        dim = n
-        pos = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pos.append(pos_ij(i, j, dim))
-                pos.append(pos_ij_plus(i, j, dim))
-        simple = [pos_ij(i, i + 1, dim) for i in range(1, n)] + [pos_ij_plus(n - 1, n, dim)]
-        fund = [tuple(2 if k <= i else 0 for k in range(1, n + 1)) for i in range(1, n - 1)]
-        fund.append(tuple([1] * (n - 1) + [-1]))
-        fund.append(tuple(1 for _ in range(n)))
-        rho2 = tuple(2 * (n - i) for i in range(1, n + 1))
-        theta2 = pos_ij_plus(1, 2, dim)
-        exps = tuple(sorted([2 * i - 1 for i in range(1, n)] + [n - 1]))
-        return RootDatum(
-            family, n, dim,
-            tuple(Weight(family, n, p) for p in pos),
-            tuple(Weight(family, n, s) for s in simple),
-            tuple(Weight(family, n, f) for f in fund),
-            Weight(family, n, rho2), Weight(family, n, rho2),
-            Weight(family, n, theta2), None, exps, 2 * n - 2, n)
+            short, pos = None, pairs
+            simple.append(_eps(n, (n - 1, 1), (n, 1)))
+            fund[-2:] = [(1,) * (n - 1) + (-1,), (1,) * n]
+            exps = sorted(exps[:-1] + [n - 1])
+        return _derive(family, n, pos, simple, short, fund, exps)
 
     if family == "G2":
         if n != 2:
             raise ConfigurationError("G2 has rank 2")
-        dim = 3
-        a1 = (2, -2, 0)
-        a2 = (-4, 2, 2)
+        a1 = (2, -2, 0)       # short
+        a2 = (-4, 2, 2)       # long
         pos = [a1, a2,
                (-2, 0, 2),    # a1 + a2
                (0, -2, 2),    # 2a1 + a2 (= theta_s = omega_1)
                (2, -4, 2),    # 3a1 + a2
                (-2, -2, 4)]   # 3a1 + 2a2 (= theta = omega_2)
-        fund = [(0, -2, 2), (-2, -2, 4)]
-        rho2 = (-2, -4, 6)
-        return RootDatum(
-            family, 2, dim,
-            tuple(Weight(family, 2, p) for p in pos),
-            tuple(Weight(family, 2, p) for p in (a1, a2)),
-            tuple(Weight(family, 2, f) for f in fund),
-            Weight(family, 2, rho2), Weight(family, 2, (0, -2, 2)),
-            Weight(family, 2, (-2, -2, 4)), Weight(family, 2, (0, -2, 2)),
-            (1, 5), 6, 1)
+        return _derive(family, 2, pos, [a1, a2], [a1, pos[2], pos[3]],
+                       [(0, -2, 2), (-2, -2, 4)], (1, 5))
 
     raise ConfigurationError(f"unknown family {family!r}")
 
 
-def pos_ij(i, j, dim):
-    """Doubled coordinates of e_i - e_j."""
-    v = [0] * dim
-    v[i - 1] = 2
-    v[j - 1] = -2
-    return tuple(v)
+def _derive(family, rank, pos, simple, short, fund, exponents):
+    """The :class:`RootDatum` of a realization given in doubled coordinates.
 
+    ``short`` lists the short positive roots, or is None when the family is
+    simply laced.  rho (rho_s) is the half sum of the positive (short)
+    roots, rho_s = rho when simply laced; theta (theta_s) is the positive
+    (short) root with the largest pairing with rho, unique since every simple
+    root pairs positively with rho, and theta_s is None without short roots;
+    the Coxeter number is the largest exponent plus 1; the short simple roots
+    are counted, all of them when simply laced; ``dim`` is a root's length.
+    """
+    dim = len(pos[0])
 
-def pos_ij_plus(i, j, dim):
-    """Doubled coordinates of e_i + e_j."""
-    v = [0] * dim
-    v[i - 1] = 2
-    v[j - 1] = 2
-    return tuple(v)
+    def weight(x2):
+        return Weight(family, rank, x2)
+
+    def half_sum(roots):
+        return tuple(sum(r[k] for r in roots) // 2 for k in range(dim))
+
+    def highest(roots):
+        return max(roots, key=lambda r: sum(a * b for a, b in zip(r, rho2)))
+
+    rho2 = half_sum(pos)
+    laced = short is None
+    return RootDatum(
+        family, rank, dim,
+        tuple(map(weight, pos)), tuple(map(weight, simple)), tuple(map(weight, fund)),
+        weight(rho2), weight(rho2 if laced else half_sum(short)),
+        weight(highest(pos)), weight(highest(short)) if short else None,
+        tuple(exponents), max(exponents) + 1,
+        rank if laced else sum(s in short for s in simple))
 
 
 def weight_from_fundamental(datum, coeffs):

@@ -26,7 +26,6 @@ inverse of the one of the multiplicities m_lam(kappa).  It builds no
 Freudenthal table, and shares no code with the exterior decomposition.
 """
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -57,10 +56,6 @@ class WeightMultMap:
     rank: int
     highest: object
     mult: dict  # Weight -> positive int, full Weyl-orbit expansion
-
-    def zero_multiplicity(self):
-        datum = build_root_datum(self.family, self.rank)
-        return self.mult.get(datum.zero, 0)
 
     def dimension(self):
         return sum(self.mult.values())
@@ -355,11 +350,6 @@ def q_kostant(datum, beta):
     return rec(len(roots), coeffs)
 
 
-def _weyl_group_order(datum):
-    """|W|, the product of the degrees e + 1 over the exponents e."""
-    return math.prod(e + 1 for e in datum.exponents)
-
-
 def _cone_images(datum, shifted):
     """The pairs ``(w(shifted) - rho, det(w))``, w in W (A-D), that may lie in the positive cone.
 
@@ -418,7 +408,7 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
         raise ValueError(f"{lam} is not in the root lattice")
     if datum.family == "G2":
         raise ValueError("the Weyl-sum oracle is wired for the classical families only")
-    order = _weyl_group_order(datum)
+    order = datum.orbit_size(datum.rho.coords2)    # |W|: rho is regular
     if order > cap:
         raise ResourceCapError(f"|W| = {order} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))

@@ -170,6 +170,12 @@ def test_kostant_verify_case_c_override():
     assert code == 0 and rep["cases"]["B"] == 0
 
 
+@pytest.mark.parametrize("family, rank", [("C", 3), ("D", 4)])
+def test_kostant_verify_case_c_outside_type_b_is_an_error(family, rank):
+    assert run_cli(["kostant-verify", "--family", family, "--rank", str(rank), "--case-c"]) \
+        == (2, "", f"error: Case C applies to type B only, not {family}\n")
+
+
 def test_short_kostant_labels():
     code, out, _ = run_cli(["short-kostant-verify", "--family", "C", "--rank", "3"])
     rep = json.loads(out)

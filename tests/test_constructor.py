@@ -4,6 +4,7 @@ from extalg.checks import kostant_verify
 from extalg.constructor import certify_theorem, construct
 from extalg.orders import coordinatewise_leq, enumerate_dominant_below
 from extalg.rootdata import build_root_datum, weight_from_fundamental
+from helpers import weight_from_coords
 
 
 def eligible(datum):
@@ -114,6 +115,11 @@ def test_case_c_also_covers_case_b(b3):
             assert forced.case_used == "C"
 
 
+def test_case_c_outside_type_b_is_rejected(c3):
+    with pytest.raises(ValueError, match="type B only"):
+        construct(c3, c3.zero, force_case="C")
+
+
 def test_certify_totals(c3):
     rep = certify_theorem(c3)
     assert rep["total"] == 29 and rep["passed"] == 29 and not rep["failures"]
@@ -132,7 +138,7 @@ def test_precondition_errors(c3):
     with pytest.raises(ValueError):
         construct(c3, weight_from_fundamental(c3, [9, 0, 0]))   # not below 2rho
     with pytest.raises(ValueError):
-        construct(c3, c3.weight_from_coords([0, 1, 0]))          # not dominant
+        construct(c3, weight_from_coords(c3, [0, 1, 0]))         # not dominant
     big = weight_from_fundamental(c3, [0, 0, 4])                 # (4,4,4): <=, not coordinatewise
     with pytest.raises(ValueError, match="coordinatewise"):
         construct(c3, big)

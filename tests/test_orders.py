@@ -6,6 +6,7 @@ from extalg.core import ResourceCapError
 from extalg.orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
                            is_small, two_rho_minus_delta)
 from extalg.rootdata import build_root_datum, weight_from_fundamental
+from helpers import weight_from_coords
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def test_dominance_type_d_spin_condition():
     # (6,4,2,-2) passes the naive partial-sum test against 2*rho = (6,4,2,0)
     # but 2*rho - lam = 2 e_4 is not a sum of positive roots in D_4
     d4 = build_root_datum("D", 4)
-    lam = d4.weight_from_coords([6, 4, 2, -2])
+    lam = weight_from_coords(d4, [6, 4, 2, -2])
     assert d4.is_dominant(lam)
     diff = (2 * d4.rho) - lam
     run, sums = 0, []
@@ -83,7 +84,7 @@ def test_enumerate_zero_bound(c3):
 
 def test_enumerate_rejects_bad_input(c3):
     with pytest.raises(ValueError):
-        enumerate_dominant_below(c3, c3.weight_from_coords([0, 1, 0]))
+        enumerate_dominant_below(c3, weight_from_coords(c3, [0, 1, 0]))
 
 
 def test_enumerate_downward_closed(c3):

@@ -9,6 +9,7 @@ from extalg.recurrence import (LaurentQS, a_integers, chain_weight, coefficient_
                                omega0_count, verify_aggregate)
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import ResourceCapError
+from helpers import weight_from_coords
 from reflections import apply_simple
 
 
@@ -114,7 +115,7 @@ def test_row_preconditions(b3):
     with pytest.raises(ValueError):
         minuscule_row(build_root_datum("C", 3), build_root_datum("C", 3).theta_short)
     with pytest.raises(ValueError):
-        minuscule_row(b3, b3.weight_from_coords([0, 1, 0]))
+        minuscule_row(b3, weight_from_coords(b3, [0, 1, 0]))
 
 
 def test_row_orbit_cap(b3):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
+from helpers import weight_from_coords
 from reflections import apply_simple
 
 
@@ -83,6 +85,56 @@ def test_exponents_and_coxeter(family, rank, exps, h):
     assert sum(exps) == len(datum.positive_roots)
 
 
+# -- the derived fields against the per-family formulas ---------------------
+#
+# The library declares the roots and reads rho, rho_s, theta, theta_s, the
+# Coxeter number and the short-simple count off them; the closed formulas
+# per family are the reference, so a wrong declared root shows here.
+
+DATUM_GRID = ([(f, r) for f in "ABC" for r in range(1, 9)] + [("D", r) for r in range(3, 9)]
+              + [("G2", 2)])
+
+
+def reference_fields(family, n):
+    """(dim, rho2, rho_s2, theta2, theta_s2, h, short-simple count) by hand."""
+    def e(i, val=2):
+        return tuple(val if k == i else 0 for k in range(1, n + 1))
+
+    def e_plus(i, j):
+        return tuple(a + b for a, b in zip(e(i), e(j)))
+
+    if family == "G2":
+        return 3, (-2, -4, 6), (0, -2, 2), (-2, -2, 4), (0, -2, 2), 6, 1
+    if family == "A":
+        rho2 = tuple(n - 2 * (i - 1) for i in range(1, n + 2))
+        theta2 = (2,) + (0,) * (n - 1) + (-2,)
+        return n + 1, rho2, rho2, theta2, None, n + 1, n
+    if family == "B":
+        return (n, tuple(2 * (n - i) + 1 for i in range(1, n + 1)), (1,) * n,
+                e_plus(1, 2) if n >= 2 else e(1), e(1), 2 * n, 1)
+    if family == "C":
+        return (n, tuple(2 * (n - i + 1) for i in range(1, n + 1)),
+                tuple(2 * (n - i) for i in range(1, n + 1)), e(1, 4),
+                e_plus(1, 2) if n >= 2 else None, 2 * n, n - 1)
+    rho2 = tuple(2 * (n - i) for i in range(1, n + 1))
+    return n, rho2, rho2, e_plus(1, 2), None, 2 * n - 2, n
+
+
+@pytest.mark.parametrize("family,rank", DATUM_GRID)
+def test_derived_fields_match_the_hand_formulas(family, rank):
+    datum = build_root_datum(family, rank)
+    theta_s = datum.theta_short.coords2 if datum.theta_short is not None else None
+    assert (datum.dim, datum.rho.coords2, datum.rho_short.coords2, datum.theta.coords2,
+            theta_s, datum.coxeter_number, datum.num_short_simple) \
+        == reference_fields(family, rank)
+    # the exponents are the one declared invariant: Kostant's theorem reads
+    # them as the partition dual to the numbers of positive roots per height
+    per_height = Counter(datum.height2(r.coords2) for r in datum.positive_roots)
+    dual = [sum(1 for count in per_height.values() if count >= j)
+            for j in range(1, per_height[1] + 1)]
+    assert datum.exponents == tuple(sorted(dual))
+
+
 def test_weight_from_fundamental_examples():
     c3 = build_root_datum("C", 3)
     assert weight_from_fundamental(c3, [0, 0, 2]).coords2 == (4, 4, 4)
@@ -103,7 +155,7 @@ def test_fundamental_coefficients_roundtrip():
 
 def test_reduce_examples():
     b6 = build_root_datum("B", 6)
-    mu = b6.weight_from_coords([0, 0, -1, 1, 0, 0])
+    mu = weight_from_coords(b6, [0, 0, -1, 1, 0, 0])
     red = b6.reduce_to_dominant(mu)
     assert red is not None and red[0].is_zero() and red[1] == -1
 
@@ -112,7 +164,7 @@ def test_reduce_examples():
     assert b3.reduce_to_dominant(lam) == (lam, 1)
 
     b2 = build_root_datum("B", 2)
-    assert b2.reduce_to_dominant(b2.weight_from_coords([-1, 0])) is None
+    assert b2.reduce_to_dominant(weight_from_coords(b2, [-1, 0])) is None
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 3), ("D", 3), ("G2", 2)])
@@ -132,9 +184,9 @@ def test_reduce_recovers_shifted_orbit(family, rank):
 def test_reduce_sign_is_determinant():
     # a single sign flip on the last coordinate of B2 has length 1
     b2 = build_root_datum("B", 2)
-    v = b2.weight_from_coords([2, -1])   # (2,-1)+rho = (7/2,-1/2) -> flip last
+    v = weight_from_coords(b2, [2, -1])   # (2,-1)+rho = (7/2,-1/2) -> flip last
     red = b2.reduce_to_dominant(v)
-    assert red == (b2.weight_from_coords([2, 0]), -1)
+    assert red == (weight_from_coords(b2, [2, 0]), -1)
 
 
 def test_configuration_errors():
@@ -159,7 +211,7 @@ def test_weight_algebra_and_mismatch():
 
 def test_root_lattice_membership():
     b3 = build_root_datum("B", 3)
-    assert b3.in_root_lattice(b3.weight_from_coords([1, 1, 0]))
+    assert b3.in_root_lattice(weight_from_coords(b3, [1, 1, 0]))
     assert not b3.in_root_lattice(weight_from_fundamental(b3, [0, 0, 1]))  # spin
     c3 = build_root_datum("C", 3)
     assert not c3.in_root_lattice(weight_from_fundamental(c3, [1, 0, 0]))  # odd sum
