@@ -516,6 +516,12 @@ def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):
      "807caf15a448bf05d3a2a9713943aff9f0af2e06545794f8496ead3f87eff98b"),
     ("exterior-verify --family C --rank 3 --module little-adjoint",
      "e286009990536c685646ade7b1a4d023b487eb9120ccf7c0a18164579e5f96ef"),
+    ("exterior-verify --family C --rank 3 --module adjoint --dim-cap 28",
+     "5797d3f9849d00a9d26c38d3f5dfd19634c0a19c0dc3ca4dff98526b966e84c3"),
+    ("exterior-verify --family B --rank 3 --module little-adjoint",
+     "e14a13ed4f2e23fdd6fa1cd568d65cdf9192c849987afb825b68608f70f03233"),
+    ("exterior-verify --family C --rank 4 --module little-adjoint --dim-cap 27",
+     "cb41014d032ee577050632f06764e5bc682730470ba635fd05dd6deb65cd6c72"),
     ("exterior-verify --family G2 --rank 2 --module little-adjoint",
      "bdce186eab73f30ec55a43abf9079f6359ce1b056bf9cbcf7f961ec00923c290"),
     ("exterior-verify --family G2 --rank 2 --module adjoint",
