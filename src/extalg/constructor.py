@@ -30,10 +30,6 @@ class Certificate:
     associated_ok: bool
     admissible_ok: bool
 
-    @property
-    def ok(self):
-        return self.associated_ok and self.admissible_ok
-
 
 def _case_a(datum, c):
     """Case A: every c_i even; build rows from index n down to 1.

@@ -102,9 +102,6 @@ class PolyT:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self._new({e: v * other for e, v in self.c.items()} if other else {})
@@ -188,9 +185,6 @@ class PolyT:
 
     def truncate(self, deg):
         return self._new({e: v for e, v in self.c.items() if e <= deg})
-
-    def coeff(self, e):
-        return self.c.get(e, 0)
 
     def items_sorted(self):
         return sorted(self.c.items())

@@ -10,14 +10,16 @@ the character is Weyl-invariant and reads every graded multiplicity
 polynomial ``P(V_lam, Lambda M, t)`` off the Weyl character formula,
 m_lam = sum_w sgn(w) chi[lam + rho - w rho] (Humphreys, Introduction to Lie
 Algebras and Representation Theory, Section 24), as sums of packed ints.  The
-signed shifts come from expanding prod_{alpha > 0} (1 - e^-alpha) over the
-positive roots, so the path uses the root data alone.  The closed reference
-formulas these are checked against live in :func:`reference_polynomials`.
+signed shifts rho - w rho are read off the Weyl orbit of rho, which lists each
+Weyl element once because rho is regular; W acts by signed permutations, so
+no entry of a shift exceeds 2 max |rho_i|, the pad of the packed layout.  The
+closed reference formulas these are checked against live in
+:func:`reference_polynomials`.
 """
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .core import PolyT, ResourceCapError
@@ -36,33 +38,19 @@ __all__ = [
 
 DEFAULT_DIM_CAP = 24
 
-_ALTERNATION = {}
-
 
 def weyl_alternation(datum):
     """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
 
-    By the Weyl denominator formula prod_{alpha > 0} (1 - e^-alpha) =
-    sum_w sgn(w) e^(w rho - rho), so expanding the product over
-    ``datum.positive_roots`` cancels every other term and leaves one shift
-    ``rho - w rho`` (a sum of positive roots) per Weyl element, with its
-    sign.  Cached per (family, rank); sorted by shift.
+    rho is regular, so ``datum.orbit2(rho)`` lists each point w rho once, and
+    the sign ``datum._chamber2`` reads off w rho is sgn w.  W acts by signed
+    permutations, so no entry of a shift exceeds 2 max |rho_i| in absolute
+    value (:func:`graded_exterior_character` pads its layout by that bound).
+    Sorted by shift.
     """
-    key = (datum.family, datum.rank)
-    if key not in _ALTERNATION:
-        terms = {datum.zero.coords2: 1}
-        for alpha in datum.positive_roots:
-            new = dict(terms)
-            for v, c in terms.items():
-                u = tuple(map(add, v, alpha.coords2))
-                s = new.get(u, 0) - c
-                if s:
-                    new[u] = s
-                else:
-                    del new[u]
-            terms = new
-        _ALTERNATION[key] = tuple(sorted(terms.items()))
-    return _ALTERNATION[key]
+    rho2 = datum.rho.coords2
+    return tuple(sorted((tuple(map(sub, rho2, v)), datum._chamber2(v)[1])
+                        for v in datum.orbit2(rho2)))
 
 
 class PackedLayout(NamedTuple):
@@ -151,16 +139,17 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
     d = sum(module_mult.values())
     if d > cap:
         raise ResourceCapError(f"module dimension {d} exceeds cap {cap}")
-    alternation = weyl_alternation(datum)
     # the support lies in the box of the sums of the module's weights, and
-    # graded_decompose looks up support weights translated by rho - w rho
+    # graded_decompose looks up support weights translated by rho - w rho,
+    # whose entries are at most 2 max |rho_i| (W acts by signed permutations)
     reach = max(sum(m * abs(w.coords2[i]) for w, m in module_mult.items())
                 for i in range(datum.dim))
-    pad = max(abs(c) for s, _ in alternation for c in s)
+    rho2 = datum.rho.coords2
     # every coefficient is below 2**d (at most binom(d, k)), and an alternation
     # sum adds at most |W|/2 of them, so d + bit_length(|W|) bits never carry
-    # (d + bit_length(d) would not do once |W| > d)
-    layout = PackedLayout(datum.dim, reach, pad, d + len(alternation).bit_length())
+    # (d + bit_length(d) would not do once |W| > d); |W| = |W rho|
+    layout = PackedLayout(datum.dim, reach, 2 * max(map(abs, rho2)),
+                          d + datum.orbit_size(rho2).bit_length())
     slot = layout.slot
     table = {layout.origin: 1}
     # lines ordered by their last nonzero coordinate: every prefix then spans

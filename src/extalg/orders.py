@@ -129,9 +129,7 @@ def _enumerate_g2(datum, bound, cap):
     for a in range(top + 1):
         for b in range(top // 2 + 1):
             mu = weight_from_fundamental(datum, (a, b))
-            diff = tuple(x - y for x, y in zip(bound.coords2, mu.coords2))
-            coeffs = datum.root_coefficients2(diff)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
+            if dominance_leq(datum, mu, bound):
                 _keep(out, mu, cap, bound)
     return out
 

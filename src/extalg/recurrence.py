@@ -278,12 +278,6 @@ def omega0_count(datum, k, cap=DEFAULT_CELL_CAP):
     return closed
 
 
-@lru_cache(maxsize=None)
-def _omega0_cached(family, rank, k, cap):
-    # a failing count raises and is not cached, so it reports on every call
-    return omega0_count(build_root_datum(family, rank), k, cap=cap)
-
-
 # -- aggregation coefficients --------------------------------------------------
 
 
@@ -444,7 +438,7 @@ def _omega0_checks(datum, k, cap, name):
         # rather than recorded as a failed count
         _row_cached(datum.family, datum.rank, j, cap)
         try:
-            _omega0_cached(datum.family, datum.rank, j, cap)
+            omega0_count(datum, j, cap=cap)
             check(checks, f"{name}_k{j}", True)
         except (ZeroDivisionError, OverflowError):
             raise  # Python's own arithmetic faults are bugs, not failed counts

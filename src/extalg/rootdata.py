@@ -20,7 +20,6 @@ and the dimension are derived from these, by one rule each.
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -53,14 +52,6 @@ class Weight:
     rank: int
     coords2: tuple
 
-    def coords(self):
-        """Coordinates as exact fractions (halving the stored integers)."""
-        return tuple(Fraction(c, 2) for c in self.coords2)
-
-    @property
-    def dim(self):
-        return len(self.coords2)
-
     def is_zero(self):
         return all(c == 0 for c in self.coords2)
 
@@ -77,9 +68,6 @@ class Weight:
         self._check(other)
         return Weight(self.family, self.rank,
                       tuple(a - b for a, b in zip(self.coords2, other.coords2)))
-
-    def __neg__(self):
-        return Weight(self.family, self.rank, tuple(-a for a in self.coords2))
 
     def __rmul__(self, k):
         return Weight(self.family, self.rank, tuple(k * a for a in self.coords2))

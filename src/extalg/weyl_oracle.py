@@ -57,13 +57,8 @@ class WeightMultMap:
     highest: object
     mult: dict  # Weight -> positive int, full Weyl-orbit expansion
 
-    def dimension(self):
-        return sum(self.mult.values())
-
 
 _dominant_cache = {}
-#: per (family, rank), the dominant representative of every string point met
-_chamber_reps = {}
 
 
 def dominant_multiplicities(datum, lam):
@@ -92,7 +87,7 @@ def dominant_multiplicities(datum, lam):
     roots = [(alpha.coords2, datum.dot2(alpha.coords2, alpha.coords2))
              for alpha in datum.positive_roots]
     table = {}
-    reps = _chamber_reps.setdefault((datum.family, datum.rank), {})
+    reps = {}  # the dominant representative of every string point met
     for mu in order:
         if mu == lam2:
             table[mu] = 1

@@ -13,6 +13,7 @@ alone.  notes/decisions.md records the analysis.
 import itertools
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -65,8 +66,9 @@ def _first_difference(got, want, bound):
     if not differences:
         return None
     w, where = differences[0]
+    coords = [Fraction(c, 2) for c in w.coords2]
     over = [f"x_{i} = {a} > {b}"
-            for i, (a, b) in enumerate(zip(w.coords(), bound), start=1) if a > b]
+            for i, (a, b) in enumerate(zip(coords, bound), start=1) if a > b]
     return f"{w.pretty()} is {where}" + (f" ({over[0]})" if over else "")
 
 
@@ -88,7 +90,8 @@ def test_criterion_1_coordinatewise_count_as_specified():
         if x[0] >= x[1] >= x[2] >= 0 and min(sums) >= 0 and sums[-1] % 2 == 0:
             dominance.append(weight_from_coords(c3, x))
     both = [w for w in dominance
-            if all(b - a >= 0 and abs(b) >= abs(a) for a, b in zip(w.coords(), two_rho))]
+            if all(b - a >= 0 and abs(b) >= abs(a)
+                   for a, b in zip((Fraction(c, 2) for c in w.coords2), two_rho))]
 
     dom = enumerate_dominant_below(c3, 2 * c3.rho)
     diff = _first_difference(dom, dominance, two_rho)
@@ -117,11 +120,11 @@ def test_criterion_2_golden_constructions():
         for family, rank, coeffs, flat in cases:
             datum = build_root_datum(family, rank)
             cert = construct(datum, weight_from_fundamental(datum, coeffs))
-            assert cert.partition.flat == flat and cert.ok
+            assert cert.partition.flat == flat and cert.associated_ok and cert.admissible_ok
         c4 = build_root_datum("C", 4)
         cert = construct(c4, weight_from_fundamental(c4, [0, 0, 0, 1]))
         p = cert.partition
-        assert cert.ok
+        assert cert.associated_ok and cert.admissible_ok
         assert tuple(p.mi(i) for i in range(1, 5)) == (2, 2, 2, 2)
         listed = {(3, 4): (1, 1), (2, 4): (2, 1), (1, 2): (1, 1),
                   (1, 3): (1, 0), (1, 4): (1, 1), (2, 3): (0, 0)}

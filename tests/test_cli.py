@@ -265,12 +265,10 @@ def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
 
     monkeypatch.setattr(extalg.RootDatum, "orbit2", counting)
     recurrence._row_cached.cache_clear()
-    recurrence._omega0_cached.cache_clear()
     try:
         code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "8"])
     finally:
         recurrence._row_cached.cache_clear()
-        recurrence._omega0_cached.cache_clear()
     assert code == 0 and err == ""
     d8 = extalg.build_root_datum("D", 8)
     assert calls == [recurrence.chain_weight(d8, k).coords2 for k in range(1, 5)]
@@ -281,12 +279,10 @@ def test_row_fault_exits_one_with_the_row_mismatch(monkeypatch):
     # (exit 1, one line), not a failed zero-count record
     monkeypatch.setattr(recurrence, "dominance_leq", lambda *args: False)
     recurrence._row_cached.cache_clear()
-    recurrence._omega0_cached.cache_clear()
     try:
         code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "6"])
     finally:
         recurrence._row_cached.cache_clear()
-        recurrence._omega0_cached.cache_clear()
     assert (code, out) == (1, "")
     assert err == "mismatch: row entry W[D6](0,0,0,0,0,0) is not below W[D6](1,1,0,0,0,0)\n"
 
@@ -494,12 +490,8 @@ def test_zero_division_in_zero_count_is_internal_error(monkeypatch):
         raise ZeroDivisionError("w")
 
     monkeypatch.setattr(recurrence, "_omega0_closed", failing)
-    recurrence._omega0_cached.cache_clear()
-    try:
-        assert run_cli(["recurrence-verify", "--family", "D", "--rank", "4", "--k", "1"]) == \
-            (3, "", "internal error: ZeroDivisionError: w\n")
-    finally:
-        recurrence._omega0_cached.cache_clear()
+    assert run_cli(["recurrence-verify", "--family", "D", "--rank", "4", "--k", "1"]) == \
+        (3, "", "internal error: ZeroDivisionError: w\n")
 
 
 def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):

@@ -62,7 +62,7 @@ def test_golden_c4_omega4():
                        ("m", 1, 2): 1, ("mp", 1, 2): 1,
                        ("m", 1, 3): 1, ("m", 1, 4): 1, ("mp", 1, 4): 1}
     assert tuple(p.mi(i) for i in range(1, 5)) == (2, 2, 2, 2)
-    assert cert.ok
+    assert cert.associated_ok and cert.admissible_ok
 
 
 def test_case_a_invariants(c3):
@@ -102,7 +102,7 @@ def test_case_c_invariants(b3):
         p = cert.partition
         assert all(p.mi(i) <= 1 for i in range(1, 4))
         assert all(p.M(i, j) == 0 for i, j in pair_slots(3))
-        assert cert.ok
+        assert cert.associated_ok and cert.admissible_ok
 
 
 def test_case_c_also_covers_case_b(b3):
@@ -110,7 +110,8 @@ def test_case_c_also_covers_case_b(b3):
     for lam in eligible(b3):
         default = construct(b3, lam)
         forced = construct(b3, lam, force_case="C")
-        assert default.ok and forced.ok
+        assert default.associated_ok and default.admissible_ok
+        assert forced.associated_ok and forced.admissible_ok
         if default.case_used == "B":
             assert forced.case_used == "C"
 

@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import replace
 from math import comb
+from operator import add
 
 import pytest
 
@@ -111,6 +112,29 @@ def reference_graded_exterior_character(datum, module_mult):
     return {datum.weight(k): v for k, v in table.items()}
 
 
+def reference_weyl_alternation(datum):
+    """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
+
+    By the Weyl denominator formula prod_{alpha > 0} (1 - e^-alpha) =
+    sum_w sgn(w) e^(w rho - rho), so expanding the product over
+    ``datum.positive_roots`` cancels every other term and leaves one shift
+    ``rho - w rho`` (a sum of positive roots) per Weyl element, with its
+    sign.  Sorted by shift.
+    """
+    terms = {datum.zero.coords2: 1}
+    for alpha in datum.positive_roots:
+        new = dict(terms)
+        for v, c in terms.items():
+            u = tuple(map(add, v, alpha.coords2))
+            s = new.get(u, 0) - c
+            if s:
+                new[u] = s
+            else:
+                del new[u]
+        terms = new
+    return tuple(sorted(terms.items()))
+
+
 @pytest.fixture(scope="module")
 def b2():
     return build_root_datum("B", 2)
@@ -142,10 +166,10 @@ def test_graded_character_binomial_sums(b2):
     polys = polynomials(gc)
     assert len(polys) == len(gc.table)
     for k in range(11):
-        assert sum(p.coeff(k) for p in polys.values()) == comb(10, k)
+        assert sum(p.c.get(k, 0) for p in polys.values()) == comb(10, k)
     # top degree sits at weight zero with coefficient 1; degree 1 is the module
-    assert polys[b2.zero].coeff(10) == 1
-    assert polys[b2.theta].coeff(1) == 1
+    assert polys[b2.zero].c.get(10, 0) == 1
+    assert polys[b2.theta].c.get(1, 0) == 1
     # packing the unpacked table through the same layout gives it back
     assert with_polynomials(gc, polys) == gc
 
@@ -211,12 +235,18 @@ def test_with_polynomials_rejects_weights_outside_the_box(b2):
                          + [(f, r) for f in "BC" for r in range(2, 6)]
                          + [("D", r) for r in range(3, 7)] + [("G2", 2)])
 def test_weyl_alternation_is_the_signed_rho_orbit(family, rank):
+    # the signed rho-orbit is the expansion of the Weyl denominator, in order
     datum = build_root_datum(family, rank)
     alternation = weyl_alternation(datum)
     assert len(alternation) == weyl_group_order(datum)
-    rho = datum.rho.coords2
-    assert set(alternation) == {(tuple(a - b for a, b in zip(rho, u)), datum._chamber2(u)[1])
-                                for u in datum.orbit2(rho)}
+    assert alternation == reference_weyl_alternation(datum)
+    # the layout pads by 2 max |rho_i|, exactly the largest entry of a shift
+    # (a smaller pad would alias packed keys without an error), and its slot
+    # of an empty module is bit_length(|W|)
+    layout = graded_exterior_character(datum, {}).layout
+    assert layout.pad == 2 * max(map(abs, datum.rho.coords2)) == \
+        max(abs(c) for s, _ in alternation for c in s)
+    assert layout.slot == len(alternation).bit_length()
 
 
 def _modules():

@@ -179,22 +179,17 @@ def test_row_matches_reflection_search_below_two_rho(family, rank):
 
 
 def test_failing_zero_count_reports_on_every_k(monkeypatch):
-    # the zero-conjugation counts are memoised per (family, rank, k); a count
-    # that fails raises, is not cached, and fails again for every later k
+    # a zero-conjugation count that fails at k = 1 fails again for every later k
     from extalg import recurrence
     closed = recurrence._omega0_closed
     monkeypatch.setattr(recurrence, "_omega0_closed",
                         lambda datum, k: closed(datum, k) + (k == 1))
-    recurrence._omega0_cached.cache_clear()
-    try:
-        d6 = build_root_datum("D", 6)
-        for k in (1, 2, 3):
-            checks = {c["name"]: c for c in verify_aggregate(d6, k)["checks"]}
-            assert not checks["cardG0_closed_form_k1"]["pass"]
-            assert "closed 7" in checks["cardG0_closed_form_k1"]["detail"]
-            assert all(checks[f"cardG0_closed_form_k{j}"]["pass"] for j in range(2, k + 1))
-    finally:
-        recurrence._omega0_cached.cache_clear()
+    d6 = build_root_datum("D", 6)
+    for k in (1, 2, 3):
+        checks = {c["name"]: c for c in verify_aggregate(d6, k)["checks"]}
+        assert not checks["cardG0_closed_form_k1"]["pass"]
+        assert "closed 7" in checks["cardG0_closed_form_k1"]["detail"]
+        assert all(checks[f"cardG0_closed_form_k{j}"]["pass"] for j in range(2, k + 1))
 
 
 def _shift_s(orig):
@@ -275,14 +270,12 @@ def test_row_fault_is_a_mismatch_not_a_failed_count(monkeypatch):
     # the row they read raises as the row's own ArithmeticError
     monkeypatch.setattr(recurrence, "dominance_leq", lambda *args: False)
     recurrence._row_cached.cache_clear()
-    recurrence._omega0_cached.cache_clear()
     try:
         d6 = build_root_datum("D", 6)
         with pytest.raises(ArithmeticError, match=r"^row entry .* is not below W\[D6\]"):
             recurrence._omega0_checks(d6, 1, DEFAULT_CELL_CAP, "cardG0_closed_form")
     finally:
         recurrence._row_cached.cache_clear()
-        recurrence._omega0_cached.cache_clear()
 
 
 def test_a_integers(b3):

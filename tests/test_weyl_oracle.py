@@ -127,11 +127,11 @@ def b3():
 
 def test_freudenthal_examples(c2, b3):
     fr = freudenthal(c2, weight_from_fundamental(c2, [1, 0]))
-    assert fr.dimension() == 4 and all(m == 1 for m in fr.mult.values())
+    assert sum(fr.mult.values()) == 4 and all(m == 1 for m in fr.mult.values())
     assert freudenthal(c2, c2.zero).mult == {c2.zero: 1}
     b2 = build_root_datum("B", 2)
     adj = freudenthal(b2, b2.theta)
-    assert adj.mult.get(b2.zero, 0) == 2 and adj.dimension() == 10
+    assert adj.mult.get(b2.zero, 0) == 2 and sum(adj.mult.values()) == 10
 
 
 def test_freudenthal_weyl_invariance(b3):
@@ -205,7 +205,7 @@ def test_weyl_dim_examples(c2, b3):
     assert weyl_dim(c2, weight_from_fundamental(c2, [1, 0])) == 4
     lam = weight_from_fundamental(b3, [0, 0, 2])
     assert weyl_dim(b3, lam) == 35
-    assert freudenthal(b3, lam).dimension() == 35
+    assert sum(freudenthal(b3, lam).mult.values()) == 35
     # spot values: spin(7) spinor and sp(6) little adjoint
     assert weyl_dim(b3, weight_from_fundamental(b3, [0, 0, 1])) == 8
     c3 = build_root_datum("C", 3)
