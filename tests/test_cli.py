@@ -574,6 +574,18 @@ def test_wrong_coefficient_fails_both_genexp_and_recurrence(monkeypatch):
      "2256628e8d0798e4ef74122f0ea25682812e16d351ad7be2b21209189c52ec5f"),
     ("roots --family G2 --rank 2",
      "b9778241e37466eac6eb2eeb4ded2aa6182ff76d18979ffcabb9944a2952f4fa"),
+    ("orders --family A --rank 1",
+     "a90623c201494b3c88bb31b19f34e3d5e3f9c0582c5e6ee1ce3c19f2e16daf8f"),
+    ("orders --family B --rank 1",
+     "77aab4a0dd1380e6e808ad31801c41e6b046552b0d13f86f8eebac368fa3820b"),
+    ("orders --family C --rank 1",
+     "49db0c49b801f47f90970038d8435a2f99c88c6e68df4b706a01dd2c53cc3169"),
+    ("orders --family C --rank 3",
+     "e19a67c28d8717fafcce45da4600cbfbcba3b604808dbd9a5bc847e5a4e41f88"),
+    ("genexp --family C --rank 5",
+     "654832910c63d29af3ea70c149947a16f5501d04704d50f1c29918738689fe68"),
+    ("kostant-verify --family B --rank 3 --oracle",
+     "4e23c1ac5731c04cac6a4ca63e4f29a706311bdd39d37311d9574ac806e8f68b"),
 ])
 def test_check_report_bytes_pinned(argv, digest):
     code, out, _ = run_cli(argv.split())
