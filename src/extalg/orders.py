@@ -1,9 +1,9 @@
 """Orderings on dominant weights: dominance, coordinatewise, smallness.
 
-The dominance test is implemented through simple-root coefficients, which for
-the epsilon realizations reduces to the familiar partial-sum conditions (plus
-an even-total condition in types C and D, and the two spin conditions in type
-D).  A comparison between weights in different lattice cosets is always False.
+The dominance test reads the simple-root coefficients of the difference off
+the fundamental coweights of ``rootdata``: in the epsilon realizations, the
+partial sums with an even-total condition in C and D and two spin conditions
+in D.  A comparison between weights in different lattice cosets is False.
 """
 
 from itertools import combinations

@@ -14,15 +14,21 @@ internally and halves only on display.
 Each family declares only its realization: the positive roots (in the order
 ``gexp roots`` prints them), the simple roots, the short roots (none when
 simply laced), the fundamental weights and the exponents.  rho, rho_short,
-theta, theta_short, the Coxeter number, the number of short simple roots
-and the dimension are derived from these, by one rule each.
+theta, theta_short, the Coxeter number, the number of short simple roots,
+the dimension, the simple coroots and the fundamental coweights are derived
+from these, by one rule each; past the declarations only the Weyl-group
+kernel and the A root-lattice coset rule know the realization.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import mul
+
+from .core import DEFAULT_CELL_CAP
 
 __all__ = [
     "ConfigurationError",
@@ -99,6 +105,8 @@ class RootDatum:
     exponents: tuple
     coxeter_number: int
     num_short_simple: int
+    _coroots: tuple                # per simple root, its coroot (see pairing2)
+    _coweights: tuple              # per simple root, (omega2_i, (alpha2_i, alpha2_i) / 2)
 
     # -- basic constructors -------------------------------------------------
 
@@ -126,27 +134,14 @@ class RootDatum:
     def pairing2(self, i, x2):
         """Twice the pairing <x, alpha_i_vee> evaluated on doubled coords.
 
+        It is the dot product of x2 with the coroot :func:`_derive` stores.
         Only signs and zero-tests of this quantity are meaningful to callers
         that do not divide by 2; exact values are even for lattice weights.
         """
-        f, n = self.family, self.rank
-        if f == "A":
-            return x2[i - 1] - x2[i]
-        if f in ("B", "C", "D"):
-            if i < n:
-                return x2[i - 1] - x2[i]
-            if f == "B":
-                return 2 * x2[n - 1]
-            if f == "C":
-                return x2[n - 1]
-            return x2[n - 2] + x2[n - 1]
-        # G2: alpha_1 = e1 - e2 (short), alpha_2 = -2e1 + e2 + e3 (long)
-        if i == 1:
-            return x2[0] - x2[1]
-        return -x2[0]
+        return sum(map(mul, self._coroots[i - 1], x2))
 
     def is_dominant2(self, x2):
-        return all(self.pairing2(i, x2) >= 0 for i in range(1, self.rank + 1))
+        return all(sum(map(mul, coroot, x2)) >= 0 for coroot in self._coroots)
 
     def is_dominant(self, w):
         self.check_weight(w)
@@ -301,41 +296,20 @@ class RootDatum:
     def root_coefficients2(self, x2):
         """Coefficients of x in the simple-root basis, or None off the lattice.
 
-        A vector lies in the root lattice exactly when all returned
-        coefficients are integers; membership in the positive cone is the
-        additional condition that they are all >= 0.
+        The coefficient of alpha_i is 2 (x, omega_i) / (alpha_i, alpha_i).  A
+        vector lies in the root lattice exactly when it lies in the span of the
+        roots and all coefficients are integers; membership in the positive
+        cone is the additional condition that they are all >= 0.
         """
-        f, n = self.family, self.rank
-        if any(c % 2 for c in x2):
+        if self.dim > self.rank and sum(x2):
             return None
-        x = [c // 2 for c in x2]
-        if f == "A":
-            if sum(x) != 0:
+        out = []
+        for omega2, half_norm in self._coweights:
+            c, r = divmod(sum(map(mul, omega2, x2)), half_norm)
+            if r:
                 return None
-            out, run = [], 0
-            for k in range(n):
-                run += x[k]
-                out.append(run)
-            return tuple(out)
-        if f == "G2":
-            return (x[0] + 2 * x[2], x[2])
-        prefix = []
-        run = 0
-        for c in x:
-            run += c
-            prefix.append(run)
-        if f == "B":
-            return tuple(prefix)
-        if f == "C":
-            if prefix[-1] % 2:
-                return None
-            return tuple(prefix[:-1]) + (prefix[-1] // 2,)
-        # D
-        a = prefix[-2] - x[-1]
-        b = prefix[-2] + x[-1]
-        if a % 2 or b % 2:
-            return None
-        return tuple(prefix[:-2]) + (a // 2, b // 2)
+            out.append(c)
+        return tuple(out)
 
     def in_root_lattice(self, w):
         self.check_weight(w)
@@ -349,8 +323,8 @@ class RootDatum:
         """Expansion of a weight over the fundamental weights (integer tuple)."""
         self.check_weight(w)
         out = []
-        for i in range(1, self.rank + 1):
-            p2 = self.pairing2(i, w.coords2)
+        for coroot in self._coroots:
+            p2 = sum(map(mul, coroot, w.coords2))
             if p2 % 2:
                 raise ValueError(f"{w} is not in the weight lattice")
             out.append(p2 // 2)
@@ -393,11 +367,14 @@ def build_root_datum(family, rank):
 
     Supported: A (rank >= 1), B and C (rank >= 1, degenerate below 2), D
     (rank >= 3), G2 (rank exactly 2).  Anything else raises
-    :class:`ConfigurationError`.  Each family declares its realization
-    (positive roots in display order, simple roots, short roots, fundamental
-    weights, exponents); :func:`_derive` reads everything else off it.
+    :class:`ConfigurationError`, as does rank**3 (about the number of root
+    coordinates) above ``DEFAULT_CELL_CAP``.  Each family declares its
+    realization (positive roots in display order, simple roots, short roots,
+    fundamental weights, exponents); :func:`_derive` reads the rest off it.
     """
     n = rank
+    if n ** 3 > DEFAULT_CELL_CAP:
+        raise ConfigurationError(f"rank {n} too large: rank**3 > {DEFAULT_CELL_CAP}")
     if family == "A":
         if n < 1:
             raise ConfigurationError("A needs rank >= 1")
@@ -459,17 +436,30 @@ def _derive(family, rank, pos, simple, short, fund, exponents):
     root pairs positively with rho, and theta_s is None without short roots;
     the Coxeter number is the largest exponent plus 1; the short simple roots
     are counted, all of them when simply laced; ``dim`` is a root's length.
+
+    A simple root a2 gets the coroot 4 a2 / (a2, a2), moved along the
+    normal (1, ..., 1) to the nearest integral vector where the roots span
+    only the sum-zero hyperplane (A, G2), and the coweight omega2 over
+    (a2, a2) / 2.
     """
     dim = len(pos[0])
 
     def weight(x2):
         return Weight(family, rank, x2)
 
+    def dot(x, y):
+        return sum(map(mul, x, y))
+
+    def coroot(a2):
+        v = [Fraction(4 * c, dot(a2, a2)) for c in a2]
+        shift = round(v[0]) - v[0] if dim > rank else 0
+        return tuple(int(c + shift) for c in v)
+
     def half_sum(roots):
         return tuple(sum(r[k] for r in roots) // 2 for k in range(dim))
 
     def highest(roots):
-        return max(roots, key=lambda r: sum(a * b for a, b in zip(r, rho2)))
+        return max(roots, key=lambda r: dot(r, rho2))
 
     rho2 = half_sum(pos)
     laced = short is None
@@ -479,7 +469,9 @@ def _derive(family, rank, pos, simple, short, fund, exponents):
         weight(rho2), weight(rho2 if laced else half_sum(short)),
         weight(highest(pos)), weight(highest(short)) if short else None,
         tuple(exponents), max(exponents) + 1,
-        rank if laced else sum(s in short for s in simple))
+        rank if laced else sum(s in short for s in simple),
+        tuple(map(coroot, simple)),
+        tuple((omega2, dot(a2, a2) // 2) for a2, omega2 in zip(simple, fund)))
 
 
 def weight_from_fundamental(datum, coeffs):

@@ -127,6 +127,12 @@ def test_exterior_verify_cap_bounds_the_zero_weight_column():
     assert code == 0 and err == "" and json.loads(out)["all_pass"]
 
 
+@pytest.mark.parametrize("rank", ["171", "1000000"])
+def test_rank_guard_exits_two_before_listing_roots(rank):
+    assert run_cli(["roots", "--family", "A", "--rank", rank]) == \
+        (2, "", f"error: rank {rank} too large: rank**3 > 5000000\n")
+
+
 def test_recurrence_verify_rejects_k_zero():
     assert run_cli(["recurrence-verify", "--family", "B", "--rank", "3", "--k", "0"]) == \
         (2, "", "error: k must lie in 1..3\n")

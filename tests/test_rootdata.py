@@ -135,6 +135,118 @@ def test_derived_fields_match_the_hand_formulas(family, rank):
     assert datum.exponents == tuple(sorted(dual))
 
 
+# -- the coroot pairing and the simple-root coordinates against the hand
+# formulas ------------------------------------------------------------------
+#
+# The library reads both off the declared simple roots and fundamental
+# weights; these are the per-family formulas they replaced.
+
+
+def reference_pairing2(datum, i, x2):
+    f, n = datum.family, datum.rank
+    if f == "A":
+        return x2[i - 1] - x2[i]
+    if f in ("B", "C", "D"):
+        if i < n:
+            return x2[i - 1] - x2[i]
+        if f == "B":
+            return 2 * x2[n - 1]
+        if f == "C":
+            return x2[n - 1]
+        return x2[n - 2] + x2[n - 1]
+    # G2: alpha_1 = e1 - e2 (short), alpha_2 = -2e1 + e2 + e3 (long)
+    if i == 1:
+        return x2[0] - x2[1]
+    return -x2[0]
+
+
+def reference_root_coefficients2(datum, x2):
+    f, n = datum.family, datum.rank
+    if any(c % 2 for c in x2):
+        return None
+    x = [c // 2 for c in x2]
+    if f == "A":
+        if sum(x) != 0:
+            return None
+        out, run = [], 0
+        for k in range(n):
+            run += x[k]
+            out.append(run)
+        return tuple(out)
+    if f == "G2":
+        return (x[0] + 2 * x[2], x[2])
+    prefix = []
+    run = 0
+    for c in x:
+        run += c
+        prefix.append(run)
+    if f == "B":
+        return tuple(prefix)
+    if f == "C":
+        if prefix[-1] % 2:
+            return None
+        return tuple(prefix[:-1]) + (prefix[-1] // 2,)
+    # D
+    a = prefix[-2] - x[-1]
+    b = prefix[-2] + x[-1]
+    if a % 2 or b % 2:
+        return None
+    return tuple(prefix[:-2]) + (a // 2, b // 2)
+
+
+def assert_pairing_and_coefficients_match(datum, x2):
+    for i in range(1, datum.rank + 1):
+        assert datum.pairing2(i, x2) == reference_pairing2(datum, i, x2), (i, x2)
+    assert datum.root_coefficients2(x2) == reference_root_coefficients2(datum, x2), x2
+
+
+def weight_from_roots(datum, coeffs):
+    return tuple(sum(c * a.coords2[k] for c, a in zip(coeffs, datum.simple_roots))
+                 for k in range(datum.dim))
+
+
+@pytest.mark.parametrize("family,rank", DATUM_GRID)
+def test_pairing_and_coefficients_match_the_hand_formulas(family, rank):
+    datum = build_root_datum(family, rank)
+    named = [*datum.simple_roots, *datum.positive_roots, *datum.fundamental_weights]
+    if rank <= 4:
+        top = 2 * datum.rho
+        for w in enumerate_dominant_below(datum, top):
+            named += [w, top - w]
+    for w in named:
+        assert_pairing_and_coefficients_match(datum, w.coords2)
+    # odd entries, and for A and G2 vectors off the sum-zero span of the roots
+    rng = random.Random(f"coroots {family}{rank}")
+    for _ in range(200):
+        x2 = [rng.randint(-9, 9) for _ in range(datum.dim)]
+        if datum.dim > rank:
+            x2[-1] = -sum(x2[:-1])
+        assert_pairing_and_coefficients_match(datum, tuple(x2))
+        if datum.dim > rank:
+            x2[rng.randrange(datum.dim)] += rng.choice((-3, -2, -1, 1, 2, 3))
+            x2 = tuple(x2)
+            for i in range(1, rank + 1):
+                assert datum.pairing2(i, x2) == reference_pairing2(datum, i, x2), (i, x2)
+            # off the span no simple-root coordinates exist; the G2 formula
+            # returned some anyway, of a vector other than x2
+            assert datum.root_coefficients2(x2) is None, x2
+            ref = reference_root_coefficients2(datum, x2)
+            if ref is not None:
+                assert family == "G2"
+                assert weight_from_roots(datum, ref) != x2
+
+
+@pytest.mark.parametrize("family,rank", DATUM_GRID)
+def test_fundamental_weights_and_simple_roots_are_dual(family, rank):
+    # the pairing is read off the simple roots and the coordinates off the
+    # fundamental weights, so a wrong declared weight shows here
+    datum = build_root_datum(family, rank)
+    for j in range(rank):
+        unit = tuple(int(k == j) for k in range(rank))
+        assert datum.fundamental_coefficients(datum.fundamental_weights[j]) == unit
+        assert datum.root_coefficients2(datum.simple_roots[j].coords2) == unit
+
+
 def test_weight_from_fundamental_examples():
     c3 = build_root_datum("C", 3)
     assert weight_from_fundamental(c3, [0, 0, 2]).coords2 == (4, 4, 4)
@@ -196,6 +308,15 @@ def test_configuration_errors():
         build_root_datum("G2", 3)
     with pytest.raises(ConfigurationError):
         build_root_datum("E", 6)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_rank_guard_refuses_before_listing_roots(family):
+    # the roots of rank n hold about n**3 coordinates: 171**3 passes the
+    # default cell cap, 170**3 does not
+    for rank in (171, 10 ** 6):
+        with pytest.raises(ConfigurationError, match=f"rank {rank} too large"):
+            build_root_datum(family, rank)
 
 
 def test_weight_algebra_and_mismatch():
