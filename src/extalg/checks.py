@@ -217,8 +217,9 @@ def recurrence_verify(datum, k=None, exterior_specialization=False, cap=DEFAULT_
     if datum.family not in ("B", "D"):
         raise ConfigurationError("recurrence verification covers families B and D")
     reports = []
+    zero_records = {}
     for kk in [k] if k is not None else range(1, recurrence.chain_count(datum) + 1):
-        report = recurrence.verify_aggregate(datum, kk, cap=cap)
+        report = recurrence.verify_aggregate(datum, kk, cap=cap, zero_records=zero_records)
         if exterior_specialization:
             # the row verify_aggregate has just built
             row = recurrence._row_cached(datum.family, datum.rank, kk, cap)

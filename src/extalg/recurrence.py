@@ -1,11 +1,11 @@
 """Minuscule-recurrence engine over two-variable Laurent polynomials.
 
-Rows are computed from first principles: the Weyl orbit of a dominant weight
-``lam`` is listed together with the images of the stabilizer orbit of the
-minuscule coweight ``e_1``, every orbit point is conjugated back into the
-dominant chamber with its sign, and the contributions aggregate into a map
-{dominant weight -> Laurent polynomial in q and s}, where s**2 = t carries
-the half-integer t-powers needed in type B.
+Rows are computed from first principles: the points v of the Weyl orbit of
+a dominant weight ``lam`` with v + rho regular are walked together with the
+images of the stabilizer orbit of the minuscule coweight ``e_1``, each
+conjugated back into the dominant chamber with its sign, and the
+contributions aggregate into a map {dominant weight -> Laurent polynomial in
+q and s}, where s**2 = t carries the half-integer t-powers needed in type B.
 
 The engine supports types B and D, the two families in which e_1 pairs to
 {0, +-1} with every positive root.  (In type C the pairing with the long
@@ -148,14 +148,14 @@ def chain_weight(datum, k):
 def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
     """One reduced recurrence row for a dominant weight, from first principles.
 
-    Enumerate the distinct images v = w(lam) together with the transported
-    stabilizer orbit of e_1, reduce each image into the dominant chamber with
-    its sign, and aggregate the inner Laurent sums.  The stabilizer of lam
-    moves e_1 to the e_j with lam_j = +-lam_1, and any w with w(lam) = v
-    sends such an e_j to +-e_i with |v_i| = lam_1 and the sign of v_i, so the
-    transported images at v are {sign(v_i) e_i : |v_i| = lam_1}.  Supported
-    families: B, D.  An orbit of more than cap + 1 points raises
-    ResourceCapError before it is listed.
+    Walk the images v = w(lam) with v + rho regular, each with its dominant
+    reduction and sign (:meth:`RootDatum.regular_orbit2`; the others reduce
+    to nothing), and aggregate the inner Laurent sums over the transported
+    stabilizer orbit of e_1.  The stabilizer of lam moves e_1 to the e_j
+    with lam_j = +-lam_1, and any w with w(lam) = v sends such an e_j to
+    +-e_i with |v_i| = lam_1 and the sign of v_i, so the transported images
+    at v are {sign(v_i) e_i : |v_i| = lam_1}.  Supported families: B, D.  An
+    orbit of more than cap + 1 points raises ResourceCapError before the walk.
     """
     if datum.family not in ("B", "D"):
         raise ValueError(
@@ -173,11 +173,9 @@ def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
     rho2 = datum.rho.coords2
     sums = {}  # reduced doubled coordinates -> {(q, s) exponent: coefficient}
     zero_points = 0
-    for vec in datum.orbit2(lam.coords2):
-        red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
-        if red is None:
-            continue
-        target, sign = red
+
+    def leaf(vec, target, sign):
+        nonlocal zero_points
         if not any(target):
             zero_points += 1
         acc = sums.setdefault(target, {})
@@ -187,6 +185,8 @@ def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
                 s_exp = r if c > 0 else -r
                 acc[(0, -s_exp)] = acc.get((0, -s_exp), 0) + sign
                 acc[(q_exp, s_exp)] = acc.get((q_exp, s_exp), 0) - sign
+
+    datum.regular_orbit2(lam.coords2, rho2, leaf)
     entries = {}
     for target, acc in sums.items():
         entry = LaurentQS(acc)
@@ -429,21 +429,26 @@ def _aggregate(datum, k, cap=DEFAULT_CELL_CAP):
     return acc
 
 
-def _omega0_checks(datum, k, cap, name):
-    """One record per j <= k: do the three zero-conjugation counts agree?"""
+def _omega0_checks(datum, k, cap, name, records=None):
+    """One record per j <= k, kept in ``records``: do the three zero-conjugation counts agree?"""
+    records = {} if records is None else records
     checks = []
     for j in range(1, k + 1):
-        # the count reads this row; a fault of the row itself (such as an
-        # entry not below the chain weight) is the row's mismatch, raised here
-        # rather than recorded as a failed count
-        _row_cached(datum.family, datum.rank, j, cap)
-        try:
-            omega0_count(datum, j, cap=cap)
-            check(checks, f"{name}_k{j}", True)
-        except (ZeroDivisionError, OverflowError):
-            raise  # Python's own arithmetic faults are bugs, not failed counts
-        except ArithmeticError as exc:
-            check(checks, f"{name}_k{j}", False, str(exc))
+        if j not in records:
+            # the count reads this row; a fault of the row itself (such as an
+            # entry not below the chain weight) is the row's mismatch, raised
+            # here rather than recorded as a failed count
+            _row_cached(datum.family, datum.rank, j, cap)
+            record = []
+            try:
+                omega0_count(datum, j, cap=cap)
+                check(record, f"{name}_k{j}", True)
+            except (ZeroDivisionError, OverflowError):
+                raise  # Python's own arithmetic faults are bugs, not failed counts
+            except ArithmeticError as exc:
+                check(record, f"{name}_k{j}", False, str(exc))
+            records[j] = record
+        checks += records[j]
     return checks
 
 
@@ -494,14 +499,15 @@ def _lemma_checks_b(datum, k, cap, checks):
         _record(checks, "lem_expansion_h0", _unequal(lam_coeff(k, n, 0), rhs))
 
 
-def verify_aggregate(datum, k, cap=DEFAULT_CELL_CAP):
+def verify_aggregate(datum, k, cap=DEFAULT_CELL_CAP, zero_records=None):
     """Check every covered coefficient identity for the k-th chain weight.
 
     Returns a report dict with one pass/fail entry per identity; the engine
     rows are computed from first principles and compared against the closed
     forms of :func:`coefficient_table` after clearing the common denominator.
-    ``cap`` bounds every Weyl orbit the rows and zero counts scan
-    (ResourceCapError beyond it).
+    ``cap`` bounds every Weyl orbit the rows and zero counts walk
+    (ResourceCapError beyond it).  The reports sharing a ``zero_records``
+    dict keep each j's zero-count record there, and count each j once.
     """
     n = datum.rank
     if datum.family not in ("B", "D"):
@@ -511,7 +517,8 @@ def verify_aggregate(datum, k, cap=DEFAULT_CELL_CAP):
     if not 1 <= k <= top:
         raise ValueError(f"k must lie in 1..{top}")
     checks = _omega0_checks(datum, k, cap,
-                            "omega0_closed_form" if type_b else "cardG0_closed_form")
+                            "omega0_closed_form" if type_b else "cardG0_closed_form",
+                            zero_records)
     diag = _clear(datum, _row_cached(datum.family, n, k, cap).entries[chain_weight(datum, k)])
     _record(checks, "rem_lambdak_diag" if type_b else "lambda_diag",
             _unequal(diag, coefficient_table(datum, k)[k]))

@@ -20,13 +20,14 @@ from these, by one rule each; past the declarations only the Weyl-group
 kernel and the A root-lattice coset rule know the realization.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
-from operator import mul
+from operator import mul, sub
 
 from .core import DEFAULT_CELL_CAP
 
@@ -266,6 +267,78 @@ class RootDatum:
                 if odd is None or (sum(c < 0 for c in signed) & 1) == odd:
                     orbit.append(signed)
         return sorted(orbit)
+
+    def regular_orbit2(self, nu2, shifted2, leaf):
+        """Call ``leaf(v, lam2, det)`` for every v in W nu2 with shifted2 + v regular.
+
+        ``lam2`` is the dominant representative of x = shifted2 + v minus rho
+        and ``det`` is det(w) for the w carrying x there; ``v`` is a live list,
+        valid only during the call.  The walk places one coordinate of v, and
+        so of x, at a time, and cuts a branch as soon as two placed |x_i|
+        coincide (x_i in A and G2) or, in B and C, one is 0: every completion
+        lies on a wall.  Each placed |x_i| goes into a sorted list; the number
+        of smaller values already there is the number of inversions it adds
+        to the descending sort, so their parity and, in B and C, that of the
+        negative entries of x give det(w).  In D without a zero entry the
+        negative entries of v keep nu2's parity, and the sorted x has its last
+        entry negated after an odd number of negative entries.  In G2, W nu2
+        is the arrangements of nu2 and of -nu2; the sorted x goes through the
+        last step of :meth:`_chamber2`, and a sorted middle entry 0 lies on a
+        long-root wall.
+        """
+        f = self.family
+        dim = self.dim
+        rho2 = self.rho.coords2
+        signed = f in ("B", "C", "D")
+        flip_det = f in ("B", "C")
+        placed = []
+        v = [0] * dim
+        neg = [-c for c in nu2]
+        for start in [nu2, neg] if f == "G2" and sorted(neg) != sorted(nu2) else [nu2]:
+            entries = Counter(map(abs, start) if signed else start)
+            values = list(entries)
+            left = [entries[a] for a in values]
+            choices = [(k, (a, -a) if signed and a else (a,)) for k, a in enumerate(values)]
+            parity = sum(c < 0 for c in start) & 1 if f == "D" and all(start) else None
+
+            def walk(pos, det, neg_x, neg_nu):
+                if pos == dim:
+                    rep = placed[::-1]
+                    if f == "D" and neg_x & 1:
+                        rep[-1] = -rep[-1]
+                    elif f == "G2":
+                        rep, sign = self._chamber2(rep)
+                        if not rep[0]:
+                            return
+                        det *= sign
+                    leaf(v, tuple(map(sub, rep, rho2)), det)
+                    return
+                base = shifted2[pos]
+                last = parity is not None and pos == dim - 1
+                for k, signs in choices:
+                    if not left[k]:
+                        continue
+                    left[k] -= 1
+                    for y in signs:
+                        if last and (neg_nu + (y < 0)) & 1 != parity:
+                            continue
+                        x = base + y
+                        if flip_det and not x:
+                            continue
+                        a = -x if signed and x < 0 else x
+                        i = bisect_left(placed, a)
+                        if i < len(placed) and placed[i] == a:
+                            continue
+                        placed.insert(i, a)
+                        v[pos] = y
+                        d = -det if i & 1 else det
+                        if flip_det and x < 0:
+                            d = -d
+                        walk(pos + 1, d, neg_x + (x < 0), neg_nu + (y < 0))
+                        del placed[i]
+                    left[k] += 1
+
+            walk(0, 1, 0, 0)
 
     def orbit_size(self, x2):
         """|W x2|, the number of points :meth:`orbit2` lists, counted without listing them.

@@ -10,14 +10,13 @@ implementations that the combinatorial constructions are checked against.
 
 Brauer-Klimyk sums m_mu(nu) det(w') over the weights nu of V_mu, where w'
 carries lam + rho + nu to lam' + rho with lam' dominant.  It does not expand
-V_mu's weight system: it walks each orbit W nu of a dominant nu of the
-Freudenthal table, placing one coordinate of x = lam + rho + w(nu) at a
-time, and cuts a branch as soon as two placed |x_i| coincide (x_i in A and
-G2) or, in B and C, one is 0.  Every completion of such a prefix lies on a
-wall, is fixed by a reflection and so contributes nothing; the leaves are
-the regular terms (21,352 of the 51,936 cells of V_rho on B5).  In G2, W nu
-is the arrangements of nu and of -nu, and a leaf whose sorted middle entry
-is 0 lies on a long-root wall and is dropped.
+V_mu's weight system: for each dominant nu of the Freudenthal table it
+walks only the points of W nu with lam + rho + w(nu) regular, by
+:meth:`RootDatum.regular_orbit2`, the root data's walk that the recurrence
+rows share.  It places one coordinate of x = lam + rho + w(nu) at a time and
+cuts a branch whose completions all lie on a wall, are fixed by a reflection
+and so contribute nothing; the leaves are the regular terms (21,352 of the
+51,936 cells of V_rho on B5).
 
 The zero-weight column m_lam(0), for every dominant lam below a bound, is
 one unitriangular solve: the same reduction at rho decomposes the orbit sum
@@ -26,8 +25,6 @@ inverse of the one of the multiplicities m_lam(kappa).  It builds no
 Freudenthal table, and shares no code with the exterior decomposition.
 """
 
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
@@ -154,77 +151,15 @@ def weyl_dim(datum, lam):
 def _klimyk_walk(datum, shifted, table):
     """The signed sum of ``table``'s orbits reduced at ``shifted``, ``{coords2: int}``.
 
-    The walk of the module docstring.  Each placed |x_pos| (x_pos in A and
-    G2) goes into a sorted list; the number of smaller values already there
-    is the number of inversions it adds to the descending sort, so their
-    parity and, in B and C, that of the negative entries of x give det(w')
-    for the w' that sorts x.  Each leaf adds det(w') * m(nu) at the sorted x
-    (its last entry negated in D after an odd number of negative entries;
-    in G2 taken through the last step of :meth:`RootDatum._chamber2`) minus
-    rho.  In G2 the orbit of nu is the arrangements of nu and of -nu, so -nu
-    is walked too unless it is an arrangement of nu.
+    The walk of the module docstring, :meth:`RootDatum.regular_orbit2`: each
+    leaf adds det(w') * m(nu) at lam' = w'(shifted + v) - rho.
     """
-    f = datum.family
-    dim = datum.dim
-    rho2 = datum.rho.coords2
-    chamber = datum._chamber2
-    signed = f in ("B", "C", "D")
-    flip_det = f in ("B", "C")
     out = {}
-    placed = []
-    starts = []
     for nu, m in table.items():
-        starts.append((nu.coords2, m))
-        neg = tuple(-c for c in nu.coords2)
-        if f == "G2" and sorted(neg) != sorted(nu.coords2):
-            starts.append((neg, m))
+        def leaf(v, lam2, det):
+            out[lam2] = out.get(lam2, 0) + det * m
 
-    for nu2, m in starts:
-        entries = Counter(map(abs, nu2) if signed else nu2)
-        values = list(entries)
-        left = [entries[a] for a in values]
-        choices = [(k, (a, -a) if signed and a else (a,)) for k, a in enumerate(values)]
-        # in D without a zero entry, the negative entries of w(nu) keep nu's parity
-        parity = nu2[-1] < 0 if f == "D" and nu2[-1] else None
-
-        def walk(pos, det, neg_x, neg_nu):
-            if pos == dim:
-                rep = placed[::-1]
-                if f == "D" and neg_x & 1:
-                    rep[-1] = -rep[-1]
-                elif f == "G2":
-                    rep, sign = chamber(rep)
-                    if not rep[0]:
-                        return  # the sorted middle entry is 0: a long-root wall
-                    det *= sign
-                key = tuple(map(sub, rep, rho2))
-                out[key] = out.get(key, 0) + det * m
-                return
-            base = shifted[pos]
-            last = parity is not None and pos == dim - 1
-            for k, signs in choices:
-                if not left[k]:
-                    continue
-                left[k] -= 1
-                for y in signs:
-                    if last and (neg_nu + (y < 0)) & 1 != parity:
-                        continue
-                    x = base + y
-                    if flip_det and not x:
-                        continue
-                    a = -x if signed and x < 0 else x
-                    i = bisect_left(placed, a)
-                    if i < len(placed) and placed[i] == a:
-                        continue
-                    placed.insert(i, a)
-                    d = -det if i & 1 else det
-                    if flip_det and x < 0:
-                        d = -d
-                    walk(pos + 1, d, neg_x + (x < 0), neg_nu + (y < 0))
-                    del placed[i]
-                left[k] += 1
-
-        walk(0, 1, 0, 0)
+        datum.regular_orbit2(nu.coords2, shifted, leaf)
     return out
 
 

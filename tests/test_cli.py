@@ -261,15 +261,15 @@ def test_exterior_specialization_reuses_cached_rows(monkeypatch):
 
 def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
     # D8 covers the chain weights k = 1..4; the zero counts read the rows'
-    # scans, so orbit2 runs once per chain weight
-    real = extalg.RootDatum.orbit2
+    # walks, so the regular-point walk runs once per chain weight
+    real = extalg.RootDatum.regular_orbit2
     calls = []
 
-    def counting(self, x2):
-        calls.append(tuple(x2))
-        return real(self, x2)
+    def counting(self, nu2, shifted2, leaf):
+        calls.append(tuple(nu2))
+        return real(self, nu2, shifted2, leaf)
 
-    monkeypatch.setattr(extalg.RootDatum, "orbit2", counting)
+    monkeypatch.setattr(extalg.RootDatum, "regular_orbit2", counting)
     recurrence._row_cached.cache_clear()
     try:
         code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "8"])
@@ -278,6 +278,26 @@ def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
     assert code == 0 and err == ""
     d8 = extalg.build_root_datum("D", 8)
     assert calls == [recurrence.chain_weight(d8, k).coords2 for k in range(1, 5)]
+
+
+def test_recurrence_verify_counts_each_zero_check_once(monkeypatch):
+    # the report of k checks the zero counts of every j <= k; one report
+    # over k = 1..4 on D8 counts each j once, 4 counts rather than 10
+    real = recurrence.omega0_count
+    calls = []
+
+    def counting(datum, k, cap):
+        calls.append(k)
+        return real(datum, k, cap=cap)
+
+    monkeypatch.setattr(recurrence, "omega0_count", counting)
+    code, out, err = run_cli(["recurrence-verify", "--family", "D", "--rank", "8"])
+    assert code == 0 and err == ""
+    assert calls == [1, 2, 3, 4]
+    report = json.loads(out)
+    assert [[c["name"] for c in r["checks"] if c["name"].startswith("cardG0")]
+            for r in report["reports"]] == \
+        [[f"cardG0_closed_form_k{j}" for j in range(1, k + 1)] for k in range(1, 5)]
 
 
 def test_row_fault_exits_one_with_the_row_mismatch(monkeypatch):

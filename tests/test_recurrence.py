@@ -154,14 +154,15 @@ def test_zero_counts_and_verification_honour_the_cap(b3):
         verify_aggregate(b3, 1, cap=4)     # orbit of (1,0,0): 6 points
 
 
-@pytest.mark.parametrize("family,ranks", [("B", range(2, 8)), ("D", range(4, 9))])
+@pytest.mark.parametrize("family,ranks", [("B", range(2, 10)), ("D", range(4, 13))])
 def test_row_matches_reflection_search_on_chain_weights(family, ranks):
     for rank in ranks:
         datum = build_root_datum(family, rank)
         for k in range(1, (rank if family == "B" else rank // 2) + 1):
             lam = chain_weight(datum, k)
-            assert minuscule_row(datum, lam).entries == \
-                reference_minuscule_row_entries(datum, lam), (rank, k)
+            row = minuscule_row(datum, lam)
+            assert row.entries == reference_minuscule_row_entries(datum, lam), (rank, k)
+            assert row.zero_points == reference_zero_points(datum, lam), (rank, k)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("D", 4)])
@@ -174,8 +175,9 @@ def test_row_matches_reflection_search_below_two_rho(family, rank):
     if family == "D":
         assert datum.weight((2, 2, 2, -2)) in weights
     for lam in weights:
-        assert minuscule_row(datum, lam).entries == \
-            reference_minuscule_row_entries(datum, lam), lam
+        row = minuscule_row(datum, lam)
+        assert row.entries == reference_minuscule_row_entries(datum, lam), lam
+        assert row.zero_points == reference_zero_points(datum, lam), lam
 
 
 def test_failing_zero_count_reports_on_every_k(monkeypatch):

@@ -486,3 +486,49 @@ def test_kernel_matches_reflection_references_random():
             assert datum.orbit2(x2) == reference_orbit2(datum, x2)
 
     check()
+
+
+def reference_regular_leaves(datum, nu2, shift2):
+    """The full scan: (v, lam2, det) for every v in W nu2 with shift2 + v regular."""
+    leaves = Counter()
+    for v in datum.orbit2(nu2):
+        red = datum._reduce2(tuple(a + b for a, b in zip(v, shift2)))
+        if red is not None:
+            leaves[(v, *red)] += 1
+    return leaves
+
+
+def walked_leaves(datum, nu2, shift2):
+    leaves = Counter()
+
+    def leaf(v, lam2, det):
+        leaves[(tuple(v), lam2, det)] += 1
+
+    datum.regular_orbit2(nu2, shift2, leaf)
+    return leaves
+
+
+@pytest.mark.parametrize("family,rank", DATUM_GRID)
+def test_regular_orbit_walk_matches_the_full_scan(family, rank):
+    # nu = rho and 2 rho at shift rho while |W| <= 50,000 (through rank 6,
+    # and A7); above, |W| is 322,560 to 10.3M points, so the fundamental
+    # weights stand in.  Up to rank 4 every dominant nu <= 2 rho at shifts
+    # rho and nu + rho, each also walked from a non-dominant point of W nu.
+    datum = build_root_datum(family, rank)
+    rho2 = datum.rho.coords2
+    if datum.orbit_size(rho2) <= 50_000:
+        weights = [datum.rho, 2 * datum.rho]
+    else:
+        weights = list(datum.fundamental_weights)
+    for w in weights:
+        assert walked_leaves(datum, w.coords2, rho2) == \
+            reference_regular_leaves(datum, w.coords2, rho2), w
+    if rank > 4:
+        return
+    for w in enumerate_dominant_below(datum, 2 * datum.rho):
+        nu2 = w.coords2
+        want = {shift2: reference_regular_leaves(datum, nu2, shift2)
+                for shift2 in (rho2, tuple(a + b for a, b in zip(nu2, rho2)))}
+        for start in (nu2, datum.orbit2(nu2)[0]):
+            for shift2, leaves in want.items():
+                assert walked_leaves(datum, start, shift2) == leaves, (start, shift2)
