@@ -42,15 +42,17 @@ DEFAULT_DIM_CAP = 24
 def weyl_alternation(datum):
     """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
 
-    rho is regular, so ``datum.orbit2(rho)`` lists each point w rho once, and
-    the sign ``datum._chamber2`` reads off w rho is sgn w.  W acts by signed
-    permutations, so no entry of a shift exceeds 2 max |rho_i| in absolute
-    value (:func:`graded_exterior_character` pads its layout by that bound).
+    rho is regular, so :meth:`RootDatum.regular_orbit2` at shift 0 lists each
+    point w rho once, with det(w) = sgn w.  W acts by signed permutations, so
+    no entry of a shift exceeds 2 max |rho_i| in absolute value
+    (:func:`graded_exterior_character` pads its layout by that bound).
     Sorted by shift.
     """
     rho2 = datum.rho.coords2
-    return tuple(sorted((tuple(map(sub, rho2, v)), datum._chamber2(v)[1])
-                        for v in datum.orbit2(rho2)))
+    pairs = []
+    datum.regular_orbit2(rho2, datum.zero.coords2,
+                         lambda v, lam2, det: pairs.append((tuple(map(sub, rho2, v)), det)))
+    return tuple(sorted(pairs))
 
 
 class PackedLayout(NamedTuple):

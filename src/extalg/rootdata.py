@@ -13,10 +13,10 @@ internally and halves only on display.
 
 Each family declares only its realization: the positive roots (in the order
 ``gexp roots`` prints them), the simple roots, the short roots (none when
-simply laced), the fundamental weights and the exponents.  rho, rho_short,
-theta, theta_short, the Coxeter number, the number of short simple roots,
-the dimension, the simple coroots and the fundamental coweights are derived
-from these, by one rule each; past the declarations only the Weyl-group
+simply laced) and the fundamental weights.  rho, rho_short, theta,
+theta_short, the exponents, the Coxeter number, the number of short simple
+roots, the dimension, the simple coroots and the fundamental coweights are
+derived from these, by one rule each; past the declarations only the Weyl-group
 kernel and the A root-lattice coset rule know the realization.
 """
 
@@ -25,8 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, lcm
 from operator import mul, sub
 
 from .core import DEFAULT_CELL_CAP
@@ -235,56 +234,81 @@ class RootDatum:
             return None
         return Weight(self.family, self.rank, red[0]), red[1]
 
+    def _cosets2(self, nu2):
+        """The tables every walk of W nu2 places its entries from, one per coset start.
+
+        W acts by signed permutations in B-D and by permutations in A; in G2,
+        on the sum-zero plane, W = S_3 x {+-1}, so W nu2 is the arrangements
+        of nu2 and, when it is not one of them, of -nu2.  Each start gives
+        ``(choices, left, parity)``: ``choices`` pairs the index k of each
+        distinct entry (absolute value in B-D) with the values it may take at
+        a coordinate, both signs of a nonzero absolute value; ``left[k]`` is
+        how many coordinates take entry k, a fresh list for the caller to
+        count down; ``parity`` is, in D without a zero entry, the parity of
+        the number of negative entries that every point keeps, else None.
+        """
+        f = self.family
+        signed = f in ("B", "C", "D")
+        neg = [-c for c in nu2]
+        tables = []
+        for start in [nu2, neg] if f == "G2" and sorted(neg) != sorted(nu2) else [nu2]:
+            entries = Counter(map(abs, start) if signed else start)
+            choices = [(k, (a, -a) if signed and a else (a,)) for k, a in enumerate(entries)]
+            parity = sum(c < 0 for c in start) & 1 if f == "D" and all(start) else None
+            tables.append((choices, list(entries.values()), parity))
+        return tables
+
     def orbit2(self, x2):
         """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism.
 
-        The orbit is every arrangement of the entries of the dominant
-        representative (of their absolute values in B-D) with, in B-D, every
-        sign pattern on the nonzero entries; in D without a zero entry the
-        number of negative signs keeps the parity it has in x2.  In G2 it is
-        every arrangement of x2 and of -x2.
+        A plain walk of the tables of :meth:`_cosets2`: one coordinate at a
+        time takes each value of an entry with a coordinate left, and in D
+        without a zero entry the last coordinate completes only the sign
+        patterns of the kept parity.
         """
-        f = self.family
-        if f == "G2":
-            return sorted(set(permutations(x2)) | set(permutations([-c for c in x2])))
-        rep = self._chamber2(x2)[0]
-        cells = [[None] * len(rep)]
-        for value, mult in Counter(rep if f == "A" else map(abs, rep)).items():
-            placed = []
-            for cell in cells:
-                for slots in combinations([i for i, c in enumerate(cell) if c is None], mult):
-                    new = cell.copy()
-                    for i in slots:
-                        new[i] = value
-                    placed.append(new)
-            cells = placed
-        if f == "A":
-            return sorted(map(tuple, cells))
-        odd = rep[-1] < 0 if f == "D" and rep[-1] else None
+        dim = self.dim
+        v = [0] * dim
         orbit = []
-        for cell in cells:
-            for signed in product(*[(c, -c) if c else (0,) for c in cell]):
-                if odd is None or (sum(c < 0 for c in signed) & 1) == odd:
-                    orbit.append(signed)
+        for choices, left, parity in self._cosets2(x2):
+            def walk(pos, neg):
+                if pos == dim:
+                    orbit.append(tuple(v))
+                    return
+                last = parity is not None and pos == dim - 1
+                for k, signs in choices:
+                    if left[k]:
+                        left[k] -= 1
+                        for y in signs:
+                            if not (last and (neg + (y < 0)) & 1 != parity):
+                                v[pos] = y
+                                walk(pos + 1, neg + (y < 0))
+                        left[k] += 1
+
+            walk(0, 0)
         return sorted(orbit)
 
-    def regular_orbit2(self, nu2, shifted2, leaf):
+    def regular_orbit2(self, nu2, shifted2, leaf, keep=None):
         """Call ``leaf(v, lam2, det)`` for every v in W nu2 with shifted2 + v regular.
 
         ``lam2`` is the dominant representative of x = shifted2 + v minus rho
         and ``det`` is det(w) for the w carrying x there; ``v`` is a live list,
         valid only during the call.  The walk places one coordinate of v, and
-        so of x, at a time, and cuts a branch as soon as two placed |x_i|
-        coincide (x_i in A and G2) or, in B and C, one is 0: every completion
-        lies on a wall.  Each placed |x_i| goes into a sorted list; the number
-        of smaller values already there is the number of inversions it adds
-        to the descending sort, so their parity and, in B and C, that of the
-        negative entries of x give det(w).  In D without a zero entry the
-        negative entries of v keep nu2's parity, and the sorted x has its last
-        entry negated after an odd number of negative entries.  In G2, W nu2
-        is the arrangements of nu2 and of -nu2; the sorted x goes through the
-        last step of :meth:`_chamber2`, and a sorted middle entry 0 lies on a
-        long-root wall.
+        so of x, at a time from the tables of :meth:`_cosets2`, and cuts a
+        branch as soon as two placed |x_i| coincide (x_i in A and G2) or, in B
+        and C, one is 0: every completion lies on a wall.  Each placed |x_i|
+        goes into a sorted list; the number of smaller values already there is
+        the number of inversions it adds to the descending sort, so their
+        parity and, in B and C, that of the negative entries of x give det(w).
+        In D the sorted x has its last entry negated after an odd number of
+        negative entries.  In G2 the sorted x goes through the last step of
+        :meth:`_chamber2`, and a sorted middle entry 0 lies on a long-root
+        wall.
+
+        ``keep(pos, y)``, if given, is the caller's prefix test: it is asked
+        about each placement of y at coordinate pos that passes the walk's
+        own cuts, after the placements at 0..pos-1 of the current branch, and
+        the walk descends exactly when it returns true, so it may record
+        per-coordinate state.  A leaf is then a v whose every prefix passed.
         """
         f = self.family
         dim = self.dim
@@ -293,14 +317,7 @@ class RootDatum:
         flip_det = f in ("B", "C")
         placed = []
         v = [0] * dim
-        neg = [-c for c in nu2]
-        for start in [nu2, neg] if f == "G2" and sorted(neg) != sorted(nu2) else [nu2]:
-            entries = Counter(map(abs, start) if signed else start)
-            values = list(entries)
-            left = [entries[a] for a in values]
-            choices = [(k, (a, -a) if signed and a else (a,)) for k, a in enumerate(values)]
-            parity = sum(c < 0 for c in start) & 1 if f == "D" and all(start) else None
-
+        for choices, left, parity in self._cosets2(nu2):
             def walk(pos, det, neg_x, neg_nu):
                 if pos == dim:
                     rep = placed[::-1]
@@ -329,6 +346,8 @@ class RootDatum:
                         i = bisect_left(placed, a)
                         if i < len(placed) and placed[i] == a:
                             continue
+                        if keep is not None and not keep(pos, y):
+                            continue
                         placed.insert(i, a)
                         v[pos] = y
                         d = -det if i & 1 else det
@@ -343,22 +362,16 @@ class RootDatum:
     def orbit_size(self, x2):
         """|W x2|, the number of points :meth:`orbit2` lists, counted without listing them.
 
-        It is the number of arrangements of the entries (of their absolute
-        values in B-D) times, in B-D, the sign patterns on the nonzero
-        entries, halved in D when no entry is zero (the number of negative
-        signs keeps its parity), and doubled in G2 unless -x2 is itself an
-        arrangement of x2.
+        Per table of :meth:`_cosets2`, the arrangements of the entries times
+        the values each coordinate of an entry may take, halved when a
+        parity is kept.
         """
-        f = self.family
-        entries = [abs(c) for c in x2] if f in ("B", "C", "D") else x2
-        size = factorial(len(entries))
-        for count in Counter(entries).values():
-            size //= factorial(count)
-        if f == "G2":
-            size <<= sorted(x2) != sorted(-c for c in x2)
-        elif f != "A":
-            nonzero = sum(1 for c in entries if c)
-            size <<= nonzero - (f == "D" and nonzero == len(entries))
+        size = 0
+        for choices, left, parity in self._cosets2(x2):
+            count = factorial(sum(left))
+            for (_, signs), m in zip(choices, left):
+                count = count // factorial(m) * len(signs) ** m
+            size += count >> (parity is not None)
         return size
 
     # -- lattice geometry ----------------------------------------------------
@@ -443,7 +456,7 @@ def build_root_datum(family, rank):
     :class:`ConfigurationError`, as does rank**3 (about the number of root
     coordinates) above ``DEFAULT_CELL_CAP``.  Each family declares its
     realization (positive roots in display order, simple roots, short roots,
-    fundamental weights, exponents); :func:`_derive` reads the rest off it.
+    fundamental weights); :func:`_derive` reads the rest off it.
     """
     n = rank
     if n ** 3 > DEFAULT_CELL_CAP:
@@ -456,7 +469,7 @@ def build_root_datum(family, rank):
                for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
         simple = [_eps(dim, (i, 1), (i + 1, -1)) for i in range(1, n + 1)]
         fund = [tuple(2 if k <= i else 0 for k in range(1, dim + 1)) for i in range(1, n + 1)]
-        return _derive(family, n, pos, simple, None, fund, range(1, n + 1))
+        return _derive(family, n, pos, simple, None, fund)
 
     if family in ("B", "C", "D"):
         least = 3 if family == "D" else 1
@@ -466,7 +479,6 @@ def build_root_datum(family, rank):
                  for i in range(1, n + 1) for j in range(i + 1, n + 1) for s in (-1, 1)]
         simple = [_eps(n, (i, 1), (i + 1, -1)) for i in range(1, n)]
         fund = [tuple(2 if k <= i else 0 for k in range(1, n + 1)) for i in range(1, n + 1)]
-        exps = [2 * i - 1 for i in range(1, n + 1)]
         if family == "B":
             short = [_eps(n, (i, 1)) for i in range(1, n + 1)]
             pos = pairs + short
@@ -480,8 +492,7 @@ def build_root_datum(family, rank):
             short, pos = None, pairs
             simple.append(_eps(n, (n - 1, 1), (n, 1)))
             fund[-2:] = [(1,) * (n - 1) + (-1,), (1,) * n]
-            exps = sorted(exps[:-1] + [n - 1])
-        return _derive(family, n, pos, simple, short, fund, exps)
+        return _derive(family, n, pos, simple, short, fund)
 
     if family == "G2":
         if n != 2:
@@ -494,12 +505,12 @@ def build_root_datum(family, rank):
                (2, -4, 2),    # 3a1 + a2
                (-2, -2, 4)]   # 3a1 + 2a2 (= theta = omega_2)
         return _derive(family, 2, pos, [a1, a2], [a1, pos[2], pos[3]],
-                       [(0, -2, 2), (-2, -2, 4)], (1, 5))
+                       [(0, -2, 2), (-2, -2, 4)])
 
     raise ConfigurationError(f"unknown family {family!r}")
 
 
-def _derive(family, rank, pos, simple, short, fund, exponents):
+def _derive(family, rank, pos, simple, short, fund):
     """The :class:`RootDatum` of a realization given in doubled coordinates.
 
     ``short`` lists the short positive roots, or is None when the family is
@@ -507,8 +518,11 @@ def _derive(family, rank, pos, simple, short, fund, exponents):
     roots, rho_s = rho when simply laced; theta (theta_s) is the positive
     (short) root with the largest pairing with rho, unique since every simple
     root pairs positively with rho, and theta_s is None without short roots;
-    the Coxeter number is the largest exponent plus 1; the short simple roots
-    are counted, all of them when simply laced; ``dim`` is a root's length.
+    as many exponents equal k as there are positive roots of height k minus
+    those of height k + 1 (Kostant), a root's height being its pairing with
+    rho^vee, the sum of the fundamental coweights; the Coxeter number is the
+    largest exponent plus 1; the short simple roots are counted, all of them
+    when simply laced; ``dim`` is a root's length.
 
     A simple root a2 gets the coroot 4 a2 / (a2, a2), moved along the
     normal (1, ..., 1) to the nearest integral vector where the roots span
@@ -536,15 +550,21 @@ def _derive(family, rank, pos, simple, short, fund, exponents):
 
     rho2 = half_sum(pos)
     laced = short is None
+    coweights = tuple((omega2, dot(a2, a2) // 2) for a2, omega2 in zip(simple, fund))
+    scale = lcm(*(half_norm for _, half_norm in coweights))
+    rho_vee = [sum(scale // half_norm * omega2[k] for omega2, half_norm in coweights)
+               for k in range(dim)]
+    per_height = Counter(dot(r, rho_vee) // scale for r in pos)
+    exponents = tuple(k for k in sorted(per_height)
+                      for _ in range(per_height[k] - per_height[k + 1]))
     return RootDatum(
         family, rank, dim,
         tuple(map(weight, pos)), tuple(map(weight, simple)), tuple(map(weight, fund)),
         weight(rho2), weight(rho2 if laced else half_sum(short)),
         weight(highest(pos)), weight(highest(short)) if short else None,
-        tuple(exponents), max(exponents) + 1,
+        exponents, exponents[-1] + 1,
         rank if laced else sum(s in short for s in simple),
-        tuple(map(coroot, simple)),
-        tuple((omega2, dot(a2, a2) // 2) for a2, omega2 in zip(simple, fund)))
+        tuple(map(coroot, simple)), coweights)
 
 
 def weight_from_fundamental(datum, coeffs):

@@ -16,7 +16,9 @@ walks only the points of W nu with lam + rho + w(nu) regular, by
 rows share.  It places one coordinate of x = lam + rho + w(nu) at a time and
 cuts a branch whose completions all lie on a wall, are fixed by a reflection
 and so contribute nothing; the leaves are the regular terms (21,352 of the
-51,936 cells of V_rho on B5).
+51,936 cells of V_rho on B5).  Lusztig's signed sum walks W(lam + rho) on
+the same walk at shift 0, where every point is regular, with its own prefix
+test cutting the branches that leave the positive root cone.
 
 The zero-weight column m_lam(0), for every dominant lam below a bound, is
 one unitriangular solve: the same reduction at rho decomposes the orbit sum
@@ -280,74 +282,47 @@ def q_kostant(datum, beta):
     return rec(len(roots), coeffs)
 
 
-def _cone_images(datum, shifted):
-    """The pairs ``(w(shifted) - rho, det(w))``, w in W (A-D), that may lie in the positive cone.
-
-    W acts by permutations, with sign changes outside A (an even number of
-    them in D).  The walk places one coordinate of ``w(shifted)`` at a time
-    and carries ``det(w)``: placing index ``j`` passes over the unused indices
-    below it, one transposition each, and in B and C each sign change is a
-    reflection.  A branch is cut as soon as a coordinate of ``beta = w(shifted)
-    - rho`` is odd (off the root lattice, in doubled units) or a prefix sum of
-    its coordinates is negative: each prefix sum is a simple-root coefficient
-    of beta (A, B, C), the sum a + b of the last two (D), twice the last one
-    (the full sum in C and D), or 0 (the full sum in A).  Survivors still need
-    the full test of :meth:`RootDatum.root_coefficients2`.
-    """
-    rho2 = datum.rho.coords2
-    dim = datum.dim
-    signs = (1,) if datum.family == "A" else (1, -1)
-    flip_det = -1 if datum.family in ("B", "C") else 1
-    even_flips = datum.family == "D"
-    found = []
-
-    def walk(pos, unused, prefix, beta, det, flips):
-        if pos == dim:
-            if not (even_flips and flips & 1):
-                found.append((tuple(beta), det))
-            return
-        for below, j in enumerate(unused):
-            rest = unused[:below] + unused[below + 1:]
-            d = -det if below & 1 else det
-            for s in signs:
-                b = s * shifted[j] - rho2[pos]
-                if b & 1:
-                    continue
-                p = prefix + b
-                if p < 0:
-                    continue
-                beta.append(b)
-                flip = s < 0
-                walk(pos + 1, rest, p, beta, d * flip_det if flip else d, flips + flip)
-                beta.pop()
-
-    walk(0, tuple(range(dim)), 0, [], 1, 0)
-    return found
-
-
 def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
     """Generalized-exponent oracle: signed Weyl sum of the graded partition function.
 
     Computes sum over w in W of (-1)^length(w) * q_kostant(w(lam+rho) - rho),
     which for lam in the root lattice is the generalized-exponent polynomial.
     Only the terms with w(lam+rho) - rho in the positive root cone are
-    visited (see :func:`_cone_images`); every other term is zero.
+    visited; every other term is zero.  lam + rho is regular, so
+    :meth:`RootDatum.regular_orbit2` at shift 0 lists each w(lam+rho) once
+    with det(w), and its prefix test cuts a branch as soon as a prefix sum of
+    the coordinates of beta = w(lam+rho) - rho is negative: each is a
+    simple-root coefficient of beta (A, B, C), the sum a + b of the last two
+    (D), twice the last one (the full sum in C and D), or 0 (the full sum in
+    A).  beta = (w(lam+rho) - (lam+rho)) + lam lies in the root lattice with
+    lam, so no coordinate test is needed; survivors still need the full test
+    of :meth:`RootDatum.root_coefficients2`.
     """
     datum.require_dominant(lam)
     if not datum.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     if datum.family == "G2":
         raise ValueError("the Weyl-sum oracle is wired for the classical families only")
-    order = datum.orbit_size(datum.rho.coords2)    # |W|: rho is regular
+    rho2 = datum.rho.coords2
+    order = datum.orbit_size(rho2)    # |W|: rho is regular
     if order > cap:
         raise ResourceCapError(f"|W| = {order} exceeds cap {cap}")
-    shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    out = PolyT.zero()
-    for beta2, det in _cone_images(datum, shifted):
+    prefix = [0] * (datum.dim + 1)    # prefix[pos]: the sum of beta's first pos coordinates
+
+    def keep(pos, y):
+        prefix[pos + 1] = p = prefix[pos] + y - rho2[pos]
+        return p >= 0
+
+    terms = []
+
+    def leaf(v, lam2, det):
+        beta2 = tuple(map(sub, v, rho2))
         coeffs = datum.root_coefficients2(beta2)
-        if coeffs is None or any(c < 0 for c in coeffs):
-            continue
-        out = out + det * q_kostant(datum, datum.weight(beta2))
+        if coeffs is not None and all(c >= 0 for c in coeffs):
+            terms.append(det * q_kostant(datum, datum.weight(beta2)))
+
+    datum.regular_orbit2(tuple(map(add, lam.coords2, rho2)), datum.zero.coords2, leaf, keep)
+    out = sum(terms, PolyT.zero())
     if any(v < 0 for v in out.c.values()):
         raise ArithmeticError(f"negative coefficient in E-polynomial for {lam}")
     return out

@@ -265,9 +265,9 @@ def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
     real = extalg.RootDatum.regular_orbit2
     calls = []
 
-    def counting(self, nu2, shifted2, leaf):
+    def counting(self, nu2, shifted2, leaf, keep=None):
         calls.append(tuple(nu2))
-        return real(self, nu2, shifted2, leaf)
+        return real(self, nu2, shifted2, leaf, keep)
 
     monkeypatch.setattr(extalg.RootDatum, "regular_orbit2", counting)
     recurrence._row_cached.cache_clear()

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -88,8 +89,9 @@ def test_exponents_and_coxeter(family, rank, exps, h):
 # -- the derived fields against the per-family formulas ---------------------
 #
 # The library declares the roots and reads rho, rho_s, theta, theta_s, the
-# Coxeter number and the short-simple count off them; the closed formulas
-# per family are the reference, so a wrong declared root shows here.
+# exponents, the Coxeter number and the short-simple count off them; the
+# closed formulas per family are the reference, so a wrong declared root
+# shows here.
 
 DATUM_GRID = ([(f, r) for f in "ABC" for r in range(1, 9)] + [("D", r) for r in range(3, 9)]
               + [("G2", 2)])
@@ -120,6 +122,16 @@ def reference_fields(family, n):
     return n, rho2, rho2, e_plus(1, 2), None, 2 * n - 2, n
 
 
+def reference_exponents(family, n):
+    """The exponents of each family, as tabulated (Bourbaki, Ch. VI, Planches)."""
+    if family == "G2":
+        return (1, 5)
+    if family == "A":
+        return tuple(range(1, n + 1))
+    odd = tuple(range(1, 2 * n, 2))
+    return odd if family in "BC" else tuple(sorted(odd[:-1] + (n - 1,)))
+
+
 @pytest.mark.parametrize("family,rank", DATUM_GRID)
 def test_derived_fields_match_the_hand_formulas(family, rank):
     datum = build_root_datum(family, rank)
@@ -127,12 +139,8 @@ def test_derived_fields_match_the_hand_formulas(family, rank):
     assert (datum.dim, datum.rho.coords2, datum.rho_short.coords2, datum.theta.coords2,
             theta_s, datum.coxeter_number, datum.num_short_simple) \
         == reference_fields(family, rank)
-    # the exponents are the one declared invariant: Kostant's theorem reads
-    # them as the partition dual to the numbers of positive roots per height
-    per_height = Counter(datum.height2(r.coords2) for r in datum.positive_roots)
-    dual = [sum(1 for count in per_height.values() if count >= j)
-            for j in range(1, per_height[1] + 1)]
-    assert datum.exponents == tuple(sorted(dual))
+    # the exponents are read off the root heights (Kostant's dual partition)
+    assert datum.exponents == reference_exponents(family, rank)
 
 
 # -- the coroot pairing and the simple-root coordinates against the hand
@@ -488,24 +496,44 @@ def test_kernel_matches_reflection_references_random():
     check()
 
 
-def reference_regular_leaves(datum, nu2, shift2):
-    """The full scan: (v, lam2, det) for every v in W nu2 with shift2 + v regular."""
+def reference_regular_leaves(datum, nu2, shift2, ok=None):
+    """The full scan: (v, lam2, det) for every v in W nu2 with shift2 + v regular,
+    and, given a prefix test ``ok``, every prefix of v passing it."""
     leaves = Counter()
     for v in datum.orbit2(nu2):
+        if ok is not None and not all(ok(v[:i]) for i in range(1, len(v) + 1)):
+            continue
         red = datum._reduce2(tuple(a + b for a, b in zip(v, shift2)))
         if red is not None:
             leaves[(v, *red)] += 1
     return leaves
 
 
-def walked_leaves(datum, nu2, shift2):
+def walked_leaves(datum, nu2, shift2, ok=None):
     leaves = Counter()
+    path = [None] * datum.dim
 
     def leaf(v, lam2, det):
         leaves[(tuple(v), lam2, det)] += 1
 
-    datum.regular_orbit2(nu2, shift2, leaf)
+    def keep(pos, y):
+        # the walk asks about coordinate pos only below the placements that
+        # passed at 0..pos-1, so path holds the current branch
+        path[pos] = y
+        return ok(tuple(path[:pos + 1]))
+
+    datum.regular_orbit2(nu2, shift2, leaf, None if ok is None else keep)
     return leaves
+
+
+def cone_test(datum):
+    """The prefix test of lusztig_E: beta = v - rho has no negative prefix sum."""
+    rho2 = datum.rho.coords2
+
+    def ok(prefix):
+        return min(accumulate(y - r for y, r in zip(prefix, rho2))) >= 0
+
+    return ok
 
 
 @pytest.mark.parametrize("family,rank", DATUM_GRID)
@@ -513,22 +541,31 @@ def test_regular_orbit_walk_matches_the_full_scan(family, rank):
     # nu = rho and 2 rho at shift rho while |W| <= 50,000 (through rank 6,
     # and A7); above, |W| is 322,560 to 10.3M points, so the fundamental
     # weights stand in.  Up to rank 4 every dominant nu <= 2 rho at shifts
-    # rho and nu + rho, each also walked from a non-dominant point of W nu.
+    # rho and nu + rho, each also walked from a non-dominant point of W nu,
+    # and W(nu + rho) at shift 0 as lusztig_E walks it.  Each walk runs
+    # without a prefix test and with the cone test of lusztig_E.
     datum = build_root_datum(family, rank)
     rho2 = datum.rho.coords2
+    tests = (None, cone_test(datum))
     if datum.orbit_size(rho2) <= 50_000:
         weights = [datum.rho, 2 * datum.rho]
     else:
         weights = list(datum.fundamental_weights)
     for w in weights:
-        assert walked_leaves(datum, w.coords2, rho2) == \
-            reference_regular_leaves(datum, w.coords2, rho2), w
+        for ok in tests:
+            assert walked_leaves(datum, w.coords2, rho2, ok) == \
+                reference_regular_leaves(datum, w.coords2, rho2, ok), (w, ok)
     if rank > 4:
         return
+    zero2 = datum.zero.coords2
     for w in enumerate_dominant_below(datum, 2 * datum.rho):
         nu2 = w.coords2
-        want = {shift2: reference_regular_leaves(datum, nu2, shift2)
-                for shift2 in (rho2, tuple(a + b for a, b in zip(nu2, rho2)))}
-        for start in (nu2, datum.orbit2(nu2)[0]):
-            for shift2, leaves in want.items():
-                assert walked_leaves(datum, start, shift2) == leaves, (start, shift2)
+        shifted2 = tuple(a + b for a, b in zip(nu2, rho2))
+        for ok in tests:
+            want = {shift2: reference_regular_leaves(datum, nu2, shift2, ok)
+                    for shift2 in (rho2, shifted2)}
+            for start in (nu2, datum.orbit2(nu2)[0]):
+                for shift2, leaves in want.items():
+                    assert walked_leaves(datum, start, shift2, ok) == leaves, (start, shift2)
+            assert walked_leaves(datum, shifted2, zero2, ok) == \
+                reference_regular_leaves(datum, shifted2, zero2, ok), w

@@ -8,7 +8,7 @@ from extalg import weyl_oracle
 from extalg.exterior_oracle import weyl_alternation
 from extalg.genexp import PolyT, covered_small_weights, t_analog
 from extalg.orders import enumerate_dominant_below
-from extalg.rootdata import Weight, build_root_datum, weight_from_fundamental
+from extalg.rootdata import RootDatum, Weight, build_root_datum, weight_from_fundamental
 from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freudenthal,
                                 klimyk_tensor, lusztig_E, q_kostant, weyl_dim,
                                 zero_weight_column)
@@ -438,6 +438,28 @@ def test_lusztig_matches_full_weyl_sum_on_covered_weights(family, rank):
     datum = build_root_datum(family, rank)
     for lam in covered_small_weights(datum):
         assert lusztig_E(datum, lam) == reference_lusztig_E(datum, lam), lam
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5)])
+def test_lusztig_walk_cuts_every_negative_prefix_sum(family, rank, monkeypatch):
+    # the prefix test prunes the walk: no beta with a negative prefix sum
+    # reaches the full cone test, while the tests above show that every
+    # nonzero term is still reached
+    datum = build_root_datum(family, rank)
+    weights = [lam for lam in enumerate_dominant_below(datum, 2 * datum.rho)
+               if datum.in_root_lattice(lam)]
+    asked = []
+    real = RootDatum.root_coefficients2
+
+    def recording(self, x2):
+        asked.append(x2)
+        return real(self, x2)
+
+    monkeypatch.setattr(RootDatum, "root_coefficients2", recording)
+    for lam in weights:
+        lusztig_E(datum, lam)
+    assert len(asked) > len(weights)
+    assert all(min(itertools.accumulate(x2)) >= 0 for x2 in asked)
 
 
 def test_freudenthal_cap(b3):
