@@ -64,7 +64,7 @@ def _square_support(datum, x, cap):
     """Klimyk V_x (x) V_x, the dominant weights below 2x, and the report
     fields comparing the support of the one with the other."""
     decomposition = weyl_oracle.klimyk_tensor(datum, x, x, cap=cap)
-    below = orders.enumerate_dominant_below(datum, 2 * x)
+    below = orders.enumerate_dominant_below(datum, 2 * x, cap)
     support, expected = set(decomposition), set(below)
     return decomposition, below, {
         "tensor_support": len(support),
@@ -78,8 +78,8 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
                     cap=DEFAULT_CELL_CAP):
     """The reference checks on Lambda(V) for V = g (``module="adjoint"``) or
     V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap``;
-    ``cap`` bounds the Klimyk cells and the orbit cells of the zero-weight
-    column, each on its own."""
+    ``cap`` bounds the Klimyk cells, the orbit cells of the zero-weight
+    column and the dominant weights listed below 2*rho_s, each on its own."""
     checks = []
     if module == "adjoint":
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap)
@@ -100,7 +100,7 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
             raise ConfigurationError("little adjoint needs a non-simply-laced family")
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short, cap=dim_cap)
         totals = {w: p(1) for w, p in dec.items()}
-        below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short)
+        below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short, cap)
         label = "conjecture-check" if datum.family == "C" else "verified-case-check"
         # support indicators: "got 1, want 0" is a support weight above 2 rho_s
         _record(checks, f"support_iff_below_2rho_short ({label})",
@@ -139,8 +139,9 @@ def short_kostant_verify(datum, cap=DEFAULT_CELL_CAP):
 def kostant_verify(datum, oracle=False, force_case=None, cap=DEFAULT_CELL_CAP):
     """Certify every lam below 2*rho in both orders (``constructor``) and,
     with ``oracle``, test that V_rho (x) V_rho has exactly the dominant
-    weights below 2*rho as its support (Brauer-Klimyk)."""
-    report = constructor.certify_theorem(datum, force_case=force_case)
+    weights below 2*rho as its support (Brauer-Klimyk).  ``cap`` bounds
+    each census of the dominant weights below 2*rho and the Klimyk cells."""
+    report = constructor.certify_theorem(datum, force_case=force_case, cap=cap)
     ok = not report["failures"]
     if oracle:
         _, below, fields = _square_support(datum, datum.rho, cap)
@@ -167,7 +168,7 @@ def lr_verify(datum, lam, mu, nu=None, witnesses=False, oracle=False, cap=DEFAUL
         entries = [(nu, report)]
     else:
         entries = []
-        for w in orders.enumerate_dominant_below(datum, lam + mu):
+        for w in orders.enumerate_dominant_below(datum, lam + mu, cap):
             count, _ = gpartitions.count_lr(datum, lam, mu, w, cap=cap)
             if count:
                 entries.append((w, {"nu": _weight_json(datum, w), "count": count}))

@@ -13,6 +13,7 @@ the parities of c_i = 2|rho_i| - |lam_i|:
 
 from dataclasses import dataclass
 
+from .core import DEFAULT_CELL_CAP
 from .gpartitions import GPartition, is_admissible, weight_of
 from .orders import coordinatewise_leq, dominance_leq, enumerate_dominant_below
 
@@ -142,14 +143,15 @@ def construct(datum, lam, force_case=None):
                        associated, admissible)
 
 
-def certify_theorem(datum, force_case=None):
+def certify_theorem(datum, force_case=None, cap=DEFAULT_CELL_CAP):
     """Run the construction over every lam <= 2*rho with lam coordinatewise below.
 
     Returns a report dict; ``failures`` lists any weight whose certificate
-    failed a self-check (the covered theorem predicts none).
+    failed a self-check (the covered theorem predicts none).  ``cap`` bounds
+    the dominant weights listed below 2*rho.
     """
     two_rho = 2 * datum.rho
-    eligible = [lam for lam in enumerate_dominant_below(datum, two_rho)
+    eligible = [lam for lam in enumerate_dominant_below(datum, two_rho, cap)
                 if coordinatewise_leq(lam, two_rho)]
     failures = []
     cases = {"A": 0, "B": 0, "C": 0}

@@ -1,15 +1,22 @@
 """Orderings on dominant weights: dominance, coordinatewise, smallness.
 
 The dominance test reads the simple-root coefficients of the difference off
-the fundamental coweights of ``rootdata``: in the epsilon realizations, the
-partial sums with an even-total condition in C and D and two spin conditions
-in D.  A comparison between weights in different lattice cosets is False.
+the fundamental coweights of ``rootdata``; a comparison between weights in
+different lattice cosets is False.  The census of the dominant weights below
+a bound names no family: it walks the simple-root coefficients c_i of
+bound - mu from the last simple root down, on the Cartan matrix alone.  A
+pairing <mu, alpha_j^vee> that no later step moves bounds c_i below (a
+neighbour of alpha_j) or above (alpha_j itself), and c_S <= A_S^-1 p_S bounds
+the roots S not yet fixed, since the inverse Cartan matrix of every Dynkin
+diagram is >= 0 entrywise.
 """
 
+from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .core import DEFAULT_CELL_CAP, ResourceCapError
-from .rootdata import DatumMismatchError, weight_from_fundamental
+from .rootdata import DatumMismatchError, Weight, build_root_datum
 
 __all__ = [
     "dominance_leq",
@@ -47,109 +54,95 @@ def is_small(datum, lam):
     return True
 
 
-def _parity_floor(hi, parity):
-    """Largest value <= hi with the given doubled-coordinate parity."""
-    return hi if (hi - parity) % 2 == 0 else hi - 1
+@lru_cache(maxsize=None)
+def _census_plan(family, rank):
+    """Per depth i of :func:`enumerate_dominant_below`, ``(row, den, closing, step)``.
 
-
-def _keep(out, mu, cap, bound):
-    """Append ``mu`` to ``out``, raising once ``out`` holds more than ``cap`` weights."""
-    out.append(mu)
-    if len(out) > cap:
-        raise ResourceCapError(f"dominant weights below {bound} exceed cap {cap}")
-
-
-def _enumerate_classical(datum, bound, cap):
-    """All dominant weights <= bound (dominance) for families A, B, C, D."""
-    f, n = datum.family, datum.rank
-    b2 = bound.coords2
-    out = []
-    coords = [0] * datum.dim
-
-    if f == "A":
-        total = sum(b2)
-
-        def rec_a(k, prev2, used):
-            if k == datum.dim:
-                if used == total:
-                    _keep(out, datum.weight(coords), cap, bound)
-                return
-            remaining = datum.dim - k - 1
-            hi = _parity_floor(min(prev2, sum(b2[:k + 1]) - used), b2[k] % 2)
-            # the tail is bounded above by c, so c*(remaining+1) >= total-used
-            need = total - used
-            lo = -(-need // (remaining + 1))
-            for c in range(hi, lo - 1, -2):
-                coords[k] = c
-                rec_a(k + 1, c, used + c)
-            coords[k] = 0
-
-        rec_a(0, 2 * sum(abs(x) for x in b2) + 2, 0)
-        return out
-
-    def rec(k, prev2, slack2):
-        # slack2 = doubled partial sum of (bound - mu) over coordinates < k
-        if f == "D" and k == n - 2:
-            # choose the last two coordinates together; the cone conditions
-            # there are (p_{n-1} - x_n)/2 >= 0 and (p_{n-1} + x_n)/2 >= 0,
-            # both integral, rather than plain prefix positivity
-            hi = _parity_floor(min(prev2, b2[k] + slack2), b2[k] % 2)
-            for c in range(hi, -1, -2):
-                coords[k] = c
-                p2 = slack2 + (b2[k] - c)
-                dhi = _parity_floor(c, b2[n - 1] % 2)
-                for d in range(dhi, -c - 1, -2):
-                    xn2 = b2[n - 1] - d
-                    a, b = p2 - xn2, p2 + xn2
-                    if a >= 0 and b >= 0 and a % 4 == 0 and b % 4 == 0:
-                        coords[n - 1] = d
-                        _keep(out, datum.weight(coords), cap, bound)
-                coords[n - 1] = 0
-            coords[k] = 0
-            return
-        if k == n:
-            if f == "B" or slack2 % 4 == 0:
-                _keep(out, datum.weight(coords), cap, bound)
-            return
-        hi = _parity_floor(min(prev2, b2[k] + slack2), b2[k] % 2)
-        for c in range(hi, -1, -2):
-            coords[k] = c
-            rec(k + 1, c, slack2 + (b2[k] - c))
-        coords[k] = 0
-
-    rec(0, 2 * sum(abs(x) for x in b2) + 2, 0)
-    return out
-
-
-def _enumerate_g2(datum, bound, cap):
-    # the third coordinate of a*w1 + b*w2 is a + 2b, and the second simple-root
-    # coefficient of (bound - mu) is exactly its third-coordinate difference
-    top = max(bound.coords2[2] // 2, 0)
-    out = []
-    for a in range(top + 1):
-        for b in range(top // 2 + 1):
-            mu = weight_from_fundamental(datum, (a, b))
-            if dominance_leq(datum, mu, bound):
-                _keep(out, mu, cap, bound)
-    return out
+    With S = {0, ..., i} and the state mu2 + p: ``row`` holds the nonzero
+    (dim + j, den * x_j) of row i of A_S^-1 over its common denominator;
+    ``closing`` the (dim + j, |A_ji|) of the j > i whose last unfixed
+    neighbour is alpha_i; ``step`` the nonzero (k, x) subtracting alpha_i
+    takes off the state.  Integer elimination of [A | I] below the diagonal
+    keeps each row [u | l] with l A = u; row i ends with l on 0..i and u
+    zero before i, so l A_S = u_i e_i and row i of A_S^-1 is l / u_i.  The
+    pivots u_i stay > 0, as A's leading minors are.
+    """
+    datum = build_root_datum(family, rank)
+    n, dim = rank, datum.dim
+    simple = [alpha.coords2 for alpha in datum.simple_roots]
+    cartan = [[datum.pairing2(i + 1, a2) // 2 for a2 in simple] for i in range(n)]
+    rows = [cartan[r] + [int(r == c) for c in range(n)] for r in range(n)]
+    for k in range(n):
+        for r in range(k + 1, n):
+            if rows[r][k]:
+                rows[r] = [rows[k][k] * a - rows[r][k] * b for a, b in zip(rows[r], rows[k])]
+    plan = []
+    for i in range(n):
+        g = gcd(rows[i][i], *rows[i][n:])
+        plan.append((tuple((dim + j, x // g) for j, x in enumerate(rows[i][n:]) if x),
+                     rows[i][i] // g,
+                     tuple((dim + j, -cartan[j][i]) for j in range(i + 1, n)
+                           if min(k for k in range(n) if cartan[j][k]) == i),
+                     tuple((k, x) for k, x in enumerate(simple[i]) if x)
+                     + tuple((dim + j, cartan[j][i]) for j in range(n) if cartan[j][i])))
+    return tuple(plan)
 
 
 def enumerate_dominant_below(datum, bound, cap=DEFAULT_CELL_CAP):
     """Exhaustive list of the dominant weights below a dominant bound in dominance.
 
-    The result is duplicate-free and sorted lexicographically by doubled
-    coordinates; callers that want a finer order (coordinatewise, small)
-    filter it with :func:`coordinatewise_leq` or :func:`is_small`.  ``cap``
-    bounds the dominant weights listed, counted as they are listed.
+    mu is below ``bound`` when bound - mu = sum c_i alpha_i with integers
+    c_i >= 0, and dominant when every p_j = <mu, alpha_j^vee> = p_j(bound) -
+    sum_i A_ji c_i is >= 0, A being the Cartan matrix.  The walk fixes c_i for
+    i = n-1 down to 0, keeping mu's doubled coordinates and the p_j up to
+    date, and bounds each c_i three ways:
+
+    * c_i >= ceil(-p_j / |A_ji|) for each p_j (j != i) whose last unfixed
+      neighbour is alpha_i, and c_i <= floor(p_i / 2) when alpha_i has no
+      unfixed neighbour left: no later step moves that pairing;
+    * c_i <= floor((row i of A_S^-1) . p_S) for S the roots not yet fixed:
+      the pairings y_S >= 0 the walk ends with give c_S = A_S^-1 (p_S - y_S),
+      and A_S^-1 >= 0 entrywise, as the inverse Cartan matrix of every Dynkin
+      diagram is (Humphreys, Introduction to Lie Algebras, 13.2, Table 1).
+      Where alpha_i stands alone in S, this is floor(p_i / 2).
+
+    Each leaf is met once, since c determines mu.  The result is sorted by
+    doubled coordinates; callers that want a finer order (coordinatewise,
+    small) filter it with :func:`coordinatewise_leq` or :func:`is_small`.
+    ``cap`` bounds the dominant weights listed, counted as they are listed.
     """
-    datum.check_weight(bound)
     if not datum.is_dominant(bound):
         raise ValueError(f"bound {bound} is not dominant")
-    if datum.family == "G2":
-        cands = _enumerate_g2(datum, bound, cap)
-    else:
-        cands = _enumerate_classical(datum, bound, cap)
-    return sorted(set(cands), key=lambda w: w.coords2)
+    family, rank, dim = datum.family, datum.rank, datum.dim
+    plan = _census_plan(family, rank)
+    state = list(bound.coords2) + list(datum.fundamental_coefficients(bound))
+    out = []
+
+    def walk(i):
+        row, den, closing, step = plan[i]
+        hi = sum(x * state[j] for j, x in row) // den
+        lo = 0
+        for j, a in closing:
+            lo = max(lo, -(state[j] // a))
+        if lo > hi:
+            return
+        for k, x in step:
+            state[k] -= lo * x
+        for _ in range(lo, hi + 1):
+            if i:
+                walk(i - 1)
+            else:
+                out.append(Weight(family, rank, tuple(state[:dim])))
+                if len(out) > cap:
+                    raise ResourceCapError(f"dominant weights below {bound} exceed cap {cap}")
+            for k, x in step:
+                state[k] -= x
+        for k, x in step:
+            state[k] += (hi + 1) * x
+
+    walk(rank - 1)
+    out.sort(key=lambda w: w.coords2)
+    return out
 
 
 def two_rho_minus_delta(datum, subset):

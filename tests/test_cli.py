@@ -42,8 +42,8 @@ def test_orders_census():
 def test_orders_lists_its_census_once(monkeypatch):
     # the coordinatewise and small counts filter the one dominance listing
     calls = []
-    real = orders._enumerate_classical
-    monkeypatch.setattr(orders, "_enumerate_classical",
+    real = orders.enumerate_dominant_below
+    monkeypatch.setattr(orders, "enumerate_dominant_below",
                         lambda *args: calls.append(args) or real(*args))
     code, _, _ = run_cli(["orders", "--family", "C", "--rank", "3"])
     assert code == 0 and len(calls) == 1
@@ -104,6 +104,15 @@ def test_orders_resource_cap():
     code, out, err = run_cli(argv + ["--cap", "39"])
     assert code == 0 and err == "" and json.loads(out)["count_dominance"] == 39
     assert out == run_cli(argv)[1]
+
+
+def test_kostant_verify_resource_cap_reaches_the_census():
+    argv = ["kostant-verify", "--family", "B", "--rank", "5"]   # 1,192 weights below 2 rho
+    code, out, err = run_cli(argv + ["--cap", "1191"])
+    assert code == 2 and out == ""
+    assert err.startswith("resource cap: dominant weights below ") and err.count("\n") == 1
+    code, out, err = run_cli(argv + ["--cap", "1192"])
+    assert code == 0 and err == "" and out == run_cli(argv)[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -399,7 +399,7 @@ def _corrupt_factorization(monkeypatch):
 def _corrupt_support(monkeypatch):
     real = orders.enumerate_dominant_below
     monkeypatch.setattr(orders, "enumerate_dominant_below",
-                        lambda datum, bound: real(datum, bound)[:-1])
+                        lambda datum, bound, *cap: real(datum, bound, *cap)[:-1])
 
 
 @pytest.mark.parametrize("family,rank,module,corrupt,name,where", [

@@ -83,3 +83,12 @@ def test_no_assert_statement_in_the_package():
     for module, tree in _trees().items():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{module}.py asserts at lines {lines}"
+
+
+def test_the_census_names_no_family():
+    # orders lists dominant weights from the Cartan matrix alone, so a new
+    # family needs no census code
+    from extalg.rootdata import FAMILIES
+    named = [node.lineno for node in ast.walk(_trees()["orders"])
+             if isinstance(node, ast.Constant) and node.value in FAMILIES]
+    assert not named, f"orders.py names a family at lines {named}"

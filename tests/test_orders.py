@@ -236,3 +236,112 @@ def test_enumerate_cap_counts_the_listed_weights(family, rank):
     assert enumerate_dominant_below(datum, bound, cap=count) == listed
     with pytest.raises(ResourceCapError, match=f"^dominant weights .* cap {count - 1}$"):
         enumerate_dominant_below(datum, bound, cap=count - 1)
+
+
+def _parity_floor(hi, parity):
+    """Largest value <= hi with the given doubled-coordinate parity."""
+    return hi if (hi - parity) % 2 == 0 else hi - 1
+
+
+def reference_enumerate_dominant_below(datum, bound):
+    """The dominant weights <= bound by the per-family walkers, sorted by coords2.
+
+    A walks the coordinates in descending order with a fixed total; B, C and D
+    walk descending nonnegative coordinates whose partial sums of bound - mu
+    stay >= 0, with an even total in C and D, and D chooses its last two
+    coordinates together; G2 scans the box its third coordinate allows and
+    keeps what :func:`dominance_leq` accepts.
+    """
+    f, n = datum.family, datum.rank
+    b2 = bound.coords2
+    out = []
+    coords = [0] * datum.dim
+
+    if f == "G2":
+        # the third coordinate of a*w1 + b*w2 is a + 2b, and the second
+        # simple-root coefficient of (bound - mu) is its third-coordinate difference
+        top = max(b2[2] // 2, 0)
+        for a in range(top + 1):
+            for b in range(top // 2 + 1):
+                mu = weight_from_fundamental(datum, (a, b))
+                if dominance_leq(datum, mu, bound):
+                    out.append(mu)
+
+    elif f == "A":
+        total = sum(b2)
+
+        def rec_a(k, prev2, used):
+            if k == datum.dim:
+                if used == total:
+                    out.append(datum.weight(coords))
+                return
+            remaining = datum.dim - k - 1
+            hi = _parity_floor(min(prev2, sum(b2[:k + 1]) - used), b2[k] % 2)
+            # the tail is bounded above by c, so c*(remaining+1) >= total-used
+            lo = -(-(total - used) // (remaining + 1))
+            for c in range(hi, lo - 1, -2):
+                coords[k] = c
+                rec_a(k + 1, c, used + c)
+            coords[k] = 0
+
+        rec_a(0, 2 * sum(abs(x) for x in b2) + 2, 0)
+
+    else:
+        def rec(k, prev2, slack2):
+            # slack2 = doubled partial sum of (bound - mu) over coordinates < k
+            if f == "D" and k == n - 2:
+                # the cone conditions on the last two coordinates are
+                # (p_{n-1} - x_n)/2 >= 0 and (p_{n-1} + x_n)/2 >= 0, both integral
+                hi = _parity_floor(min(prev2, b2[k] + slack2), b2[k] % 2)
+                for c in range(hi, -1, -2):
+                    coords[k] = c
+                    p2 = slack2 + (b2[k] - c)
+                    for d in range(_parity_floor(c, b2[n - 1] % 2), -c - 1, -2):
+                        xn2 = b2[n - 1] - d
+                        a, b = p2 - xn2, p2 + xn2
+                        if a >= 0 and b >= 0 and a % 4 == 0 and b % 4 == 0:
+                            coords[n - 1] = d
+                            out.append(datum.weight(coords))
+                    coords[n - 1] = 0
+                coords[k] = 0
+                return
+            if k == n:
+                if f == "B" or slack2 % 4 == 0:
+                    out.append(datum.weight(coords))
+                return
+            hi = _parity_floor(min(prev2, b2[k] + slack2), b2[k] % 2)
+            for c in range(hi, -1, -2):
+                coords[k] = c
+                rec(k + 1, c, slack2 + (b2[k] - c))
+            coords[k] = 0
+
+        rec(0, 2 * sum(abs(x) for x in b2) + 2, 0)
+
+    return sorted(set(out), key=lambda w: w.coords2)
+
+
+def _census_bounds():
+    """Every dominant bound with fundamental-coefficient sum <= 5 at rank <= 3 and
+    <= 3 at rank 4-5, then 2 rho, 2 rho_s and theta at rank 6."""
+    grid = ([(f, r) for f in "ABC" for r in range(1, 6)]
+            + [("D", r) for r in range(3, 6)] + [("G2", 2)])
+    for family, rank in grid:
+        datum = build_root_datum(family, rank)
+        top = 5 if rank <= 3 else 3
+        for coeffs in itertools.product(range(top + 1), repeat=rank):
+            if sum(coeffs) <= top:
+                yield datum, weight_from_fundamental(datum, coeffs)
+    for family in "ABCD":
+        datum = build_root_datum(family, 6)
+        for bound in (2 * datum.rho, 2 * datum.rho_short, datum.theta):
+            yield datum, bound
+
+
+def test_census_matches_the_family_walkers():
+    checked = 0
+    for datum, bound in _census_bounds():
+        got = enumerate_dominant_below(datum, bound)
+        assert got == reference_enumerate_dominant_below(datum, bound), (datum.family,
+                                                                           datum.rank, bound)
+        checked += 1
+    assert checked == 702
