@@ -90,11 +90,13 @@ def cmd_orders(args):
     dom = orders.enumerate_dominant_below(datum, bound, args.cap)
     cw = [w for w in dom if orders.coordinatewise_leq(w, bound)]
     small = [w for w in dom if orders.is_small(datum, w)]
+    subsets = 2 ** datum.rank - 1
+    if subsets > args.cap:
+        raise ResourceCapError(f"{subsets} nonempty subsets of the simple roots exceed "
+                               f"cap {args.cap}")
     delta_fail = 0
-    subsets = 0
     for r in range(1, datum.rank + 1):
         for subset in itertools.combinations(range(1, datum.rank + 1), r):
-            subsets += 1
             w, _ = orders.two_rho_minus_delta(datum, subset)
             if not orders.coordinatewise_leq(w, 2 * datum.rho):
                 delta_fail += 1
@@ -166,7 +168,8 @@ def build_parser():
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CELL_CAP,
                        help="resource cap on oracle cells, lr enumeration steps, "
-                            "recurrence orbit points and listed dominant weights")
+                            "recurrence orbit points, listed dominant weights and "
+                            "the subsets orders summarises")
         p.add_argument("--force-cap", action="store_true",
                        help="acknowledge a cap larger than the default")
 

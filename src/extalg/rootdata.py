@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .core import DEFAULT_CELL_CAP
 
@@ -147,92 +147,45 @@ class RootDatum:
         self.check_weight(w)
         return self.is_dominant2(w.coords2)
 
-    def _chamber2(self, x2):
-        """Dominant representative of x2 and the sign of a Weyl element reaching it.
-
-        Returns ``(rep, sign)`` with ``w(x2) = rep`` dominant and
-        ``sign = det(w) = (-1)**length(w)``.  The sign depends on x2 alone only
-        when ``rep`` is regular: on a wall the stabilizer of ``rep`` holds
-        reflections, so callers read it only for regular ``rep``.
-
-        Every family's Weyl group acts by signed permutations, and every
-        reflection has determinant -1, so a descending insertion sort of the
-        entries (of their absolute values in B-D) finds ``rep``, and the sign
-        is the parity of the swaps and, in B and C, of the sign changes.  In D
-        the sign changes come in pairs, of determinant 1, and an odd number of
-        negative entries leaves the smallest entry negative.  In G2, on the
-        sum-zero plane, W = S_3 x {+-1}: if the sorted middle entry is > 0,
-        -1 (determinant 1 on the plane) makes the order ascending, one more
-        transposition; the sorted (a, b, c) is then read as (b, c, a), an
-        even permutation, in the chamber x_1 <= x_0 <= 0 <= x_2.
-        """
-        f = self.family
-        v = list(x2)
-        neg = 0
-        if f in ("B", "C", "D"):
-            for i, c in enumerate(v):
-                if c < 0:
-                    v[i] = -c
-                    neg += 1
-        swaps = 0
-        for i in range(1, len(v)):
-            c = v[i]
-            j = i
-            while j and v[j - 1] < c:
-                v[j] = v[j - 1]
-                j -= 1
-            v[j] = c
-            swaps += i - j
-        sign = -1 if swaps & 1 else 1
-        if f == "G2":
-            if v[1] > 0:
-                v = [-c for c in reversed(v)]
-                sign = -sign
-            return (v[1], v[2], v[0]), sign
-        if f == "D":
-            if neg & 1:
-                v[-1] = -v[-1]
-        elif neg & 1:
-            sign = -sign
-        return tuple(v), sign
-
-    def _regular2(self, v):
-        """Whether a dominant vector lies on no wall (every simple pairing > 0)."""
-        f = self.family
-        if f == "G2":
-            return bool(self.pairing2(1, v) and self.pairing2(2, v))
-        # sorted by absolute value, so only a last entry of D can tie with
-        # the negative of its neighbour
-        if len(set(v)) < len(v):
-            return False
-        return f == "A" or (v[-2] + v[-1] if f == "D" else v[-1]) != 0
-
-    def _reduce2(self, shifted2):
-        """:meth:`reduce_to_dominant` on doubled coordinates, given ``mu + rho``.
-
-        Returns ``None`` or ``(lam2, sign)``.
-        """
-        rep, sign = self._chamber2(shifted2)
-        if not self._regular2(rep):
-            return None
-        return tuple(a - b for a, b in zip(rep, self.rho.coords2)), sign
-
     def chamber_rep2(self, x2):
-        """Dominant Weyl-chamber representative of x2 (no rho shift, no sign)."""
-        return self._chamber2(x2)[0]
+        """Dominant Weyl-chamber representative of x2 (no rho shift, no sign).
+
+        W acts by signed permutations in B-D and by permutations in A, so
+        the representative is the descending sort of the entries (of their
+        absolute values in B-D); in D the sign changes come in pairs, so an
+        odd number of negative entries leaves the smallest entry negative.
+        In G2, on the sum-zero plane, W = S_3 x {+-1}: -1 takes a sorted
+        (a, b, c) with b > 0 to the sorted (-c, -b, -a), and the sorted
+        entries are read as (b, c, a), in the chamber x_1 <= x_0 <= 0 <= x_2.
+        det(w) is read only on the walk of :meth:`regular_orbit2`.
+        """
+        f = self.family
+        if f == "A":
+            return tuple(sorted(x2, reverse=True))
+        if f == "G2":
+            a, b, c = sorted(x2, reverse=True)
+            return (-b, -a, -c) if b > 0 else (b, c, a)
+        v = sorted(map(abs, x2), reverse=True)
+        if f == "D" and sum(c < 0 for c in x2) & 1:
+            v[-1] = -v[-1]
+        return tuple(v)
 
     def reduce_to_dominant(self, mu):
         """Chamber reduction with sign after the rho shift.
 
         Returns ``None`` when ``mu + rho`` is not regular, otherwise the unique
         pair ``(lam, sign)`` with ``sigma(mu + rho) = lam + rho`` for some Weyl
-        element ``sigma`` and ``sign = (-1)**length(sigma)``.
+        element ``sigma`` and ``sign = (-1)**length(sigma)``: the one leaf, if
+        any, of the walk of the orbit W 0 = {0} at the shift ``mu + rho``.
         """
         self.check_weight(mu)
-        red = self._reduce2(tuple(a + b for a, b in zip(mu.coords2, self.rho.coords2)))
-        if red is None:
+        leaves = []
+        self.regular_orbit2((0,) * self.dim, tuple(map(add, mu.coords2, self.rho.coords2)),
+                            lambda v, lam2, det: leaves.append((lam2, det)))
+        if not leaves:
             return None
-        return Weight(self.family, self.rank, red[0]), red[1]
+        lam2, det = leaves[0]
+        return Weight(self.family, self.rank, lam2), det
 
     def _cosets2(self, nu2):
         """The tables every walk of W nu2 places its entries from, one per coset start.
@@ -300,9 +253,12 @@ class RootDatum:
         the number of inversions it adds to the descending sort, so their
         parity and, in B and C, that of the negative entries of x give det(w).
         In D the sorted x has its last entry negated after an odd number of
-        negative entries.  In G2 the sorted x goes through the last step of
-        :meth:`_chamber2`, and a sorted middle entry 0 lies on a long-root
-        wall.
+        negative entries.  In G2 a sorted middle entry 0 lies on a long-root
+        wall; one > 0 is flipped as in :meth:`chamber_rep2`, by -1
+        (determinant 1 on the plane) and the reversal of the order, one more
+        transposition, so det changes sign; the rotation (a, b, c) ->
+        (b, c, a) is even.  This walk is the only code that computes det(w);
+        :meth:`reduce_to_dominant` is its walk of the orbit {0}.
 
         ``keep(pos, y)``, if given, is the caller's prefix test: it is asked
         about each placement of y at coordinate pos that passes the walk's
@@ -324,10 +280,13 @@ class RootDatum:
                     if f == "D" and neg_x & 1:
                         rep[-1] = -rep[-1]
                     elif f == "G2":
-                        rep, sign = self._chamber2(rep)
-                        if not rep[0]:
+                        a, b, c = rep
+                        if not b:
                             return
-                        det *= sign
+                        if b > 0:
+                            rep, det = (-b, -a, -c), -det
+                        else:
+                            rep = (b, c, a)
                     leaf(v, tuple(map(sub, rep, rho2)), det)
                     return
                 base = shifted2[pos]

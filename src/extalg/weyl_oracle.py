@@ -82,7 +82,7 @@ def dominant_multiplicities(datum, lam):
     rho2 = datum.rho.coords2
     shifted = tuple(a + b for a, b in zip(lam2, rho2))
     lam_norm = datum.dot2(shifted, shifted)
-    chamber = datum._chamber2
+    chamber = datum.chamber_rep2
     roots = [(alpha.coords2, datum.dot2(alpha.coords2, alpha.coords2))
              for alpha in datum.positive_roots]
     table = {}
@@ -101,7 +101,7 @@ def dominant_multiplicities(datum, lam):
                 v = tuple(map(add, v, alpha))
                 rep = reps.get(v)
                 if rep is None:
-                    rep = reps[v] = chamber(v)[0]
+                    rep = reps[v] = chamber(v)
                 m = table.get(rep, 0)
                 if m == 0:
                     break

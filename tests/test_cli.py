@@ -106,6 +106,18 @@ def test_orders_resource_cap():
     assert out == run_cli(argv)[1]
 
 
+def test_orders_resource_cap_reaches_the_subset_summary():
+    # A5 at bound 0 lists one weight, and the 2 rho - delta summary runs
+    # over the 2**5 - 1 = 31 nonempty subsets of the simple roots
+    argv = ["orders", "--family", "A", "--rank", "5", "--bound", "0,0,0,0,0"]
+    code, out, err = run_cli(argv + ["--cap", "30"])
+    assert code == 2 and out == ""
+    assert err == "resource cap: 31 nonempty subsets of the simple roots exceed cap 30\n"
+    code, out, err = run_cli(argv + ["--cap", "31"])
+    assert code == 0 and err == "" and out == run_cli(argv)[1]
+    assert json.loads(out)["two_rho_minus_delta"]["nonempty_subsets"] == 31
+
+
 def test_kostant_verify_resource_cap_reaches_the_census():
     argv = ["kostant-verify", "--family", "B", "--rank", "5"]   # 1,192 weights below 2 rho
     code, out, err = run_cli(argv + ["--cap", "1191"])
@@ -270,12 +282,14 @@ def test_exterior_specialization_reuses_cached_rows(monkeypatch):
 
 def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
     # D8 covers the chain weights k = 1..4; the zero counts read the rows'
-    # walks, so the regular-point walk runs once per chain weight
+    # walks, so the regular-point walk runs once per chain weight.  The shape
+    # checks reduce by walking the orbit {0}, which is no chain orbit
     real = extalg.RootDatum.regular_orbit2
     calls = []
 
     def counting(self, nu2, shifted2, leaf, keep=None):
-        calls.append(tuple(nu2))
+        if any(nu2):
+            calls.append(tuple(nu2))
         return real(self, nu2, shifted2, leaf, keep)
 
     monkeypatch.setattr(extalg.RootDatum, "regular_orbit2", counting)

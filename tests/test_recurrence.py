@@ -10,7 +10,7 @@ from extalg.recurrence import (LaurentQS, a_integers, chain_weight, coefficient_
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import ResourceCapError
 from helpers import weight_from_coords
-from reflections import apply_simple
+from reflections import apply_simple, reduce2
 
 
 def reference_minuscule_row_entries(datum, lam):
@@ -69,7 +69,7 @@ def reference_zero_points(datum, lam):
     rho2 = datum.rho.coords2
     count = 0
     for vec in datum.orbit2(lam.coords2):
-        red = datum._reduce2(tuple(a + b for a, b in zip(vec, rho2)))
+        red = reduce2(datum, tuple(a + b for a, b in zip(vec, rho2)))
         if red is not None and not any(red[0]):
             count += 1
     return count

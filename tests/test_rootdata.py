@@ -8,7 +8,7 @@ from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
 from helpers import weight_from_coords
-from reflections import apply_simple
+from reflections import apply_simple, chamber2, reduce2
 
 
 def test_rho_realizations():
@@ -361,11 +361,13 @@ def test_g2_realization():
 
 # -- the closed-form Weyl-group kernel against the reflection references ----
 #
-# The library reduces to the dominant chamber by a signed sort and lists
-# orbits directly, in G2 as in A-D; these are the simple-reflection loop and
-# the breadth-first orbit search it replaced.  The simple reflection itself
-# lives only in the tests, in tests/reflections.py, with the other
-# reflection references (tests/test_recurrence.py, tests/test_weyl_oracle.py).
+# The library finds the dominant representative by a plain sort, det(w) on
+# the walk of a Weyl orbit (reduce_to_dominant walks the orbit {0}), and
+# lists orbits directly, in G2 as in A-D; these are the simple-reflection
+# loop and the breadth-first orbit search it replaced.  The simple
+# reflection itself and the signed insertion sort the walk replaced live
+# only in the tests, in tests/reflections.py, with the other reflection
+# references (tests/test_recurrence.py, tests/test_weyl_oracle.py).
 
 
 def reference_chamber2(datum, x2):
@@ -409,7 +411,7 @@ KERNEL_GRID = ([("A", r) for r in range(1, 5)] + [("B", r) for r in range(2, 6)]
 
 
 def assert_kernel_matches(datum, x2):
-    rep, sign = datum._chamber2(x2)
+    rep, sign = chamber2(datum, x2)
     ref_rep, ref_sign = reference_chamber2(datum, x2)
     assert rep == ref_rep == datum.chamber_rep2(x2), x2
     # on a wall the stabilizer of rep holds reflections: only a regular
@@ -417,7 +419,11 @@ def assert_kernel_matches(datum, x2):
     if all(datum.pairing2(i, rep) for i in range(1, datum.rank + 1)):
         assert sign == ref_sign, x2
     mu = datum.weight(x2)
-    assert datum.reduce_to_dominant(mu) == reference_reduce(datum, mu), x2
+    red = datum.reduce_to_dominant(mu)
+    assert red == reference_reduce(datum, mu), x2
+    sorted_red = reduce2(datum, tuple(a + b for a, b in zip(x2, datum.rho.coords2)))
+    assert red == (None if sorted_red is None
+                   else (datum.weight(sorted_red[0]), sorted_red[1])), x2
 
 
 def random_weyl_image(datum, x2, rng):
@@ -503,7 +509,7 @@ def reference_regular_leaves(datum, nu2, shift2, ok=None):
     for v in datum.orbit2(nu2):
         if ok is not None and not all(ok(v[:i]) for i in range(1, len(v) + 1)):
             continue
-        red = datum._reduce2(tuple(a + b for a, b in zip(v, shift2)))
+        red = reduce2(datum, tuple(a + b for a, b in zip(v, shift2)))
         if red is not None:
             leaves[(v, *red)] += 1
     return leaves

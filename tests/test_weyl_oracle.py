@@ -13,7 +13,7 @@ from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freud
                                 klimyk_tensor, lusztig_E, q_kostant, weyl_dim,
                                 zero_weight_column)
 from helpers import weight_from_coords, weyl_group_order
-from reflections import apply_simple
+from reflections import apply_simple, reduce2
 
 
 def _perm_sign(perm):
@@ -68,7 +68,7 @@ def reference_klimyk(datum, lam, mu):
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
     out = {}
     for nu, m in system.mult.items():
-        red = datum._reduce2(tuple(a + b for a, b in zip(shifted, nu.coords2)))
+        red = reduce2(datum, tuple(a + b for a, b in zip(shifted, nu.coords2)))
         if red is None:
             continue
         target, sign = red
