@@ -80,6 +80,8 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
     V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap``;
     ``cap`` bounds the Klimyk cells, the orbit cells of the zero-weight
     column and the dominant weights listed below 2*rho_s, each on its own."""
+    if module not in ("adjoint", "little-adjoint"):
+        raise ValueError(f"unknown module {module!r}: want 'adjoint' or 'little-adjoint'")
     checks = []
     if module == "adjoint":
         dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap)

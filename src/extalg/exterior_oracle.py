@@ -2,25 +2,28 @@
 
 The graded character of Lambda(M) for a module M with weight system
 ``{mu: mult}`` is the product over weight lines of ``(1 + t e^mu)**mult``.
-:func:`graded_exterior_character` keeps it packed by Kronecker substitution
-(Harvey, J. Symbolic Comput. 44, 2009): a weight is one mixed-radix int and
-its t-polynomial one int with a fixed bit slot per degree, so each factor is
-one pass of int additions over a dict.  :func:`graded_decompose` checks that
-the character is Weyl-invariant and reads every graded multiplicity
-polynomial ``P(V_lam, Lambda M, t)`` off the Weyl character formula,
-m_lam = sum_w sgn(w) chi[lam + rho - w rho] (Humphreys, Introduction to Lie
-Algebras and Representation Theory, Section 24), as sums of packed ints.  The
-signed shifts rho - w rho are read off the Weyl orbit of rho, which lists each
-Weyl element once because rho is regular; W acts by signed permutations, so
-no entry of a shift exceeds 2 max |rho_i|, the pad of the packed layout.  The
-closed reference formulas these are checked against live in
-:func:`reference_polynomials`.
+Its t-polynomials are packed by Kronecker substitution (Harvey, J. Symbolic
+Comput. 44, 2009), one int with a fixed bit slot per degree, so a product
+step is int arithmetic.  In B, C and D the Weyl group is the signed
+permutations or, in D, its subgroup of even sign changes (Humphreys,
+Introduction to Lie Algebras and Representation Theory, Section 12.1); the
+weights of g and of V_theta_s are invariant under every single sign change,
+so :func:`graded_exterior_character` keeps only the orthant of weights with
+every doubled coordinate >= 0 and chi(x) = table[|x|].
+:func:`graded_decompose` checks that the character is Weyl-invariant and
+reads every graded multiplicity polynomial ``P(V_lam, Lambda M, t)`` off the
+Weyl character formula, m_lam = sum_w sgn(w) chi[lam + rho - w rho]
+(Humphreys, Section 24), as sums of packed ints.  The signed shifts
+rho - w rho are read off the Weyl orbit of rho, which lists each Weyl element
+once because rho is regular.  The closed reference formulas these are checked
+against live in :func:`reference_polynomials`.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul, sub
-from typing import NamedTuple
+from math import comb, factorial
+from operator import add, pos, sub
 
 from .core import PolyT, ResourceCapError
 from .orders import two_rho_minus_delta
@@ -28,7 +31,6 @@ from .weyl_oracle import freudenthal
 
 __all__ = [
     "GradedCharacter",
-    "PackedLayout",
     "graded_exterior_character",
     "graded_decompose",
     "weyl_alternation",
@@ -43,10 +45,7 @@ def weyl_alternation(datum):
     """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
 
     rho is regular, so :meth:`RootDatum.regular_orbit2` at shift 0 lists each
-    point w rho once, with det(w) = sgn w.  W acts by signed permutations, so
-    no entry of a shift exceeds 2 max |rho_i| in absolute value
-    (:func:`graded_exterior_character` pads its layout by that bound).
-    Sorted by shift.
+    point w rho once, with det(w) = sgn w.  Sorted by shift.
     """
     rho2 = datum.rho.coords2
     pairs = []
@@ -55,172 +54,161 @@ def weyl_alternation(datum):
     return tuple(sorted(pairs))
 
 
-class PackedLayout(NamedTuple):
-    """Kronecker substitution of a graded character.
-
-    Support weights have every doubled coordinate in [-reach, reach], and
-    keys cover the wider interval [-bound, bound], bound = reach + pad, so
-    that a support weight translated by at most ``pad`` on each axis still
-    packs: the weight x packs to ``sum_i (x_i + bound) * radix**i``.  The
-    interval is the same on every axis, so it is closed under the Weyl group
-    (signed permutations of the coordinates in every family here).  A
-    t-polynomial packs to ``sum_k c_k << (k * slot)``.
-    """
-
-    dim: int
-    reach: int
-    pad: int
-    slot: int
-
-    @property
-    def bound(self):
-        return self.reach + self.pad
-
-    @property
-    def radix(self):
-        return 2 * self.bound + 1
-
-    @property
-    def places(self):
-        return tuple(self.radix ** i for i in range(self.dim))
-
-    @property
-    def origin(self):
-        """The key of the zero weight."""
-        return self.bound * sum(self.places)
-
-    def shift(self, x2):
-        """The amount a translation by x2 adds to a key (for a translate in the box)."""
-        return sum(map(mul, x2, self.places))
-
-    def key(self, x2):
-        """Packed key of a vector of doubled coordinates in the box."""
-        return self.shift(x2) + self.origin
-
-    def coords2(self, key):
-        """The doubled coordinates packed in ``key``."""
-        out = []
-        for _ in range(self.dim):
-            key, d = divmod(key, self.radix)
-            out.append(d - self.bound)
-        return tuple(out)
-
-    def unpack(self, n):
-        """The polynomial packed in ``n`` >= 0."""
-        mask = (1 << self.slot) - 1
-        out = {}
-        k = 0
-        while n:
-            if n & mask:
-                out[k] = n & mask
-            n >>= self.slot
-            k += 1
-        return PolyT(out)
-
-
 @dataclass(frozen=True)
 class GradedCharacter:
-    """A graded character packed by ``layout``.
+    """A graded character with t-polynomials packed ``slot`` bits per degree.
 
-    ``table`` maps the packed key of every support weight to its packed
-    t-polynomial, whose t^k coefficient counts that weight in degree k.
+    ``table`` maps a support weight's doubled coordinates to its packed
+    t-polynomial, whose t^k coefficient counts that weight in degree k.  In
+    B, C and D it holds only the weights with every coordinate >= 0, and the
+    character is invariant under sign changes; in A and G2 it holds them all.
     """
 
     family: str
     rank: int
     total_dim: int
-    layout: PackedLayout
+    slot: int
     table: dict
+
+
+def _signed(datum):
+    return datum.family in ("B", "C", "D")
+
+
+def _unpack(n, slot):
+    """The polynomial packed in ``n`` >= 0."""
+    mask = (1 << slot) - 1
+    out = {}
+    k = 0
+    while n:
+        if n & mask:
+            out[k] = n & mask
+        n >>= slot
+        k += 1
+    return PolyT(out)
 
 
 def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
     """Exact graded character of the exterior algebra over a weight system, packed.
 
     ``module_mult`` maps Weight -> multiplicity (e.g. ``freudenthal(...).mult``).
+    The weight lines are grouped by |u| in B-D (by u in A and G2); in B-D a
+    group must hold all 2**k sign images of |u|, k its nonzero entries, with
+    one multiplicity, or ArithmeticError is raised.  Each group unfolds the
+    stored weights on its axes, multiplies by its lines and keeps the
+    products that are >= 0 on those axes.
     """
     d = sum(module_mult.values())
     if d > cap:
         raise ResourceCapError(f"module dimension {d} exceeds cap {cap}")
-    # the support lies in the box of the sums of the module's weights, and
-    # graded_decompose looks up support weights translated by rho - w rho,
-    # whose entries are at most 2 max |rho_i| (W acts by signed permutations)
-    reach = max(sum(m * abs(w.coords2[i]) for w, m in module_mult.items())
-                for i in range(datum.dim))
-    rho2 = datum.rho.coords2
     # every coefficient is below 2**d (at most binom(d, k)), and an alternation
     # sum adds at most |W|/2 of them, so d + bit_length(|W|) bits never carry
     # (d + bit_length(d) would not do once |W| > d); |W| = |W rho|
-    layout = PackedLayout(datum.dim, reach, 2 * max(map(abs, rho2)),
-                          d + datum.orbit_size(rho2).bit_length())
-    slot = layout.slot
-    table = {layout.origin: 1}
-    # lines ordered by their last nonzero coordinate: every prefix then spans
-    # as few axes as it can, which keeps the intermediate supports small
-    lines = sorted((w.coords2, m) for w, m in module_mult.items())
-    lines.sort(key=lambda line: max((i for i, c in enumerate(line[0]) if c), default=-1))
-    for w2, mult in lines:
-        dk = layout.shift(w2)
-        for _ in range(mult):
-            # times (1 + t e^w)
-            new = table.copy()
-            get = new.get
-            for k, p in table.items():
-                new[k + dk] = get(k + dk, 0) + (p << slot)
-            table = new
-    return GradedCharacter(datum.family, datum.rank, d, layout, table)
+    slot = d + datum.orbit_size(datum.rho.coords2).bit_length()
+    signed = _signed(datum)
+    zero = datum.zero.coords2
+    groups = {}
+    for w, m in module_mult.items():
+        if w.coords2 != zero:
+            groups.setdefault(tuple(map(abs, w.coords2)) if signed else w.coords2, []).append(
+                (w.coords2, m))
+    # the zero weight's lines give (1 + t)**m0 in one step
+    m0 = module_mult.get(datum.zero, 0)
+    table = {zero: sum(comb(m0, k) << (k * slot) for k in range(m0 + 1))}
+    # the groups with the most axes go first, which keeps the unfolded tables small
+    for u in sorted(groups, key=lambda u: (-sum(map(bool, u)), u)):
+        lines = groups[u]
+        axes = [i for i, c in enumerate(u) if c] if signed else []
+        if len(lines) != 1 << len(axes) or len({m for _, m in lines}) != 1:
+            raise ArithmeticError(f"the weights of |x| = {list(u)} are not closed under "
+                                  "sign changes with one multiplicity")
+        # half the lines, m times each, move axis i by +u_i: an image below that stays < 0
+        reach = lines[0][1] * len(lines) // 2
+        for i in axes:
+            table.update({x[:i] + (-x[i],) + x[i + 1:]: p for x, p in table.items()
+                          if 0 < x[i] <= reach * u[i]})
+        for w2, m in lines:
+            for _ in range(m):
+                # times (1 + t e^w)
+                new = table.copy()
+                get = new.get
+                for x, p in table.items():
+                    y = tuple(map(add, x, w2))
+                    new[y] = get(y, 0) + (p << slot)
+                table = new
+        for i in axes:
+            table = {x: p for x, p in table.items() if x[i] >= 0}
+    return GradedCharacter(datum.family, datum.rank, d, slot, table)
+
+
+def _stored_orbit_size(datum, v):
+    """The number of stored weights in the Weyl orbit of the stored dominant ``v``."""
+    if not _signed(datum):
+        return datum.orbit_size(v)
+    # the distinct permutations of |v|
+    size = factorial(len(v))
+    for m in Counter(v).values():
+        size //= factorial(m)
+    return size
 
 
 def graded_decompose(datum, gc):
     """Decompose a packed graded character into irreducible multiplicity polynomials.
 
-    The character must be Weyl-invariant: every point of the orbit of each
-    dominant support weight carries that weight's packed polynomial, and the
-    orbits cover the support exactly.  Every coefficient must lie in
-    [0, 2**total_dim), as in any exterior algebra of a module of that
-    dimension, so that no alternation sum carries between slots.  The
-    multiplicity polynomial of V_lam, lam dominant, is then
-    sum_w sgn(w) chi[lam + rho - w rho]; the positive and the negative terms
-    are summed apart, on packed ints, and only the two sums are unpacked.
+    The character must be Weyl-invariant: every stored x carries the packed
+    polynomial of ``chamber_rep2(x)``, and the stored orbit sizes of those
+    representatives add up to the stored support (in B-D every stored
+    coordinate must be >= 0, and an orbit stores the distinct permutations of
+    |v|).  Every coefficient must lie in [0, 2**total_dim), as in any exterior
+    algebra of a module of that dimension, so that no alternation sum carries
+    between slots.  The multiplicity polynomial of V_lam, lam dominant, is
+    then sum_w sgn(w) chi[lam + rho - w rho]; the positive and the negative
+    terms are summed apart, on packed ints, and only the two sums are
+    unpacked.
 
     Raises ArithmeticError if the character is not Weyl-invariant, has a
     coefficient out of range, or gives a negative multiplicity; either way
     the input was not a genuine character.
     """
-    layout, table = gc.layout, gc.table
+    slot, table = gc.slot, gc.table
+    signed = _signed(datum)
     # the empty module's one coefficient, 1, is not below 2**0
     span = (1 << max(gc.total_dim, 1)) - 1
-    allowed = sum(span << (k * layout.slot) for k in range(gc.total_dim + 1))
-    places, origin = layout.places, layout.origin
-    # each pass takes an unseen support weight, checks the whole orbit of its
-    # dominant representative v against v's int and marks it seen, so the
-    # orbit sizes add up to the support size exactly when no check fails
-    unseen = set(table)
+    allowed = sum(span << (k * slot) for k in range(gc.total_dim + 1))
     dominant = []
-    while unseen:
-        v = datum.chamber_rep2(layout.coords2(unseen.pop()))
-        p = table.get(layout.key(v))
-        if p is not None and (p < 0 or p & ~allowed):
-            raise ArithmeticError(f"coefficient out of range at {datum.weight(v)}")
-        for u in datum.orbit2(v):
-            k = sum(map(mul, u, places)) + origin
-            if table.get(k) != p:
-                raise ArithmeticError(f"character is not Weyl-invariant at {datum.weight(u)}")
-            unseen.discard(k)
-        dominant.append(v)
+    stored = 0
+    for x, p in table.items():
+        if signed and min(x) < 0:
+            raise ArithmeticError(f"stored weight {datum.weight(x)} has a negative coordinate")
+        v = datum.chamber_rep2(x)
+        if table.get(v) != p:
+            raise ArithmeticError(f"character is not Weyl-invariant at {datum.weight(x)}")
+        if v == x:
+            if p < 0 or p & ~allowed:
+                raise ArithmeticError(f"coefficient out of range at {datum.weight(v)}")
+            stored += _stored_orbit_size(datum, v)
+            dominant.append(v)
+            if datum.family == "D" and v[-1]:
+                dominant.append(v[:-1] + (-v[-1],))
+    # every stored x lies in the orbit of a stored representative, so the
+    # support is their union exactly when the sizes add up
+    if stored != len(table):
+        raise ArithmeticError("character support is not a union of Weyl orbits")
     plus, minus = [], []
     for s, sign in weyl_alternation(datum):
-        (plus if sign > 0 else minus).append(layout.shift(s))
+        (plus if sign > 0 else minus).append(s)
     rho2 = datum.rho.coords2
     dominant.sort(key=lambda x: (datum.dot2(x, rho2), x), reverse=True)
     get = table.get
+    # chi(y) = table[|y|] in B-D
+    fold = abs if signed else pos
     out = {}
     for x in dominant:
-        k = layout.key(x)
-        pos = sum(map(get, [k + s for s in plus], repeat(0)))
-        neg = sum(map(get, [k + s for s in minus], repeat(0)))
-        if pos == neg:
+        plus_sum = sum(map(get, [tuple(map(fold, map(add, x, s))) for s in plus], repeat(0)))
+        minus_sum = sum(map(get, [tuple(map(fold, map(add, x, s))) for s in minus], repeat(0)))
+        if plus_sum == minus_sum:
             continue
-        poly = layout.unpack(pos) - layout.unpack(neg)
+        poly = _unpack(plus_sum, slot) - _unpack(minus_sum, slot)
         if any(c < 0 for c in poly.c.values()):
             raise ArithmeticError(f"negative multiplicity polynomial at {datum.weight(x)}: {poly}")
         out[datum.weight(x)] = poly

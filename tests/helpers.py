@@ -1,7 +1,11 @@
 """Small constructors and reference values shared by the tests."""
 
+import itertools
 import math
 from fractions import Fraction
+
+from extalg.exterior_oracle import _unpack
+from extalg.rootdata import Weight
 
 
 def weight_from_coords(datum, coords):
@@ -18,3 +22,15 @@ def weight_from_coords(datum, coords):
 def weyl_group_order(datum):
     """|W|, the product of the degrees e + 1 over the exponents e."""
     return math.prod(e + 1 for e in datum.exponents)
+
+
+def polynomials(gc):
+    """The Weight -> PolyT table of a packed graded character, its B-D orthant
+    unfolded over every sign change."""
+    signed = gc.family in ("B", "C", "D")
+    out = {}
+    for x, p in gc.table.items():
+        poly = _unpack(p, gc.slot)
+        for y in itertools.product(*({c, -c} for c in x)) if signed else [x]:
+            out[Weight(gc.family, gc.rank, y)] = poly
+    return out

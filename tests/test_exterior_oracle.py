@@ -12,33 +12,26 @@ from extalg.exterior_oracle import (exterior_decomposition, graded_decompose,
                                     weyl_alternation)
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import enumerate_dominant_below, is_small, two_rho_minus_delta
-from extalg.rootdata import Weight, build_root_datum
+from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freudenthal,
                                 klimyk_tensor, weyl_dim)
-from helpers import weyl_group_order
-
-
-def polynomials(gc):
-    """The unpacked Weight -> PolyT table of a packed graded character."""
-    layout = gc.layout
-    return {Weight(gc.family, gc.rank, layout.coords2(k)): layout.unpack(p)
-            for k, p in gc.table.items()}
+from helpers import polynomials, weyl_group_order
 
 
 def with_polynomials(gc, polys):
-    """``gc`` with its table replaced by a Weight -> PolyT table, packed through
-    the same layout (zero polynomials are dropped); builds the broken
+    """``gc`` with its table replaced by a Weight -> PolyT table, packed in the
+    same slot and, in B-D, folded onto the orthant (weights with a negative
+    coordinate are left out, as are zero polynomials); builds the broken
     characters that the decompositions must reject."""
-    layout = gc.layout
     table = {}
     for w, p in polys.items():
         if (w.family, w.rank) != (gc.family, gc.rank):
             raise ValueError(f"{w} does not belong to {gc.family}{gc.rank}")
-        if max(map(abs, w.coords2)) > layout.reach:
-            raise ValueError(f"{w} lies outside the packed box")
+        if gc.family in ("B", "C", "D") and min(w.coords2) < 0:
+            continue
         if not p.is_zero():
             # a negative power of t is a negative shift, which raises ValueError
-            table[layout.key(w.coords2)] = sum(c << (k * layout.slot) for k, c in p.c.items())
+            table[w.coords2] = sum(c << (k * gc.slot) for k, c in p.c.items())
     return replace(gc, table=table)
 
 
@@ -164,13 +157,14 @@ def test_graded_character_binomial_sums(b2):
     gc = graded_exterior_character(b2, module.mult)
     assert gc.total_dim == 10
     polys = polynomials(gc)
-    assert len(polys) == len(gc.table)
+    # the table stores the orthant of the support, every coordinate >= 0
+    assert len(gc.table) == sum(min(w.coords2) >= 0 for w in polys) < len(polys)
     for k in range(11):
         assert sum(p.c.get(k, 0) for p in polys.values()) == comb(10, k)
     # top degree sits at weight zero with coefficient 1; degree 1 is the module
     assert polys[b2.zero].c.get(10, 0) == 1
     assert polys[b2.theta].c.get(1, 0) == 1
-    # packing the unpacked table through the same layout gives it back
+    # folding the unfolded table back gives it again
     assert with_polynomials(gc, polys) == gc
 
 
@@ -180,11 +174,33 @@ def test_dimension_cap(b2):
 
 
 def test_decompose_rejects_non_character(b2):
-    gc = graded_exterior_character(b2, {b2.theta: 1})
-    broken = polynomials(gc)
-    broken[b2.theta] = broken[b2.theta] - PolyT({1: 2})
-    with pytest.raises(ArithmeticError):
+    # 1 + t e^theta, Lambda of the one line theta, with 2t taken off at theta:
+    # the negative coefficient is out of range (packed into a genuine
+    # character of the same dimension and slot)
+    gc = graded_exterior_character(b2, {b2.zero: 1})
+    broken = {b2.zero: PolyT.one(), b2.theta: PolyT({1: 1}) - PolyT({1: 2})}
+    with pytest.raises(ArithmeticError, match="out of range"):
         graded_decompose(b2, with_polynomials(gc, broken))
+
+
+def test_build_rejects_module_not_closed_under_sign_changes(b2):
+    # the line theta alone, theta and -theta, the D4 half-spin weights (closed
+    # only under even sign changes) and unequal multiplicities on one |u|
+    d4 = build_root_datum("D", 4)
+    for datum, module in [(b2, {b2.theta: 1}), (b2, {b2.theta: 1, -1 * b2.theta: 1}),
+                          (d4, freudenthal(d4, d4.weight((1, 1, 1, 1))).mult),
+                          (b2, {b2.weight((2, 0)): 1, b2.weight((-2, 0)): 2})]:
+        with pytest.raises(ArithmeticError, match="sign changes"):
+            graded_exterior_character(datum, module)
+
+
+def test_decompose_rejects_stored_negative_coordinate(b2):
+    # the genuine value at (0, -2), stored under the wrong sign
+    gc = graded_exterior_character(b2, freudenthal(b2, b2.theta).mult)
+    table = dict(gc.table)
+    table[(0, -2)] = table.pop((0, 2))
+    with pytest.raises(ArithmeticError, match="negative coordinate"):
+        graded_decompose(b2, replace(gc, table=table))
 
 
 @pytest.mark.parametrize("decompose", [graded_decompose, reference_dominant_peel,
@@ -193,7 +209,10 @@ def test_decompose_rejects_non_character(b2):
 def test_decompose_rejects_non_invariant_character(b2, decompose, breakage):
     gc = graded_exterior_character(b2, freudenthal(b2, b2.theta).mult)
     broken = polynomials(gc)
-    victim = min((w for w in broken if not b2.is_dominant(w)), key=lambda w: w.coords2)
+    # the least stored weight off the dominant chamber, kept by the fold
+    victim = min((w for w in broken if min(w.coords2) >= 0 and not b2.is_dominant(w)),
+                 key=lambda w: w.coords2)
+    assert victim.coords2 == (0, 2)
     if breakage == "drop":
         del broken[victim]
     else:
@@ -225,12 +244,6 @@ def test_decompose_rejects_coefficients_out_of_range(b2):
     assert graded_decompose(b2, gc) == {b2.zero: PolyT({0: 1, 1: 1})}
 
 
-def test_with_polynomials_rejects_weights_outside_the_box(b2):
-    gc = graded_exterior_character(b2, {b2.theta: 1})
-    with pytest.raises(ValueError):
-        with_polynomials(gc, {4 * b2.theta: PolyT.one()})
-
-
 @pytest.mark.parametrize("family,rank", [("A", r) for r in range(1, 5)]
                          + [(f, r) for f in "BC" for r in range(2, 6)]
                          + [("D", r) for r in range(3, 7)] + [("G2", 2)])
@@ -240,21 +253,19 @@ def test_weyl_alternation_is_the_signed_rho_orbit(family, rank):
     alternation = weyl_alternation(datum)
     assert len(alternation) == weyl_group_order(datum)
     assert alternation == reference_weyl_alternation(datum)
-    # the layout pads by 2 max |rho_i|, exactly the largest entry of a shift
-    # (a smaller pad would alias packed keys without an error), and its slot
-    # of an empty module is bit_length(|W|)
-    layout = graded_exterior_character(datum, {}).layout
-    assert layout.pad == 2 * max(map(abs, datum.rho.coords2)) == \
-        max(abs(c) for s, _ in alternation for c in s)
-    assert layout.slot == len(alternation).bit_length()
+    # the slot of an empty module is bit_length(|W|)
+    assert graded_exterior_character(datum, {}).slot == len(alternation).bit_length()
 
 
 def _modules():
-    for family, rank in [("B", 2), ("C", 2), ("G2", 2), ("B", 3), ("C", 3), ("D", 3)]:
+    for family, rank in [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("C", 2), ("G2", 2),
+                         ("B", 3), ("C", 3), ("D", 3)]:
         yield family, rank, "adjoint"
-        if family != "D":
+        if family not in ("A", "D"):
             yield family, rank, "little_adjoint"
     yield "D", 4, "adjoint"
+    yield "B", 4, "little_adjoint"
+    yield "C", 4, "little_adjoint"
 
 
 @pytest.mark.parametrize("family,rank,module", list(_modules()))
@@ -351,6 +362,11 @@ def test_g2_little_adjoint_conjecture():
     assert total_dim == 2 ** 7
     kl = klimyk_tensor(g2, g2.rho_short, g2.rho_short)
     assert 2 * sum(m * weyl_dim(g2, w) for w, m in kl.items()) == 98 != total_dim
+
+
+def test_exterior_checks_rejects_unknown_module(b2):
+    with pytest.raises(ValueError, match="unknown module"):
+        exterior_checks(b2, "little_adjoint")
 
 
 def test_b3_adjoint_factorization():

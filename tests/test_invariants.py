@@ -12,6 +12,7 @@ from extalg.genexp import PolyT
 from extalg.gpartitions import GPartition, weight_of
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import freudenthal, lusztig_E
+from helpers import polynomials
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("G2", 2)])
@@ -41,8 +42,7 @@ def test_exterior_character_poincare_duality(family, rank):
     module = freudenthal(datum, datum.theta)
     gc = graded_exterior_character(datum, module.mult)
     d = gc.total_dim
-    layout = gc.layout
-    polys = {layout.coords2(k): layout.unpack(p) for k, p in gc.table.items()}
+    polys = {w.coords2: poly for w, poly in polynomials(gc).items()}
     for w2, poly in polys.items():
         mirror = polys[tuple(-c for c in w2)]
         for k, coeff in poly.c.items():
