@@ -11,47 +11,33 @@ weights of g and of V_theta_s are invariant under every single sign change,
 so :func:`graded_exterior_character` keeps only the orthant of weights with
 every doubled coordinate >= 0 and chi(x) = table[|x|].
 :func:`graded_decompose` checks that the character is Weyl-invariant and
-reads every graded multiplicity polynomial ``P(V_lam, Lambda M, t)`` off the
-Weyl character formula, m_lam = sum_w sgn(w) chi[lam + rho - w rho]
-(Humphreys, Section 24), as sums of packed ints.  The signed shifts
-rho - w rho are read off the Weyl orbit of rho, which lists each Weyl element
-once because rho is regular.  The closed reference formulas these are checked
-against live in :func:`reference_polynomials`.
+reads every graded multiplicity polynomial ``P(V_lam, Lambda M, t)`` off
+Brauer's rule: the character is sum_v p_v M_v over its dominant weights v,
+M_v the orbit sum, and M_v = sum_lam N[v][lam] chi_lam, so m_lam =
+sum_v p_v N[v][lam], summed on packed ints.  The rows N[v], the reductions
+of W v at rho, are :func:`weyl_oracle.orbit_sum_row`, memoised and shared
+with the zero-weight column.  The closed reference formulas these are
+checked against live in :func:`reference_polynomials`.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from math import comb, factorial
-from operator import add, pos, sub
+from operator import add
 
 from .core import PolyT, ResourceCapError
 from .orders import two_rho_minus_delta
-from .weyl_oracle import freudenthal
+from .weyl_oracle import freudenthal, orbit_sum_row
 
 __all__ = [
     "GradedCharacter",
     "graded_exterior_character",
     "graded_decompose",
-    "weyl_alternation",
     "reference_polynomials",
     "DEFAULT_DIM_CAP",
 ]
 
 DEFAULT_DIM_CAP = 24
-
-
-def weyl_alternation(datum):
-    """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
-
-    rho is regular, so :meth:`RootDatum.regular_orbit2` at shift 0 lists each
-    point w rho once, with det(w) = sgn w.  Sorted by shift.
-    """
-    rho2 = datum.rho.coords2
-    pairs = []
-    datum.regular_orbit2(rho2, datum.zero.coords2,
-                         lambda v, lam2, det: pairs.append((tuple(map(sub, rho2, v)), det)))
-    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -101,9 +87,11 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
     d = sum(module_mult.values())
     if d > cap:
         raise ResourceCapError(f"module dimension {d} exceeds cap {cap}")
-    # every coefficient is below 2**d (at most binom(d, k)), and an alternation
-    # sum adds at most |W|/2 of them, so d + bit_length(|W|) bits never carry
-    # (d + bit_length(d) would not do once |W| > d); |W| = |W rho|
+    # every coefficient is below 2**d (at most binom(d, k)); N[v][lam] nets
+    # the terms sgn(w) chi(lam + rho - w rho) that fall in the orbit of v, so
+    # either sign's part of m_lam = sum_v p_v N[v][lam] adds at most |W|/2 of
+    # them, and d + bit_length(|W|) bits never carry (d + bit_length(d)
+    # would not do once |W| > d); |W| = |W rho|
     slot = d + datum.orbit_size(datum.rho.coords2).bit_length()
     signed = _signed(datum)
     zero = datum.zero.coords2
@@ -160,11 +148,15 @@ def graded_decompose(datum, gc):
     representatives add up to the stored support (in B-D every stored
     coordinate must be >= 0, and an orbit stores the distinct permutations of
     |v|).  Every coefficient must lie in [0, 2**total_dim), as in any exterior
-    algebra of a module of that dimension, so that no alternation sum carries
-    between slots.  The multiplicity polynomial of V_lam, lam dominant, is
-    then sum_w sgn(w) chi[lam + rho - w rho]; the positive and the negative
-    terms are summed apart, on packed ints, and only the two sums are
-    unpacked.
+    algebra of a module of that dimension, so that no reduced sum carries
+    between slots.  The character is then sum_v p_v M_v over its dominant
+    weights v (in D also the twin of a stored v with its last entry negated),
+    and the multiplicity polynomial of V_lam is sum_v p_v N[v][lam], N[v] the
+    row :func:`weyl_oracle.orbit_sum_row`.  Under u = w^-1(lam + rho) - rho
+    these are the terms of the Weyl character formula sum_w sgn(w)
+    chi[lam + rho - w rho] (Humphreys, Section 24) that can be nonzero.  The
+    positive and the negative terms are summed apart, on packed ints, read at
+    the dominant weights of the support, and only the two sums are unpacked.
 
     Raises ArithmeticError if the character is not Weyl-invariant, has a
     coefficient out of range, or gives a negative multiplicity; either way
@@ -187,25 +179,24 @@ def graded_decompose(datum, gc):
             if p < 0 or p & ~allowed:
                 raise ArithmeticError(f"coefficient out of range at {datum.weight(v)}")
             stored += _stored_orbit_size(datum, v)
-            dominant.append(v)
+            dominant.append((v, p))
             if datum.family == "D" and v[-1]:
-                dominant.append(v[:-1] + (-v[-1],))
+                dominant.append((v[:-1] + (-v[-1],), p))
     # every stored x lies in the orbit of a stored representative, so the
     # support is their union exactly when the sizes add up
     if stored != len(table):
         raise ArithmeticError("character support is not a union of Weyl orbits")
-    plus, minus = [], []
-    for s, sign in weyl_alternation(datum):
-        (plus if sign > 0 else minus).append(s)
+    plus, minus = {}, {}
+    for v, p in dominant:
+        for lam, n in orbit_sum_row(datum, v).items():
+            if n > 0:
+                plus[lam] = plus.get(lam, 0) + n * p
+            else:
+                minus[lam] = minus.get(lam, 0) - n * p
     rho2 = datum.rho.coords2
-    dominant.sort(key=lambda x: (datum.dot2(x, rho2), x), reverse=True)
-    get = table.get
-    # chi(y) = table[|y|] in B-D
-    fold = abs if signed else pos
     out = {}
-    for x in dominant:
-        plus_sum = sum(map(get, [tuple(map(fold, map(add, x, s))) for s in plus], repeat(0)))
-        minus_sum = sum(map(get, [tuple(map(fold, map(add, x, s))) for s in minus], repeat(0)))
+    for x, _ in sorted(dominant, key=lambda vp: (datum.dot2(vp[0], rho2), vp[0]), reverse=True):
+        plus_sum, minus_sum = plus.get(x, 0), minus.get(x, 0)
         if plus_sum == minus_sum:
             continue
         poly = _unpack(plus_sum, slot) - _unpack(minus_sum, slot)

@@ -20,11 +20,13 @@ and so contribute nothing; the leaves are the regular terms (21,352 of the
 the same walk at shift 0, where every point is regular, with its own prefix
 test cutting the branches that leave the positive root cone.
 
-The zero-weight column m_lam(0), for every dominant lam below a bound, is
-one unitriangular solve: the same reduction at rho decomposes the orbit sum
-of each dominant kappa into irreducible characters, and that matrix is the
-inverse of the one of the multiplicities m_lam(kappa).  It builds no
-Freudenthal table, and shares no code with the exterior decomposition.
+The same reduction at rho decomposes the orbit sum M_kappa of each dominant
+kappa into irreducible characters, sum_lam N[kappa][lam] chi_lam
+(:func:`orbit_sum_row`, memoised).  The zero-weight column m_lam(0), for
+every dominant lam below a bound, is one unitriangular solve in N, the
+inverse of the matrix of the multiplicities m_lam(kappa), and builds no
+Freudenthal table; the exterior decomposition reads the same rows, so a
+battery that runs both walks each orbit once.
 """
 
 from dataclasses import dataclass
@@ -41,6 +43,7 @@ __all__ = [
     "freudenthal",
     "weyl_dim",
     "klimyk_tensor",
+    "orbit_sum_row",
     "zero_weight_column",
     "q_kostant",
     "lusztig_E",
@@ -58,6 +61,7 @@ class WeightMultMap:
 
 
 _dominant_cache = {}
+_orbit_rows = {}
 
 
 def dominant_multiplicities(datum, lam):
@@ -190,15 +194,32 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     return result
 
 
+def orbit_sum_row(datum, kappa2):
+    """Row kappa of N, ``{coords2: int}``: M_kappa = sum_lam N[kappa][lam] chi_lam.
+
+    ``kappa2`` is a dominant weight's doubled coordinates, and N[kappa][lam]
+    the signed count of the nu in W kappa with nu + rho reducing to lam + rho:
+    the row is :func:`_klimyk_walk` of ``{kappa: 1}`` at rho.  Only the
+    lam <= kappa with a nonzero count are keys.  The row is memoised and
+    must not be mutated.
+    """
+    key = (datum.family, datum.rank, kappa2)
+    row = _orbit_rows.get(key)
+    if row is None:
+        row = _orbit_rows[key] = _klimyk_walk(datum, datum.rho.coords2,
+                                              {datum.weight(kappa2): 1})
+    return row
+
+
 def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
     """``{lam: m_lam(0)}`` for every dominant lam below ``top``, by one triangular solve.
 
     The orbit sum M_kappa of a dominant kappa is sum_lam N[kappa][lam] chi_lam,
-    N[kappa][lam] being the signed count of the nu in W kappa with nu + rho
-    reducing to lam + rho: row kappa is :func:`_klimyk_walk` of
-    ``{kappa: 1}`` at rho.  N is unitriangular in the dominance order and
-    inverts the matrix of multiplicities m_lam(kappa), so N x = e_0 for
-    x_lam = m_lam(0), solved in increasing height.  ``cap`` bounds the orbit
+    row kappa being :func:`orbit_sum_row`, which
+    :func:`exterior_oracle.graded_decompose` reads too.  N is unitriangular
+    in the dominance order and inverts the matrix of multiplicities
+    m_lam(kappa), so N x = e_0 for x_lam = m_lam(0), solved in increasing
+    height.  ``cap`` bounds the orbit
     cells sum |W kappa|, counted before any walk.  The column is listed in the
     order of :func:`enumerate_dominant_below`.
     """
@@ -206,11 +227,11 @@ def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):
     cells = sum(datum.orbit_size(kappa.coords2) for kappa in below)
     if cells > cap:
         raise ResourceCapError(f"orbits of the weights below {top} exceed cap {cap}")
-    top2, rho2, zero2 = top.coords2, datum.rho.coords2, datum.zero.coords2
+    top2, zero2 = top.coords2, datum.zero.coords2
     x = {}
     for kappa in sorted(below, key=lambda w: -datum.height2(tuple(map(sub, top2, w.coords2)))):
-        row = _klimyk_walk(datum, rho2, {kappa: 1})
         k2 = kappa.coords2
+        row = dict(orbit_sum_row(datum, k2))    # a copy: the memoised row stays whole
         if row.pop(k2, 0) != 1 or not row.keys() <= x.keys():
             raise ArithmeticError(f"orbit sum of {kappa} is not unitriangular")
         x[k2] = (k2 == zero2) - sum(n * x[lam] for lam, n in row.items())

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 
 from extalg.exterior_oracle import _unpack
 from extalg.rootdata import Weight
@@ -22,6 +23,19 @@ def weight_from_coords(datum, coords):
 def weyl_group_order(datum):
     """|W|, the product of the degrees e + 1 over the exponents e."""
     return math.prod(e + 1 for e in datum.exponents)
+
+
+def weyl_alternation(datum):
+    """The pairs ``(rho - w rho, sgn w)`` over the Weyl group, in doubled coordinates.
+
+    rho is regular, so :meth:`RootDatum.regular_orbit2` at shift 0 lists each
+    point w rho once, with det(w) = sgn w.  Sorted by shift.
+    """
+    rho2 = datum.rho.coords2
+    pairs = []
+    datum.regular_orbit2(rho2, datum.zero.coords2,
+                         lambda v, lam2, det: pairs.append((tuple(map(sub, rho2, v)), det)))
+    return tuple(sorted(pairs))
 
 
 def polynomials(gc):

@@ -1,21 +1,20 @@
 import itertools
 from dataclasses import replace
 from math import comb
-from operator import add
+from operator import add, pos
 
 import pytest
 
 from extalg import exterior_oracle, genexp, orders, weyl_oracle
 from extalg.checks import exterior_checks
-from extalg.exterior_oracle import (exterior_decomposition, graded_decompose,
-                                    graded_exterior_character, reference_polynomials,
-                                    weyl_alternation)
+from extalg.exterior_oracle import (_unpack, exterior_decomposition, graded_decompose,
+                                    graded_exterior_character, reference_polynomials)
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import enumerate_dominant_below, is_small, two_rho_minus_delta
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freudenthal,
                                 klimyk_tensor, weyl_dim)
-from helpers import polynomials, weyl_group_order
+from helpers import polynomials, weyl_alternation, weyl_group_order
 
 
 def with_polynomials(gc, polys):
@@ -85,6 +84,34 @@ def reference_graded_decompose(datum, gc):
             else:
                 work[w.coords2] = cur
         out[datum.weight(top)] = poly
+    return out
+
+
+def reference_alternation_decompose(datum, gc):
+    """The Weyl character formula on a genuine packed character: m_lam =
+    sum_w sgn(w) chi[lam + rho - w rho], one lookup per Weyl element and
+    dominant weight of the support, the positive and the negative terms summed
+    apart on packed ints, listed in :func:`graded_decompose`'s order."""
+    slot, table = gc.slot, gc.table
+    signed = gc.family in ("B", "C", "D")
+    dominant = [v for v in table if datum.chamber_rep2(v) == v]
+    if datum.family == "D":
+        dominant += [v[:-1] + (-v[-1],) for v in dominant if v[-1]]
+    plus, minus = [], []
+    for s, sign in weyl_alternation(datum):
+        (plus if sign > 0 else minus).append(s)
+    rho2 = datum.rho.coords2
+    dominant.sort(key=lambda x: (datum.dot2(x, rho2), x), reverse=True)
+    get = table.get
+    # chi(y) = table[|y|] in B-D
+    fold = abs if signed else pos
+    zeros = itertools.repeat(0)
+    out = {}
+    for x in dominant:
+        plus_sum = sum(map(get, [tuple(map(fold, map(add, x, s))) for s in plus], zeros))
+        minus_sum = sum(map(get, [tuple(map(fold, map(add, x, s))) for s in minus], zeros))
+        if plus_sum != minus_sum:
+            out[datum.weight(x)] = _unpack(plus_sum, slot) - _unpack(minus_sum, slot)
     return out
 
 
@@ -280,12 +307,37 @@ def test_character_matches_polynomial_product(family, rank, module):
 
 @pytest.mark.parametrize("family,rank,module", list(_modules()))
 def test_dominant_peel_matches_full_orbit_peel(family, rank, module):
-    # the alternation decomposition equals both peels
+    # the orbit-sum reduction equals both peels, and the alternation item by item
     datum = build_root_datum(family, rank)
     highest = datum.theta if module == "adjoint" else datum.theta_short
     gc = graded_exterior_character(datum, freudenthal(datum, highest).mult, cap=28)
-    assert graded_decompose(datum, gc) == reference_dominant_peel(datum, gc) == \
-        reference_graded_decompose(datum, gc)
+    dec = graded_decompose(datum, gc)
+    assert list(dec.items()) == list(reference_alternation_decompose(datum, gc).items())
+    assert dec == reference_dominant_peel(datum, gc) == reference_graded_decompose(datum, gc)
+
+
+@pytest.mark.parametrize("family,rank,module", [("D", 5, "adjoint"), ("C", 5, "little_adjoint")])
+def test_reduction_matches_alternation_rank_five(family, rank, module):
+    datum = build_root_datum(family, rank)
+    highest = datum.theta if module == "adjoint" else datum.theta_short
+    gc = graded_exterior_character(datum, freudenthal(datum, highest).mult, cap=45)
+    assert list(graded_decompose(datum, gc).items()) == \
+        list(reference_alternation_decompose(datum, gc).items())
+
+
+def test_batteries_leave_the_orbit_rows_whole(monkeypatch):
+    # the decomposition and the zero-weight column share the memoised rows;
+    # neither may change one it reads
+    rows = {}
+    monkeypatch.setattr(weyl_oracle, "_orbit_rows", rows)
+    for family, rank in [("B", 3), ("D", 4)]:
+        datum = build_root_datum(family, rank)
+        assert all(c["pass"] for c in exterior_checks(datum, "adjoint", dim_cap=28))
+    assert {key[:2] for key in rows} == {("B", 3), ("D", 4)}
+    for (family, rank, kappa2), row in rows.items():
+        datum = build_root_datum(family, rank)
+        assert row == weyl_oracle._klimyk_walk(datum, datum.rho.coords2,
+                                               {datum.weight(kappa2): 1})
 
 
 @pytest.mark.parametrize("family", ["B", "C"])
