@@ -79,12 +79,14 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
     """The reference checks on Lambda(V) for V = g (``module="adjoint"``) or
     V = V_theta_s (``"little-adjoint"``), with dim V at most ``dim_cap``;
     ``cap`` bounds the Klimyk cells, the orbit cells of the zero-weight
-    column and the dominant weights listed below 2*rho_s, each on its own."""
+    column, the dominant weights listed below 2*rho_s and the weights the
+    exterior character stores while it is built, each on its own."""
     if module not in ("adjoint", "little-adjoint"):
         raise ValueError(f"unknown module {module!r}: want 'adjoint' or 'little-adjoint'")
     checks = []
     if module == "adjoint":
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap)
+        dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap,
+                                                   stored_cap=cap)
         for name, w in (("hks_invariants", datum.zero), ("bazlov_adjoint", datum.theta)):
             want = exterior_oracle.reference_polynomials(datum, name)
             _record(checks, name, _unequal(dec[w], want))
@@ -100,7 +102,8 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
     else:
         if datum.theta_short is None:
             raise ConfigurationError("little adjoint needs a non-simply-laced family")
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short, cap=dim_cap)
+        dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short, cap=dim_cap,
+                                                   stored_cap=cap)
         totals = {w: p(1) for w, p in dec.items()}
         below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short, cap)
         label = "conjecture-check" if datum.family == "C" else "verified-case-check"

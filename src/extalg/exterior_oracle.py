@@ -9,7 +9,10 @@ permutations or, in D, its subgroup of even sign changes (Humphreys,
 Introduction to Lie Algebras and Representation Theory, Section 12.1); the
 weights of g and of V_theta_s are invariant under every single sign change,
 so :func:`graded_exterior_character` keeps only the orthant of weights with
-every doubled coordinate >= 0 and chi(x) = table[|x|].
+every doubled coordinate >= 0 and chi(x) = table[|x|].  While it builds, it
+packs each weight too, one bit field per coordinate, so a product by a
+weight line is one int add per stored weight, and it decodes the keys to
+coordinate tuples once, at the end.
 :func:`graded_decompose` checks that the character is Weyl-invariant and
 reads every graded multiplicity polynomial ``P(V_lam, Lambda M, t)`` off
 Brauer's rule: the character is sum_v p_v M_v over its dominant weights v,
@@ -23,9 +26,8 @@ checked against live in :func:`reference_polynomials`.
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
-from operator import add
 
-from .core import PolyT, ResourceCapError
+from .core import DEFAULT_CELL_CAP, PolyT, ResourceCapError
 from .orders import two_rho_minus_delta
 from .weyl_oracle import freudenthal, orbit_sum_row
 
@@ -74,7 +76,8 @@ def _unpack(n, slot):
     return PolyT(out)
 
 
-def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
+def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP,
+                              stored_cap=DEFAULT_CELL_CAP):
     """Exact graded character of the exterior algebra over a weight system, packed.
 
     ``module_mult`` maps Weight -> multiplicity (e.g. ``freudenthal(...).mult``).
@@ -83,6 +86,16 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
     one multiplicity, or ArithmeticError is raised.  Each group unfolds the
     stored weights on its axes, multiplies by its lines and keeps the
     products that are >= 0 on those axes.
+
+    While it builds, the table keys a weight x by one packed int, sum_i
+    (x_i + bound) << (i * bits), with bound the sum over the lines of their
+    largest |coordinate|, plus 1: no partial sum leaves (-bound, bound), so
+    every field stays in [0, 2**bits).  A product by a line is then one int
+    add per weight, and a sign change or a sign test reads one field by shift
+    and mask.  The keys are decoded to coordinate tuples once, at the end, in
+    the table's order.  ``stored_cap`` bounds the weights the table holds,
+    counted after each unfold and each product step, so that a blow-up is a
+    ResourceCapError, not a MemoryError.
     """
     d = sum(module_mult.values())
     if d > cap:
@@ -95,14 +108,24 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
     slot = d + datum.orbit_size(datum.rho.coords2).bit_length()
     signed = _signed(datum)
     zero = datum.zero.coords2
+    bound = 1 + sum(m * max(map(abs, w.coords2)) for w, m in module_mult.items())
+    bits = (2 * bound).bit_length()
+    mask = (1 << bits) - 1
+    shifts = [i * bits for i in range(len(zero))]
     groups = {}
     for w, m in module_mult.items():
         if w.coords2 != zero:
             groups.setdefault(tuple(map(abs, w.coords2)) if signed else w.coords2, []).append(
-                (w.coords2, m))
+                (sum(c << s for c, s in zip(w.coords2, shifts)), m))
+
+    def stored(table):
+        if len(table) > stored_cap:
+            raise ResourceCapError(f"exterior character stores more than {stored_cap} weights")
+
     # the zero weight's lines give (1 + t)**m0 in one step
     m0 = module_mult.get(datum.zero, 0)
-    table = {zero: sum(comb(m0, k) << (k * slot) for k in range(m0 + 1))}
+    table = {sum(bound << s for s in shifts): sum(comb(m0, k) << (k * slot)
+                                                 for k in range(m0 + 1))}
     # the groups with the most axes go first, which keeps the unfolded tables small
     for u in sorted(groups, key=lambda u: (-sum(map(bool, u)), u)):
         lines = groups[u]
@@ -113,19 +136,25 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP):
         # half the lines, m times each, move axis i by +u_i: an image below that stays < 0
         reach = lines[0][1] * len(lines) // 2
         for i in axes:
-            table.update({x[:i] + (-x[i],) + x[i + 1:]: p for x, p in table.items()
-                          if 0 < x[i] <= reach * u[i]})
-        for w2, m in lines:
+            s, top = shifts[i], bound + reach * u[i]
+            # field f = x_i + bound goes to bound - x_i
+            table.update({k - ((f - bound) << (s + 1)): p for k, p in table.items()
+                          if bound < (f := (k >> s) & mask) <= top})
+        stored(table)
+        for step, m in lines:
             for _ in range(m):
                 # times (1 + t e^w)
                 new = table.copy()
                 get = new.get
-                for x, p in table.items():
-                    y = tuple(map(add, x, w2))
+                for k, p in table.items():
+                    y = k + step
                     new[y] = get(y, 0) + (p << slot)
                 table = new
+                stored(table)
         for i in axes:
-            table = {x: p for x, p in table.items() if x[i] >= 0}
+            s = shifts[i]
+            table = {k: p for k, p in table.items() if (k >> s) & mask >= bound}
+    table = {tuple(((k >> s) & mask) - bound for s in shifts): p for k, p in table.items()}
     return GradedCharacter(datum.family, datum.rank, d, slot, table)
 
 
@@ -206,10 +235,10 @@ def graded_decompose(datum, gc):
     return out
 
 
-def exterior_decomposition(datum, highest, cap=DEFAULT_DIM_CAP):
+def exterior_decomposition(datum, highest, cap=DEFAULT_DIM_CAP, stored_cap=DEFAULT_CELL_CAP):
     """Convenience: decompose Lambda(V_highest) in one call."""
     module = freudenthal(datum, highest)
-    gc = graded_exterior_character(datum, module.mult, cap=cap)
+    gc = graded_exterior_character(datum, module.mult, cap=cap, stored_cap=stored_cap)
     return graded_decompose(datum, gc)
 
 

@@ -26,7 +26,10 @@ kappa into irreducible characters, sum_lam N[kappa][lam] chi_lam
 every dominant lam below a bound, is one unitriangular solve in N, the
 inverse of the matrix of the multiplicities m_lam(kappa), and builds no
 Freudenthal table; the exterior decomposition reads the same rows, so a
-battery that runs both walks each orbit once.
+battery that runs both walks each orbit once.  In D, negating the last
+coordinate fixes rho and keeps det, so the row of a kappa with a negative
+last entry is the row of its twin with every key's last entry negated, and
+each twin pair is walked once.
 """
 
 from dataclasses import dataclass
@@ -202,13 +205,26 @@ def orbit_sum_row(datum, kappa2):
     the row is :func:`_klimyk_walk` of ``{kappa: 1}`` at rho.  Only the
     lam <= kappa with a nonzero count are keys.  The row is memoised and
     must not be mutated.
+
+    In D, rho's last coordinate is 0, so the map sigma that negates the last
+    coordinate fixes rho; it normalises W and keeps det, so N[sigma kappa]
+    [sigma lam] = N[kappa][lam], and a kappa with a negative last entry reads
+    its row off the row of sigma kappa instead of walking its orbit.
     """
     key = (datum.family, datum.rank, kappa2)
     row = _orbit_rows.get(key)
     if row is None:
-        row = _orbit_rows[key] = _klimyk_walk(datum, datum.rho.coords2,
-                                              {datum.weight(kappa2): 1})
+        if datum.family == "D" and kappa2[-1] < 0:
+            twin = orbit_sum_row(datum, _negate_last(kappa2))
+            row = {_negate_last(lam2): n for lam2, n in twin.items()}
+        else:
+            row = _klimyk_walk(datum, datum.rho.coords2, {datum.weight(kappa2): 1})
+        _orbit_rows[key] = row
     return row
+
+
+def _negate_last(v):
+    return v[:-1] + (-v[-1],)
 
 
 def zero_weight_column(datum, top, cap=DEFAULT_CELL_CAP):

@@ -138,6 +138,14 @@ def test_cap_bounds_every_klimyk_battery(argv):
     assert err.startswith("resource cap: ") and err.count("\n") == 1
 
 
+def test_exterior_verify_cap_bounds_the_stored_weights():
+    # the B3 adjoint's build table peaks at 217 stored weights
+    argv = "exterior-verify --family B --rank 3 --module adjoint --cap 216".split()
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == "resource cap: exterior character stores more than 216 weights\n"
+
+
 def test_exterior_verify_cap_bounds_the_zero_weight_column():
     # on B2 Klimyk rho (x) rho has 12 cells, the orbits below 2 rho have 37
     argv = "exterior-verify --family B --rank 2 --module adjoint --cap".split()

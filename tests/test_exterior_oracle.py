@@ -7,8 +7,9 @@ import pytest
 
 from extalg import exterior_oracle, genexp, orders, weyl_oracle
 from extalg.checks import exterior_checks
-from extalg.exterior_oracle import (_unpack, exterior_decomposition, graded_decompose,
-                                    graded_exterior_character, reference_polynomials)
+from extalg.exterior_oracle import (GradedCharacter, _unpack, exterior_decomposition,
+                                    graded_decompose, graded_exterior_character,
+                                    reference_polynomials)
 from extalg.genexp import PolyT, closed_E
 from extalg.orders import enumerate_dominant_below, is_small, two_rho_minus_delta
 from extalg.rootdata import build_root_datum
@@ -130,6 +131,44 @@ def reference_graded_exterior_character(datum, module_mult):
                 new[shifted] = bumped if acc is None else acc + bumped
             table = {k: v for k, v in new.items() if not v.is_zero()}
     return {datum.weight(k): v for k, v in table.items()}
+
+
+def reference_orthant_build(datum, module_mult, sizes=None):
+    """The same build as :func:`graded_exterior_character` on coordinate-tuple
+    keys (no caps), appending its table sizes to ``sizes`` wherever the
+    packed build counts them against its stored-weight cap."""
+    d = sum(module_mult.values())
+    slot = d + weyl_group_order(datum).bit_length()
+    signed = datum.family in ("B", "C", "D")
+    zero = datum.zero.coords2
+    sizes = [] if sizes is None else sizes
+    groups = {}
+    for w, m in module_mult.items():
+        if w.coords2 != zero:
+            groups.setdefault(tuple(map(abs, w.coords2)) if signed else w.coords2, []).append(
+                (w.coords2, m))
+    m0 = module_mult.get(datum.zero, 0)
+    table = {zero: sum(comb(m0, k) << (k * slot) for k in range(m0 + 1))}
+    for u in sorted(groups, key=lambda u: (-sum(map(bool, u)), u)):
+        lines = groups[u]
+        axes = [i for i, c in enumerate(u) if c] if signed else []
+        reach = lines[0][1] * len(lines) // 2
+        for i in axes:
+            table.update({x[:i] + (-x[i],) + x[i + 1:]: p for x, p in table.items()
+                          if 0 < x[i] <= reach * u[i]})
+        sizes.append(len(table))
+        for w2, m in lines:
+            for _ in range(m):
+                new = table.copy()
+                get = new.get
+                for x, p in table.items():
+                    y = tuple(map(add, x, w2))
+                    new[y] = get(y, 0) + (p << slot)
+                table = new
+                sizes.append(len(table))
+        for i in axes:
+            table = {x: p for x, p in table.items() if x[i] >= 0}
+    return GradedCharacter(datum.family, datum.rank, d, slot, table)
 
 
 def reference_weyl_alternation(datum):
@@ -303,6 +342,31 @@ def test_character_matches_polynomial_product(family, rank, module):
     gc = graded_exterior_character(datum, mult, cap=28)
     assert (gc.family, gc.rank, gc.total_dim, polynomials(gc)) == \
         (family, rank, sum(mult.values()), reference_graded_exterior_character(datum, mult))
+
+
+@pytest.mark.parametrize("family,rank,module", list(_modules()) + [
+    ("B", 5, "adjoint"), ("C", 5, "adjoint"), ("D", 5, "adjoint"),
+    ("B", 5, "little_adjoint"), ("C", 5, "little_adjoint")])
+def test_packed_build_matches_tuple_build(family, rank, module):
+    # the packed keys decode to the tuple build's table, in its order
+    datum = build_root_datum(family, rank)
+    highest = datum.theta if module == "adjoint" else datum.theta_short
+    mult = freudenthal(datum, highest).mult
+    gc, want = graded_exterior_character(datum, mult, cap=55), reference_orthant_build(datum, mult)
+    assert list(gc.table.items()) == list(want.table.items())
+    assert (gc.slot, gc.total_dim) == (want.slot, want.total_dim)
+
+
+def test_stored_cap_counts_the_build_table():
+    # the B3 adjoint's build table peaks at 217 weights, 154 of them kept
+    b3 = build_root_datum("B", 3)
+    mult = freudenthal(b3, b3.theta).mult
+    sizes = []
+    want = reference_orthant_build(b3, mult, sizes)
+    assert (max(sizes), len(want.table)) == (217, 154)
+    assert graded_exterior_character(b3, mult, stored_cap=217) == want
+    with pytest.raises(ResourceCapError, match="stores more than 216 weights"):
+        graded_exterior_character(b3, mult, stored_cap=216)
 
 
 @pytest.mark.parametrize("family,rank,module", list(_modules()))

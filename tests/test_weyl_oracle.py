@@ -194,6 +194,25 @@ def test_zero_weight_column_checks_its_solve(monkeypatch, bump, message):
         zero_weight_column(b3, 2 * b3.rho)
 
 
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_d_twin_rows_match_their_own_walks(monkeypatch, rank):
+    # a kappa with kappa_n < 0 reads the row of its twin, the last entry
+    # negated, and walks no orbit of its own
+    datum = build_root_datum("D", rank)
+    rho2 = datum.rho.coords2
+    below = enumerate_dominant_below(datum, 2 * datum.rho)
+    real = weyl_oracle._klimyk_walk
+    want = {kappa.coords2: real(datum, rho2, {kappa: 1}) for kappa in below}
+    walks = []
+    monkeypatch.setattr(weyl_oracle, "_klimyk_walk",
+                        lambda *args: walks.append(args) or real(*args))
+    monkeypatch.setattr(weyl_oracle, "_orbit_rows", {})
+    for kappa2, row in want.items():
+        assert weyl_oracle.orbit_sum_row(datum, kappa2) == row, kappa2
+    twins = sum(kappa2[-1] < 0 for kappa2 in want)
+    assert twins > 0 and len(walks) == len(want) - twins
+
+
 def test_dominant_multiplicities_preconditions(c2, b3):
     with pytest.raises(ValueError):
         dominant_multiplicities(b3, weight_from_coords(b3, [0, 1, 0]))
