@@ -79,7 +79,7 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
         raise ValueError(f"unknown module {module!r}: want 'adjoint' or 'little-adjoint'")
     checks = []
     if module == "adjoint":
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta, cap=dim_cap,
+        dec = exterior_oracle.exterior_decomposition(datum, datum.theta, dim_cap=dim_cap,
                                                    stored_cap=cap)
         _record(checks, "hks_invariants",
                 _unequal(dec[datum.zero], genexp.exterior_invariants(datum)))
@@ -98,8 +98,8 @@ def exterior_checks(datum, module, dim_cap=exterior_oracle.DEFAULT_DIM_CAP,
     else:
         if datum.theta_short is None:
             raise ConfigurationError("little adjoint needs a non-simply-laced family")
-        dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short, cap=dim_cap,
-                                                   stored_cap=cap)
+        dec = exterior_oracle.exterior_decomposition(datum, datum.theta_short,
+                                                   dim_cap=dim_cap, stored_cap=cap)
         totals = {w: p(1) for w, p in dec.items()}
         below = orders.enumerate_dominant_below(datum, 2 * datum.rho_short, cap)
         label = "conjecture-check" if datum.family == "C" else "verified-case-check"

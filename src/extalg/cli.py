@@ -168,8 +168,9 @@ def build_parser():
         p.add_argument("--output", help="write the report to this path instead of stdout")
         p.add_argument("--cap", type=_nonnegative_int, default=DEFAULT_CELL_CAP,
                        help="resource cap on oracle cells, lr enumeration steps, "
-                            "recurrence orbit points, listed dominant weights and "
-                            "the subsets orders summarises")
+                            "recurrence orbit points, listed dominant weights, the "
+                            "weights the exterior character stores while it is built "
+                            "and the subsets orders summarises")
         p.add_argument("--force-cap", action="store_true",
                        help="acknowledge a cap larger than the default")
 

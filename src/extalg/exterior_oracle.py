@@ -74,7 +74,7 @@ def _unpack(n, slot):
     return PolyT(out)
 
 
-def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP,
+def graded_exterior_character(datum, module_mult, dim_cap=DEFAULT_DIM_CAP,
                               stored_cap=DEFAULT_CELL_CAP):
     """Exact graded character of the exterior algebra over a weight system, packed.
 
@@ -91,13 +91,14 @@ def graded_exterior_character(datum, module_mult, cap=DEFAULT_DIM_CAP,
     every field stays in [0, 2**bits).  A product by a line is then one int
     add per weight, and a sign change or a sign test reads one field by shift
     and mask.  The keys are decoded to coordinate tuples once, at the end, in
-    the table's order.  ``stored_cap`` bounds the weights the table holds,
+    the table's order.  ``dim_cap`` bounds the module dimension, the number
+    of weight lines, and ``stored_cap`` the weights the table holds,
     counted after each unfold and each product step, so that a blow-up is a
     ResourceCapError, not a MemoryError.
     """
     d = sum(module_mult.values())
-    if d > cap:
-        raise ResourceCapError(f"module dimension {d} exceeds cap {cap}")
+    if d > dim_cap:
+        raise ResourceCapError(f"module dimension {d} exceeds cap {dim_cap}")
     # every coefficient is below 2**d (at most binom(d, k)); N[v][lam] nets
     # the terms sgn(w) chi(lam + rho - w rho) that fall in the orbit of v, so
     # either sign's part of m_lam = sum_v p_v N[v][lam] adds at most |W|/2 of
@@ -233,8 +234,9 @@ def graded_decompose(datum, gc):
     return out
 
 
-def exterior_decomposition(datum, highest, cap=DEFAULT_DIM_CAP, stored_cap=DEFAULT_CELL_CAP):
+def exterior_decomposition(datum, highest, dim_cap=DEFAULT_DIM_CAP,
+                           stored_cap=DEFAULT_CELL_CAP):
     """Convenience: decompose Lambda(V_highest) in one call."""
     module = freudenthal(datum, highest)
-    gc = graded_exterior_character(datum, module.mult, cap=cap, stored_cap=stored_cap)
+    gc = graded_exterior_character(datum, module.mult, dim_cap=dim_cap, stored_cap=stored_cap)
     return graded_decompose(datum, gc)

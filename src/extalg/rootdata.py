@@ -188,7 +188,10 @@ class RootDatum:
         return Weight(self.family, self.rank, lam2), det
 
     def _cosets2(self, nu2):
-        """The tables every walk of W nu2 places its entries from, one per coset start.
+        """The tables the walk of W nu2 places its entries from, one per coset start.
+
+        :meth:`regular_orbit2` is the one walk that reads them, and
+        :meth:`orbit_size` counts from them without walking.
 
         W acts by signed permutations in B-D and by permutations in A; in G2,
         on the sum-zero plane, W = S_3 x {+-1}, so W nu2 is the arrangements
@@ -214,30 +217,18 @@ class RootDatum:
     def orbit2(self, x2):
         """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism.
 
-        A plain walk of the tables of :meth:`_cosets2`: one coordinate at a
-        time takes each value of an entry with a coordinate left, and in D
-        without a zero entry the last coordinate completes only the sign
-        patterns of the kept parity.
+        The leaves v of :meth:`regular_orbit2` at the shift K rho, with
+        K = max|x2| + 1.  No point x = K rho + v lies on a wall there, so the
+        walk cuts nothing and lists each point once: in A-D the doubled
+        entries of rho fall by 2 from one coordinate to the next, so the
+        |x_i| differ while K > max|v_i|, and in B and C rho ends in 1 or 2,
+        so no x_i is 0 (the walk of D cuts no zero); in G2, where
+        rho = (-2, -4, 6), the sorted middle entry -2K + v_0 is not 0.
         """
-        dim = self.dim
-        v = [0] * dim
+        k = max(map(abs, x2)) + 1
         orbit = []
-        for choices, left, parity in self._cosets2(x2):
-            def walk(pos, neg):
-                if pos == dim:
-                    orbit.append(tuple(v))
-                    return
-                last = parity is not None and pos == dim - 1
-                for k, signs in choices:
-                    if left[k]:
-                        left[k] -= 1
-                        for y in signs:
-                            if not (last and (neg + (y < 0)) & 1 != parity):
-                                v[pos] = y
-                                walk(pos + 1, neg + (y < 0))
-                        left[k] += 1
-
-            walk(0, 0)
+        self.regular_orbit2(x2, tuple(k * c for c in self.rho.coords2),
+                            lambda v, lam2, det: orbit.append(tuple(v)))
         return sorted(orbit)
 
     def regular_orbit2(self, nu2, shifted2, leaf, keep=None):
@@ -258,7 +249,8 @@ class RootDatum:
         (determinant 1 on the plane) and the reversal of the order, one more
         transposition, so det changes sign; the rotation (a, b, c) ->
         (b, c, a) is even.  This walk is the only code that computes det(w);
-        :meth:`reduce_to_dominant` is its walk of the orbit {0}.
+        :meth:`reduce_to_dominant` is its walk of the orbit {0}, and
+        :meth:`orbit2` its walk at a shift off every wall.
 
         ``keep(pos, y)``, if given, is the caller's prefix test: it is asked
         about each placement of y at coordinate pos that passes the walk's
@@ -319,7 +311,7 @@ class RootDatum:
             walk(0, 1, 0, 0)
 
     def orbit_size(self, x2):
-        """|W x2|, the number of points :meth:`orbit2` lists, counted without listing them.
+        """|W x2|, the number of points :meth:`orbit2` lists, counted without walking them.
 
         Per table of :meth:`_cosets2`, the arrangements of the entries times
         the values each coordinate of an entry may take, halved when a

@@ -1,11 +1,15 @@
-"""Reference Weyl-group kernels for the tests: the simple reflections and the signed sort.
+"""Reference Weyl-group kernels for the tests: the simple reflections, the signed sort
+and the plain orbit walk.
 
-The library finds a dominant representative by a plain sort and det(w) on
-the walk of a Weyl orbit, and lists orbits in closed form, so no module of
-``extalg`` reflects one simple root at a time; the references that check it
-do.  ``chamber2``, ``regular2`` and ``reduce2`` are the signed insertion
-sort, its wall test and the rho-shifted reduction the library ran before
-its walk computed the sign.
+The library finds a dominant representative by a plain sort, and det(w) and
+every orbit on its one walk of the coset tables, so no module of ``extalg``
+reflects one simple root at a time; the references that check it do.
+``chamber2``, ``regular2`` and ``reduce2`` are the signed insertion sort,
+its wall test and the rho-shifted reduction the library ran before its walk
+computed the sign.  ``plain_orbit2`` is the walk that listed orbits before
+``RootDatum.orbit2`` became the uncut walk of ``regular_orbit2``: it reads
+the same tables but none of that walk's cuts, so the references of
+``regular_orbit2`` and its callers list their points through it.
 """
 
 
@@ -103,3 +107,33 @@ def reduce2(datum, shifted2):
     if not regular2(datum, rep):
         return None
     return tuple(a - b for a, b in zip(rep, datum.rho.coords2)), sign
+
+
+def plain_orbit2(datum, x2):
+    """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism.
+
+    A plain walk of the tables of ``RootDatum._cosets2``: one coordinate at
+    a time takes each value of an entry with a coordinate left, and in D
+    without a zero entry the last coordinate completes only the sign
+    patterns of the kept parity.
+    """
+    dim = datum.dim
+    v = [0] * dim
+    orbit = []
+    for choices, left, parity in datum._cosets2(x2):
+        def walk(pos, neg):
+            if pos == dim:
+                orbit.append(tuple(v))
+                return
+            last = parity is not None and pos == dim - 1
+            for k, signs in choices:
+                if left[k]:
+                    left[k] -= 1
+                    for y in signs:
+                        if not (last and (neg + (y < 0)) & 1 != parity):
+                            v[pos] = y
+                            walk(pos + 1, neg + (y < 0))
+                    left[k] += 1
+
+        walk(0, 0)
+    return sorted(orbit)

@@ -165,6 +165,15 @@ def test_short_kostant_verify_cap_bounds_the_exterior_build():
     assert run_cli(argv + ["12"]) == (0, run_cli(argv[:-1])[1], "")
 
 
+@pytest.mark.parametrize("command", ["exterior-verify", "short-kostant-verify"])
+def test_cap_help_names_the_stored_weights(command):
+    # both commands bound the exterior build's table by --cap (the type-B
+    # short-kostant-verify builds the little adjoint's exterior character)
+    code, out, _ = run_cli([command, "--help"])
+    assert code == 0
+    assert "the weights the exterior character stores while it is built" in " ".join(out.split())
+
+
 @pytest.mark.parametrize("rank", ["171", "1000000"])
 def test_rank_guard_exits_two_before_listing_roots(rank):
     assert run_cli(["roots", "--family", "A", "--rank", rank]) == \

@@ -7,7 +7,7 @@ and the package root import both.  The graph is read from the source with
 ``ast``, so those tests need no import of the package.  Every name a module
 exports must resolve, so that moving or deleting a function cannot leave a
 stale export behind.  No module asserts an invariant: ``python -O`` would
-strip the check.
+strip the check.  One walk reads the Weyl group's coset tables.
 """
 
 import ast
@@ -92,3 +92,26 @@ def test_the_census_names_no_family():
     named = [node.lineno for node in ast.walk(_trees()["orders"])
              if isinstance(node, ast.Constant) and node.value in FAMILIES]
     assert not named, f"orders.py names a family at lines {named}"
+
+
+def _readers(tree, name):
+    """The top-level functions and methods (``Class.method``) whose code names ``name``;
+    a mention outside them is read as ``<body>``."""
+    out = set()
+    for top in tree.body:
+        scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+        for scope in scopes:
+            if any(getattr(node, "attr", getattr(node, "id", None)) == name
+                   for node in ast.walk(scope)):
+                qual = getattr(scope, "name", "<body>")
+                out.add(f"{top.name}.{qual}" if scope is not top else qual)
+    return out
+
+
+def test_one_walk_reads_the_coset_tables():
+    # orbit2 and reduce_to_dominant are walks of regular_orbit2, so the Weyl
+    # action on a vector is written once; orbit_size counts without walking
+    readers = {f"{module}.{qual}" for module, tree in _trees().items()
+               for qual in _readers(tree, "_cosets2")}
+    assert readers == {"rootdata.RootDatum.regular_orbit2",
+                       "rootdata.RootDatum.orbit_size"}, sorted(readers)

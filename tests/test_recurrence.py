@@ -10,7 +10,7 @@ from extalg.recurrence import (LaurentQS, a_integers, chain_weight, coefficient_
 from extalg.rootdata import build_root_datum
 from extalg.weyl_oracle import ResourceCapError
 from helpers import weight_from_coords
-from reflections import apply_simple, reduce2
+from reflections import apply_simple, plain_orbit2, reduce2
 
 
 def reference_minuscule_row_entries(datum, lam):
@@ -68,7 +68,7 @@ def reference_zero_points(datum, lam):
     """Orbit points v of lam with v + rho conjugated to rho, by a scan of their own."""
     rho2 = datum.rho.coords2
     count = 0
-    for vec in datum.orbit2(lam.coords2):
+    for vec in plain_orbit2(datum, lam.coords2):
         red = reduce2(datum, tuple(a + b for a, b in zip(vec, rho2)))
         if red is not None and not any(red[0]):
             count += 1

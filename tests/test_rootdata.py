@@ -8,7 +8,7 @@ from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
 from helpers import DATUM_GRID, weight_from_coords
-from reflections import apply_simple, chamber2, reduce2
+from reflections import apply_simple, chamber2, plain_orbit2, reduce2
 
 
 def test_rho_realizations():
@@ -291,7 +291,7 @@ def test_reduce_recovers_shifted_orbit(family, rank):
     datum = build_root_datum(family, rank)
     lam = weight_from_fundamental(datum, (1,) * rank)
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    for image in datum.orbit2(shifted):
+    for image in plain_orbit2(datum, shifted):
         mu = datum.weight(tuple(a - b for a, b in zip(image, datum.rho.coords2)))
         red = datum.reduce_to_dominant(mu)
         assert red is not None
@@ -443,6 +443,16 @@ def random_vector(datum, rng):
     return tuple(rng.randint(-4, 4) for _ in range(datum.dim))
 
 
+def edge_vectors(datum, rng):
+    """The zero vector and vectors whose every entry is +-max|x2|, the entries
+    x = K rho + v nearest a wall at the shift of ``orbit2``; in G2 a sum-zero
+    vector has no such entries, so (2m, -m, -m) and (m, -m, 0) stand in."""
+    if datum.family == "G2":
+        return [(0, 0, 0), (6, -3, -3), (3, -3, 0)]
+    signs = [tuple(rng.choice((1, -1)) * 3 for _ in range(datum.dim)) for _ in range(3)]
+    return [(0,) * datum.dim, (3,) * datum.dim, (-3,) * datum.dim, *signs]
+
+
 @pytest.mark.parametrize("family,rank", KERNEL_GRID)
 def test_kernel_matches_reflection_references(family, rank):
     # up to rank 4 every Weyl image of every dominant weight below 2 rho (at
@@ -455,7 +465,8 @@ def test_kernel_matches_reflection_references(family, rank):
     if rank <= 4:
         for w in below:
             orbit = datum.orbit2(w.coords2)
-            assert orbit == reference_orbit2(datum, w.coords2), w
+            assert orbit == reference_orbit2(datum, w.coords2) == \
+                plain_orbit2(datum, w.coords2), w
             for x2 in orbit:
                 assert_kernel_matches(datum, x2)
     else:
@@ -471,8 +482,13 @@ def test_kernel_matches_reflection_references(family, rank):
     for _ in range(300):
         x2 = random_vector(datum, rng)
         assert_kernel_matches(datum, x2)
+        # a point the walk cut at its shift off the walls would show here
+        orbit = datum.orbit2(x2)
+        assert len(orbit) == datum.orbit_size(x2), x2
         if rank <= 4:
-            assert datum.orbit2(x2) == reference_orbit2(datum, x2), x2
+            assert orbit == reference_orbit2(datum, x2), x2
+    for x2 in edge_vectors(datum, rng):
+        assert datum.orbit2(x2) == plain_orbit2(datum, x2), x2
 
 
 def test_kernel_matches_reflection_references_random():
@@ -503,7 +519,7 @@ def reference_regular_leaves(datum, nu2, shift2, ok=None):
     """The full scan: (v, lam2, det) for every v in W nu2 with shift2 + v regular,
     and, given a prefix test ``ok``, every prefix of v passing it."""
     leaves = Counter()
-    for v in datum.orbit2(nu2):
+    for v in plain_orbit2(datum, nu2):
         if ok is not None and not all(ok(v[:i]) for i in range(1, len(v) + 1)):
             continue
         red = reduce2(datum, tuple(a + b for a, b in zip(v, shift2)))
@@ -567,7 +583,7 @@ def test_regular_orbit_walk_matches_the_full_scan(family, rank):
         for ok in tests:
             want = {shift2: reference_regular_leaves(datum, nu2, shift2, ok)
                     for shift2 in (rho2, shifted2)}
-            for start in (nu2, datum.orbit2(nu2)[0]):
+            for start in (nu2, plain_orbit2(datum, nu2)[0]):
                 for shift2, leaves in want.items():
                     assert walked_leaves(datum, start, shift2, ok) == leaves, (start, shift2)
             assert walked_leaves(datum, shifted2, zero2, ok) == \

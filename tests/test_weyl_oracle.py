@@ -12,7 +12,7 @@ from extalg.weyl_oracle import (ResourceCapError, dominant_multiplicities, freud
                                 klimyk_tensor, lusztig_E, q_kostant, weyl_dim,
                                 zero_weight_column)
 from helpers import weight_from_coords, weyl_alternation, weyl_group_order
-from reflections import apply_simple, reduce2
+from reflections import apply_simple, plain_orbit2, reduce2
 
 
 def _perm_sign(perm):
@@ -62,16 +62,17 @@ def reference_lusztig_E(datum, lam):
 
 
 def reference_klimyk(datum, lam, mu):
-    """The rho-shifted reduction of every cell of V_mu's weight system."""
-    system = freudenthal(datum, mu)
+    """The rho-shifted reduction of every cell of V_mu's weight system, each
+    orbit of its dominant weights listed by the plain walk."""
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
     out = {}
-    for nu, m in system.mult.items():
-        red = reduce2(datum, tuple(a + b for a, b in zip(shifted, nu.coords2)))
-        if red is None:
-            continue
-        target, sign = red
-        out[target] = out.get(target, 0) + sign * m
+    for nu, m in dominant_multiplicities(datum, mu).items():
+        for v in plain_orbit2(datum, nu.coords2):
+            red = reduce2(datum, tuple(a + b for a, b in zip(shifted, v)))
+            if red is None:
+                continue
+            target, sign = red
+            out[target] = out.get(target, 0) + sign * m
     return {Weight(datum.family, datum.rank, v): m for v, m in out.items() if m}
 
 
