@@ -11,25 +11,24 @@ the parities of c_i = 2|rho_i| - |lam_i|:
 * Case C: the remaining situations, which occur in type B only.
 """
 
-from dataclasses import dataclass
-
-from .core import DEFAULT_CELL_CAP
+from .core import DEFAULT_CELL_CAP, Record
 from .gpartitions import GPartition, is_admissible, weight_of
 from .orders import coordinatewise_leq, dominance_leq, enumerate_dominant_below
 
 __all__ = ["Certificate", "construct", "certify_theorem"]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    lam: object
-    c2: tuple              # doubled gap vector 2*(2|rho_i| - |lam_i|)
-    case_used: str         # "A", "B" or "C"
-    pairing: tuple         # Case B index pairs, () otherwise
-    odd_set: tuple         # Case C odd-index set, () otherwise
-    partition: GPartition
-    associated_ok: bool
-    admissible_ok: bool
+class Certificate(Record):
+    __slots__ = (
+        "lam",
+        "c2",              # doubled gap vector 2*(2|rho_i| - |lam_i|)
+        "case_used",       # "A", "B" or "C"
+        "pairing",         # Case B index pairs, () otherwise
+        "odd_set",         # Case C odd-index set, () otherwise
+        "partition",       # GPartition
+        "associated_ok",
+        "admissible_ok",
+    )
 
 
 def _case_a(datum, c):

@@ -3,13 +3,14 @@
 ``PolyT`` is a sparse integer Laurent polynomial in ``t`` whose divisions are
 exact or raise ``ExactDivisionError``; ``ResourceCapError`` and
 ``DEFAULT_CELL_CAP`` guard every exponential path; ``check`` builds the
-{"name", "pass", "detail"} records of the batteries.  This module imports
-no other module of the package.
+{"name", "pass", "detail"} records of the batteries; ``Record`` is the base
+of every frozen record of the package (``Weight``, ``RootDatum``,
+``GPartition``, ``Certificate``, ``WeightMultMap``, ``GradedCharacter``,
+``RecurrenceRow``).  This module imports no other module of the package.
 """
 
-from fractions import Fraction
-
 __all__ = [
+    "Record",
     "PolyT",
     "ExactDivisionError",
     "ResourceCapError",
@@ -28,6 +29,52 @@ class ResourceCapError(RuntimeError):
 
 class ExactDivisionError(ArithmeticError):
     """A polynomial division left a nonzero remainder."""
+
+
+class Record:
+    """A frozen record whose fields are the names in its class's ``__slots__``.
+
+    It gives what ``@dataclass(frozen=True)`` would, without importing
+    ``dataclasses`` (16–19 ms of a cold import, notes/decisions.md): a
+    positional ``__init__`` in slot order, ``AttributeError`` on assignment
+    or deletion, equality of the field tuples within one class only, the
+    hash of the field tuple, the dataclass repr, and copies and pickles
+    rebuilt through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields "
+                            f"({', '.join(names)}), got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r} of a frozen {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__qualname__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class PolyT:
@@ -151,6 +198,7 @@ class PolyT:
     def __call__(self, value):
         """Evaluate exactly: an int, or a Fraction when a negative power occurs."""
         if self.c and min(self.c) < 0:
+            from fractions import Fraction  # here, so that no import of the package loads it
             value = Fraction(value)
         return sum(v * value ** e for e, v in self.c.items())
 

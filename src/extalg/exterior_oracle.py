@@ -24,10 +24,9 @@ against live on the combinatorial path, in ``genexp``.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, factorial
 
-from .core import DEFAULT_CELL_CAP, PolyT, ResourceCapError
+from .core import DEFAULT_CELL_CAP, PolyT, Record, ResourceCapError
 from .weyl_oracle import freudenthal, orbit_sum_row
 
 __all__ = [
@@ -40,8 +39,7 @@ __all__ = [
 DEFAULT_DIM_CAP = 24
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(Record):
     """A graded character with t-polynomials packed ``slot`` bits per degree.
 
     ``table`` maps a support weight's doubled coordinates to its packed
@@ -50,11 +48,7 @@ class GradedCharacter:
     character is invariant under sign changes; in A and G2 it holds them all.
     """
 
-    family: str
-    rank: int
-    total_dim: int
-    slot: int
-    table: dict
+    __slots__ = ("family", "rank", "total_dim", "slot", "table")
 
 
 def _signed(datum):

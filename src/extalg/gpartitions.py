@@ -11,9 +11,8 @@ multiplicity of V_nu in V_lam (x) V_mu.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .core import DEFAULT_CELL_CAP, ResourceCapError
+from .core import DEFAULT_CELL_CAP, Record, ResourceCapError
 
 __all__ = [
     "GPartition",
@@ -35,17 +34,14 @@ def _row_index(n, i):
     return n * (n - 1) + i - 1
 
 
-@dataclass(frozen=True)
-class GPartition:
+class GPartition(Record):
     """Nonnegative integer tuple indexed by positive-root slots, flat layout.
 
     The flat layout for rank 3 is ``(m12, mp12, m13, mp13, m23, mp23, m1, m2,
     m3)``; higher ranks extend the pair block lexicographically in (i, j).
     """
 
-    family: str
-    n: int
-    flat: tuple
+    __slots__ = ("family", "n", "flat")
 
     @classmethod
     def from_flat(cls, family, n, values):

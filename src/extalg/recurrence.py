@@ -17,12 +17,11 @@ rows, and ``genexp.recur_E`` solves their q = 0 form for the generalized
 exponents of the small chain weights.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .core import (DEFAULT_CELL_CAP, PolyT, ResourceCapError, _first_unequal, _record,
-                   _unequal, check)
+from .core import (DEFAULT_CELL_CAP, PolyT, Record, ResourceCapError, _first_unequal,
+                   _record, _unequal, check)
 from .orders import dominance_leq
 from .rootdata import Weight, build_root_datum
 
@@ -120,11 +119,12 @@ def exterior_specialization(lq):
     return PolyT(out)
 
 
-@dataclass(frozen=True)
-class RecurrenceRow:
-    lam: object
-    entries: dict  # dominant Weight -> LaurentQS
-    zero_points: int  # orbit points v with v + rho conjugated to rho (|Omega_0|)
+class RecurrenceRow(Record):
+    __slots__ = (
+        "lam",
+        "entries",         # dominant Weight -> LaurentQS
+        "zero_points",     # orbit points v with v + rho conjugated to rho (|Omega_0|)
+    )
 
 
 def chain_count(datum):

@@ -22,13 +22,11 @@ kernel and the A root-lattice coset rule know the realization.
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import add, mul, sub
 
-from .core import DEFAULT_CELL_CAP
+from .core import DEFAULT_CELL_CAP, Record
 
 __all__ = [
     "ConfigurationError",
@@ -50,13 +48,30 @@ class DatumMismatchError(ValueError):
     """Weights from different root data were mixed in one operation."""
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight in doubled epsilon-coordinates, tagged by (family, rank)."""
+class Weight(Record):
+    """A weight in doubled epsilon-coordinates, tagged by (family, rank).
 
-    family: str
-    rank: int
-    coords2: tuple
+    Weights are built, compared and hashed in every layer, so the record's
+    ``__init__``, ``__eq__`` and ``__hash__`` are written out.  The hash is that
+    of ``(family, rank, coords2)``: it fixes the order in which every set of
+    weights iterates.
+    """
+
+    __slots__ = ("family", "rank", "coords2")
+
+    def __init__(self, family, rank, coords2):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coords2", coords2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family == other.family and self.rank == other.rank
+                and self.coords2 == other.coords2)
+
+    def __hash__(self):
+        return hash((self.family, self.rank, self.coords2))
 
     def is_zero(self):
         return all(c == 0 for c in self.coords2)
@@ -88,30 +103,35 @@ class Weight:
         return f"W[{self.family}{self.rank}]{self.pretty()}"
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Root-system data of one simple Lie algebra in its epsilon realization."""
 
-    family: str
-    rank: int
-    dim: int
-    positive_roots: tuple          # of Weight
-    simple_roots: tuple            # of Weight
-    fundamental_weights: tuple     # of Weight
-    rho: Weight
-    rho_short: Weight              # equals rho when simply laced
-    theta: Weight
-    theta_short: Weight            # None when simply laced
-    exponents: tuple
-    coxeter_number: int
-    num_short_simple: int
-    _coroots: tuple                # per simple root, its coroot (see pairing2)
-    _coweights: tuple              # per simple root, (omega2_i, (alpha2_i, alpha2_i) / 2)
+    __slots__ = (
+        "family",
+        "rank",
+        "dim",
+        "positive_roots",          # tuple of Weight
+        "simple_roots",            # tuple of Weight
+        "fundamental_weights",     # tuple of Weight
+        "rho",
+        "rho_short",               # equals rho when simply laced
+        "theta",
+        "theta_short",             # None when simply laced
+        "exponents",
+        "coxeter_number",
+        "num_short_simple",
+        "_coroots",                # per simple root, its coroot (see pairing2)
+        "_coweights",              # per simple root, (omega2_i, (alpha2_i, alpha2_i) / 2)
+    )
 
     # -- basic constructors -------------------------------------------------
 
     def weight(self, coords2):
-        coords2 = tuple(int(c) for c in coords2)
+        """The weight with these doubled coordinates; ``ValueError`` unless each is an integer."""
+        given = tuple(coords2)
+        coords2 = tuple(map(int, given))
+        if coords2 != given:
+            raise ValueError(f"non-integral doubled coordinates {given}")
         if len(coords2) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords2)}")
         return Weight(self.family, self.rank, coords2)
@@ -489,9 +509,12 @@ def _derive(family, rank, pos, simple, short, fund):
         return sum(map(mul, x, y))
 
     def coroot(a2):
-        v = [Fraction(4 * c, dot(a2, a2)) for c in a2]
-        shift = round(v[0]) - v[0] if dim > rank else 0
-        return tuple(int(c + shift) for c in v)
+        # 4 a2 / (a2, a2) in units of 1 / (a2, a2); the shift moves the first
+        # entry to its nearest integer, and every entry with it
+        norm = dot(a2, a2)
+        v = [4 * c for c in a2]
+        shift = (2 * v[0] + norm) // (2 * norm) * norm - v[0] if dim > rank else 0
+        return tuple((c + shift) // norm for c in v)
 
     def half_sum(roots):
         return tuple(sum(r[k] for r in roots) // 2 for k in range(dim))
@@ -519,10 +542,15 @@ def _derive(family, rank, pos, simple, short, fund):
 
 
 def weight_from_fundamental(datum, coeffs):
-    """Sum of ``coeffs[i] * omega_{i+1}`` as a Weight (negatives allowed)."""
+    """Sum of ``coeffs[i] * omega_{i+1}`` as a Weight (negatives allowed).
+
+    ``ValueError`` unless every coefficient is an integer.
+    """
     coeffs = list(coeffs)
     if len(coeffs) != datum.rank:
         raise ValueError(f"expected {datum.rank} coefficients, got {len(coeffs)}")
+    if any(int(c) != c for c in coeffs):
+        raise ValueError(f"non-integral fundamental coefficients {coeffs}")
     acc = [0] * datum.dim
     for c, omega in zip(coeffs, datum.fundamental_weights):
         for k, x in enumerate(omega.coords2):

@@ -32,11 +32,10 @@ last entry is the row of its twin with every key's last entry negated, and
 each twin pair is walked once.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
-from .core import DEFAULT_CELL_CAP, PolyT, ResourceCapError
+from .core import DEFAULT_CELL_CAP, PolyT, Record, ResourceCapError
 from .orders import enumerate_dominant_below
 from .rootdata import Weight, build_root_datum
 
@@ -53,14 +52,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightMultMap:
+class WeightMultMap(Record):
     """Finite weight system of one irreducible, weights mapped to multiplicities."""
 
-    family: str
-    rank: int
-    highest: object
-    mult: dict  # Weight -> positive int, full Weyl-orbit expansion
+    __slots__ = (
+        "family",
+        "rank",
+        "highest",
+        "mult",            # Weight -> positive int, full Weyl-orbit expansion
+    )
 
 
 _dominant_cache = {}

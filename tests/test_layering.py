@@ -7,11 +7,15 @@ and the package root import both.  The graph is read from the source with
 ``ast``, so those tests need no import of the package.  Every name a module
 exports must resolve, so that moving or deleting a function cannot leave a
 stale export behind.  No module asserts an invariant: ``python -O`` would
-strip the check.  One walk reads the Weyl group's coset tables.
+strip the check.  One walk reads the Weyl group's coset tables.  A cold
+import loads neither ``dataclasses`` nor ``fractions``: with the modules they
+pull in, they would take about a fifth of a one-shot ``gexp`` call's set-up.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "extalg"
@@ -115,3 +119,34 @@ def test_one_walk_reads_the_coset_tables():
                for qual in _readers(tree, "_cosets2")}
     assert readers == {"rootdata.RootDatum.regular_orbit2",
                        "rootdata.RootDatum.orbit_size"}, sorted(readers)
+
+
+def test_no_dataclasses_and_fractions_only_inside_a_function():
+    # a PolyT evaluated at a negative power is the one user of Fraction
+    for module, tree in _trees().items():
+        local = {id(node) for scope in ast.walk(tree)
+                 if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(scope)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            assert "dataclasses" not in names, f"{module}.py imports dataclasses"
+            assert "fractions" not in names or id(node) in local, \
+                f"{module}.py imports fractions outside a function at line {node.lineno}"
+
+
+COSTLY_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal")
+
+
+def test_a_cold_import_of_the_cli_loads_no_costly_module():
+    # -S keeps the imports of site out of the child's sys.modules
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import extalg.cli; "
+            f"print(*[m for m in {COSTLY_AT_IMPORT!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"importing extalg.cli loaded {proc.stdout.strip()}"

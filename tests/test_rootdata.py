@@ -262,6 +262,19 @@ def test_weight_from_fundamental_examples():
         weight_from_fundamental(b3, [1, 0])
 
 
+def test_non_integral_weights_are_refused():
+    # int() would truncate these to W[B3](1,1/2,0) and W[B3](1/2,0,0), the
+    # latter no weight of B3
+    b3 = build_root_datum("B", 3)
+    with pytest.raises(ValueError, match="non-integral doubled coordinates"):
+        b3.weight((2.7, 1.2, 0.5))
+    with pytest.raises(ValueError, match="non-integral fundamental coefficients"):
+        weight_from_fundamental(b3, [0.5, 0, 0])
+    # integral values of another type still name their weight
+    assert b3.weight((2.0, 1.0, 0.0)) == b3.weight((2, 1, 0))
+    assert weight_from_fundamental(b3, [1.0, 0, 2.0]) == weight_from_fundamental(b3, [1, 0, 2])
+
+
 def test_fundamental_coefficients_roundtrip():
     for family, rank in [("B", 3), ("C", 3), ("D", 4), ("G2", 2)]:
         datum = build_root_datum(family, rank)
