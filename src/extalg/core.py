@@ -35,22 +35,40 @@ class Record:
     """A frozen record whose fields are the names in its class's ``__slots__``.
 
     It gives what ``@dataclass(frozen=True)`` would, without importing
-    ``dataclasses`` (16–19 ms of a cold import, notes/decisions.md): a
-    positional ``__init__`` in slot order, ``AttributeError`` on assignment
-    or deletion, equality of the field tuples within one class only, the
-    hash of the field tuple, the dataclass repr, and copies and pickles
-    rebuilt through ``__init__``.
+    ``dataclasses`` (16–19 ms of a cold import, notes/decisions.md): an
+    ``__init__`` taking the fields in slot order, by position or by name,
+    ``AttributeError`` on assignment or deletion, equality of the field
+    tuples within one class only, the hash of the field tuple, the dataclass
+    repr, and copies and pickles rebuilt through ``__init__``.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values):
+    def __init__(self, *values, **named):
         names = self.__slots__
-        if len(values) != len(names):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields "
-                            f"({', '.join(names)}), got {len(values)}")
+        if named or len(values) != len(names):
+            values = self._bind(values, named)
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, values, named):
+        """The field values in slot order, or ``TypeError`` as a call would raise it."""
+        names = cls.__slots__
+        where = f"{cls.__qualname__}() takes the fields ({', '.join(names)})"
+        if len(values) > len(names):
+            raise TypeError(f"{where}, got {len(values)} positional values")
+        bound = dict(zip(names, values))
+        for name, value in named.items():
+            if name not in names:
+                raise TypeError(f"{where}, got an unexpected field {name!r}")
+            if name in bound:
+                raise TypeError(f"{where}, got {name!r} twice")
+            bound[name] = value
+        missing = [name for name in names if name not in bound]
+        if missing:
+            raise TypeError(f"{where}, missing {', '.join(missing)}")
+        return [bound[name] for name in names]
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -45,7 +45,12 @@ class GPartition(Record):
 
     @classmethod
     def from_flat(cls, family, n, values):
-        values = tuple(int(v) for v in values)
+        """The partition with these flat entries; ``ValueError`` unless each is
+        a nonnegative integer and the rows fit the family."""
+        given = tuple(values)
+        values = tuple(map(int, given))
+        if values != given:
+            raise ValueError(f"non-integral g-partition entries {given}")
         # two slots per pair (i, j), n * (n - 1) // 2 pairs, and one m_i per row
         if len(values) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(values)}")

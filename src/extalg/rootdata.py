@@ -52,9 +52,10 @@ class Weight(Record):
     """A weight in doubled epsilon-coordinates, tagged by (family, rank).
 
     Weights are built, compared and hashed in every layer, so the record's
-    ``__init__``, ``__eq__`` and ``__hash__`` are written out.  The hash is that
-    of ``(family, rank, coords2)``: it fixes the order in which every set of
-    weights iterates.
+    ``__init__``, ``__eq__`` and ``__hash__`` are written out: on ``Record``'s
+    generic methods every workload's ``sweep_s`` rose by 3–7 % (notes/decisions.md).
+    The hash is that of ``(family, rank, coords2)``: it fixes the order in which
+    every set of weights iterates.
     """
 
     __slots__ = ("family", "rank", "coords2")

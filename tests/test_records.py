@@ -1,6 +1,6 @@
 """The package's seven records keep the semantics of frozen dataclasses.
 
-Each record takes its fields positionally in a fixed order, refuses
+Each record takes its fields in a fixed order, by position or by name, refuses
 assignment and deletion, equals another record only of its own class and with
 equal fields, hashes as the tuple of its fields and, unless it defines its
 own, has the dataclass repr; its copies and pickles equal it.  A weight's hash
@@ -59,8 +59,14 @@ def test_record_semantics(records, cls):
     values = tuple(getattr(record, name) for name in names)
     twin = cls(*values)
     assert twin == record and not twin != record and twin is not record
-    with pytest.raises(TypeError):
-        cls(*values[:-1])
+    assert cls(**dict(zip(names, values))) == record
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
+    for bad_call in (lambda: cls(*values[:-1]), lambda: cls(*values, None),
+                     lambda: cls(*values, extra=None),
+                     lambda: cls(*values, **{names[0]: values[0]}),
+                     lambda: cls(**dict(zip(names[1:], values[1:])))):
+        with pytest.raises(TypeError):
+            bad_call()
 
     for name in names + ("extra",):
         with pytest.raises(AttributeError):

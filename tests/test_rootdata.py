@@ -4,6 +4,7 @@ from itertools import accumulate
 
 import pytest
 
+from extalg.gpartitions import GPartition
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
@@ -270,6 +271,10 @@ def test_non_integral_weights_are_refused():
         b3.weight((2.7, 1.2, 0.5))
     with pytest.raises(ValueError, match="non-integral fundamental coefficients"):
         weight_from_fundamental(b3, [0.5, 0, 0])
+    # nor may a g-partition entry be truncated to the zero partition
+    with pytest.raises(ValueError, match="non-integral g-partition entries"):
+        GPartition.from_flat("B", 2, [0.5, 0, 0, 0])
+    assert GPartition.from_flat("B", 2, [1.0, 0, 0, 2.0]) == GPartition.from_flat("B", 2, [1, 0, 0, 2])
     # integral values of another type still name their weight
     assert b3.weight((2.0, 1.0, 0.0)) == b3.weight((2, 1, 0))
     assert weight_from_fundamental(b3, [1.0, 0, 2.0]) == weight_from_fundamental(b3, [1, 0, 2])
