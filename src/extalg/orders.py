@@ -14,6 +14,7 @@ diagram is >= 0 entrywise.
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import ge
 
 from .core import DEFAULT_CELL_CAP, ResourceCapError
 from .rootdata import DatumMismatchError, Weight, build_root_datum
@@ -45,13 +46,27 @@ def coordinatewise_leq(mu, lam):
 
 
 def is_small(datum, lam):
-    """Small weights: in the root lattice with 2*alpha not below lam for dominant roots alpha."""
-    if not datum.in_root_lattice(lam):
-        return False
-    for alpha in datum.dominant_roots():
-        if dominance_leq(datum, 2 * alpha, lam):
-            return False
-    return True
+    """Small weights: in the root lattice with 2*alpha not below lam for dominant roots alpha.
+
+    One call of ``root_coefficients2`` gives lam's simple-root coefficients,
+    and 2*alpha is below lam when none of them is below the coefficient of
+    2*alpha.  Without coefficients lam is off the root lattice, or it is one
+    of A's gl-style weights off the sum-zero plane, which A's own lattice
+    test (``in_root_lattice``) may admit and which lies above no 2*alpha.
+    """
+    datum.check_weight(lam)
+    coeffs = datum.root_coefficients2(lam.coords2)
+    if coeffs is None:
+        return datum.in_root_lattice(lam)
+    return not any(all(map(ge, coeffs, twice))
+                   for twice in _twice_dominant_roots(datum.family, datum.rank))
+
+
+@lru_cache(maxsize=None)
+def _twice_dominant_roots(family, rank):
+    """The simple-root coefficients of 2*alpha for each dominant root alpha."""
+    datum = build_root_datum(family, rank)
+    return tuple(datum.root_coefficients2((2 * alpha).coords2) for alpha in datum.dominant_roots())
 
 
 @lru_cache(maxsize=None)

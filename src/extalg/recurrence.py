@@ -186,7 +186,7 @@ def minuscule_row(datum, lam, cap=DEFAULT_CELL_CAP):
                 acc[(0, -s_exp)] = acc.get((0, -s_exp), 0) + sign
                 acc[(q_exp, s_exp)] = acc.get((q_exp, s_exp), 0) - sign
 
-    datum.regular_orbit2(lam.coords2, rho2, leaf)
+    datum.regular_orbit2({lam.coords2: 1}, rho2, leaf)
     entries = {}
     for target, acc in sums.items():
         entry = LaurentQS(acc)

@@ -20,7 +20,6 @@ derived from these, by one rule each; past the declarations only the Weyl-group
 kernel and the A root-lattice coset rule know the realization.
 """
 
-from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from math import factorial, lcm
@@ -196,17 +195,16 @@ class RootDatum(Record):
 
         Returns ``None`` when ``mu + rho`` is not regular, otherwise the unique
         pair ``(lam, sign)`` with ``sigma(mu + rho) = lam + rho`` for some Weyl
-        element ``sigma`` and ``sign = (-1)**length(sigma)``: the one leaf, if
-        any, of the walk of the orbit W 0 = {0} at the shift ``mu + rho``.
+        element ``sigma`` and ``sign = (-1)**length(sigma)``: the one term, if
+        any, of the sum of :meth:`regular_orbit2` over the orbit W 0 = {0} at
+        the shift ``mu + rho``.
         """
         self.check_weight(mu)
-        leaves = []
-        self.regular_orbit2((0,) * self.dim, tuple(map(add, mu.coords2, self.rho.coords2)),
-                            lambda v, lam2, det: leaves.append((lam2, det)))
-        if not leaves:
-            return None
-        lam2, det = leaves[0]
-        return Weight(self.family, self.rank, lam2), det
+        sums = self.regular_orbit2({(0,) * self.dim: 1},
+                                   tuple(map(add, mu.coords2, self.rho.coords2)))
+        for lam2, det in sums.items():
+            return Weight(self.family, self.rank, lam2), det
+        return None
 
     def _cosets2(self, nu2):
         """The tables the walk of W nu2 places its entries from, one per coset start.
@@ -248,88 +246,157 @@ class RootDatum(Record):
         """
         k = max(map(abs, x2)) + 1
         orbit = []
-        self.regular_orbit2(x2, tuple(k * c for c in self.rho.coords2),
-                            lambda v, lam2, det: orbit.append(tuple(v)))
+        self.regular_orbit2({tuple(x2): 1}, tuple(k * c for c in self.rho.coords2),
+                            lambda v, lam2, det: orbit.append(v))
         return sorted(orbit)
 
-    def regular_orbit2(self, nu2, shifted2, leaf, keep=None):
-        """Call ``leaf(v, lam2, det)`` for every v in W nu2 with shifted2 + v regular.
+    def regular_orbit2(self, table, shifted2, leaf=None, keep=None):
+        """The points v of the orbits W nu2 of ``table`` with x = shifted2 + v regular.
 
-        ``lam2`` is the dominant representative of x = shifted2 + v minus rho
-        and ``det`` is det(w) for the w carrying x there; ``v`` is a live list,
-        valid only during the call.  The walk places one coordinate of v, and
-        so of x, at a time from the tables of :meth:`_cosets2`, and cuts a
-        branch as soon as two placed |x_i| coincide (x_i in A and G2) or, in B
-        and C, one is 0: every completion lies on a wall.  Each placed |x_i|
-        goes into a sorted list; the number of smaller values already there is
-        the number of inversions it adds to the descending sort, so their
-        parity and, in B and C, that of the negative entries of x give det(w).
-        In D the sorted x has its last entry negated after an odd number of
-        negative entries.  In G2 a sorted middle entry 0 lies on a long-root
-        wall; one > 0 is flipped as in :meth:`chamber_rep2`, by -1
-        (determinant 1 on the plane) and the reversal of the order, one more
-        transposition, so det changes sign; the rotation (a, b, c) ->
-        (b, c, a) is even.  This walk is the only code that computes det(w);
-        :meth:`reduce_to_dominant` is its walk of the orbit {0}, and
-        :meth:`orbit2` its walk at a shift off every wall.
+        ``table`` maps doubled coordinates nu2 to integer weights m.  For each
+        such v, ``lam2`` is the dominant representative of x minus rho and
+        det is det(w) for the w carrying x there.  A sum reader (no ``leaf``)
+        gets back ``{lam2: sum of m det}`` over every orbit of the table,
+        without the sums that cancel to 0.  A point reader gets
+        ``leaf(v, lam2, m det)`` once per point, v a tuple, in the
+        lexicographic order of the choices of :meth:`_cosets2`, the order of a
+        depth-first walk.
 
-        ``keep(pos, y)``, if given, is the caller's prefix test: it is asked
-        about each placement of y at coordinate pos that passes the walk's
-        own cuts, after the placements at 0..pos-1 of the current branch, and
-        the walk descends exactly when it returns true, so it may record
-        per-coordinate state.  A leaf is then a v whose every prefix passed.
+        The walk places one coordinate of v, and so of x, at a time from the
+        tables of :meth:`_cosets2`, one level per coordinate.  It cuts a
+        prefix as soon as two placed |x_i| coincide (x_i in A and G2) or, in B
+        and C, one is 0: every completion lies on a wall.  A placed |x_i| adds
+        as many inversions to the descending sort as placed values below it,
+        so their parity and, in B and C, that of the negative entries of x
+        give det(w).  In D the sorted x has its last entry negated after an
+        odd number of negative entries.  In G2 a sorted middle entry 0 lies
+        on a long-root wall; one > 0 is flipped as in :meth:`chamber_rep2`, by
+        -1 (determinant 1 on the plane) and the reversal of the order, one
+        more transposition, so det changes sign; the rotation (a, b, c) ->
+        (b, c, a) is even.
+
+        A state of a level, packed into one int, is the entries not yet
+        placed (interned, in the order of the table), the set of placed
+        |x_i| (a bitmask; in A and G2, whose entries may be negative, bit
+        x_i + off) and, in D, the parities of the negative x_i and of the
+        negative v_i still owed to the coset.  A state fixes every completion, every later cut and every
+        later det factor, so the prefixes that reach it, from one orbit or
+        from several, add their signed weights and the state is extended
+        once; a state whose weights cancel is dropped.  A point reader, or a
+        reader with a prefix test, keeps its prefix in the state, so nothing
+        merges for it.  This walk is the
+        only code that computes det(w); :meth:`reduce_to_dominant` is its walk
+        of the orbit {0}, and :meth:`orbit2` its walk at a shift off every
+        wall (notes/decisions.md).
+
+        ``keep(prefix)``, if given, is the caller's prefix test: it is asked
+        about each prefix v_0..v_pos that passes the walk's own cuts, and the
+        walk extends the prefix exactly when it returns true.  A leaf is then
+        a v whose every prefix passed.
         """
         f = self.family
         dim = self.dim
-        rho2 = self.rho.coords2
         signed = f in ("B", "C", "D")
         flip_det = f in ("B", "C")
-        placed = []
-        v = [0] * dim
-        for choices, left, parity in self._cosets2(nu2):
-            def walk(pos, det, neg_x, neg_nu):
-                if pos == dim:
-                    rep = placed[::-1]
-                    if f == "D" and neg_x & 1:
-                        rep[-1] = -rep[-1]
-                    elif f == "G2":
-                        a, b, c = rep
-                        if not b:
-                            return
-                        if b > 0:
-                            rep, det = (-b, -a, -c), -det
-                        else:
-                            rep = (b, c, a)
-                    leaf(v, tuple(map(sub, rep, rho2)), det)
-                    return
-                base = shifted2[pos]
-                last = parity is not None and pos == dim - 1
-                for k, signs in choices:
-                    if not left[k]:
-                        continue
-                    left[k] -= 1
-                    for y in signs:
-                        if last and (neg_nu + (y < 0)) & 1 != parity:
-                            continue
+        parities = f == "D"
+        carry = leaf is not None or keep is not None
+        off = 0 if signed else (max(map(abs, shifted2))
+                                + max(abs(c) for nu2 in table for c in nu2))
+        rems, moves = _LEFT, _MOVES
+        # a state is placed mask << 32 | entries-left id << 3 | D flags (the
+        # ids stay far below 2**29), paired with its prefix when carried; the
+        # D flags are bit 0, the parity of the negative x_i, bit 1, that of
+        # the negative v_i the coset still owes, and bit 2, set when it owes any
+        level = {}
+        for nu2, m in table.items():
+            for choices, left, parity in self._cosets2(nu2):
+                rem = tuple(ys for (_, ys), c in zip(choices, left) for _ in range(c))
+                key = _intern(rem) << 3 | (0 if parity is None else 4 | parity << 1)
+                if carry:
+                    key = (key, ())
+                level[key] = level.get(key, 0) + m
+        for pos in range(dim):
+            base = shifted2[pos]
+            last = pos == dim - 1
+            nxt = {}
+            get = nxt.get
+            for key, w in level.items():
+                if not w:
+                    continue
+                if carry:
+                    key, prefix = key
+                mask = key >> 32
+                flags = key & 7
+                mid = key >> 3 & 0x1FFFFFFF
+                step = moves[mid]
+                if step is None:
+                    rem = rems[mid]
+                    step = moves[mid] = [(ys, _intern(rem[:i] + rem[i + 1:]) << 3)
+                                         for i, ys in enumerate(rem) if not i or ys != rem[i - 1]]
+                for ys, nid in step:
+                    for y in ys:
                         x = base + y
-                        if flip_det and not x:
+                        if signed:
+                            if x < 0:
+                                bit = 1 << -x
+                            elif x or not flip_det:
+                                bit = 1 << x
+                            else:
+                                continue
+                        else:
+                            bit = 1 << (x + off)
+                        if mask & bit:
                             continue
-                        a = -x if signed and x < 0 else x
-                        i = bisect_left(placed, a)
-                        if i < len(placed) and placed[i] == a:
-                            continue
-                        if keep is not None and not keep(pos, y):
-                            continue
-                        placed.insert(i, a)
-                        v[pos] = y
-                        d = -det if i & 1 else det
+                        nflags = flags
+                        if parities:
+                            if x < 0:
+                                nflags ^= 1
+                            if y < 0 and flags & 4:
+                                nflags ^= 2
+                            if last and nflags & 6 == 6:
+                                continue
+                        key = (mask | bit) << 32 | nid | nflags
+                        if carry:
+                            p = prefix + (y,)
+                            if keep is not None and not keep(p):
+                                continue
+                            key = (key, p)
+                        d = -w if (mask & (bit - 1)).bit_count() & 1 else w
                         if flip_det and x < 0:
                             d = -d
-                        walk(pos + 1, d, neg_x + (x < 0), neg_nu + (y < 0))
-                        del placed[i]
-                    left[k] += 1
-
-            walk(0, 1, 0, 0)
+                        nxt[key] = get(key, 0) + d
+            level = nxt
+        rho2 = self.rho.coords2
+        out = {}
+        for key, w in level.items():
+            if not w:
+                continue
+            if carry:
+                key, v = key
+            mask = key >> 32
+            rep = []
+            while mask:
+                top = mask.bit_length() - 1
+                rep.append(top - off)
+                mask ^= 1 << top
+            if key & 1:
+                rep[-1] = -rep[-1]
+            elif f == "G2":
+                a, b, c = rep
+                if not b:
+                    continue
+                if b > 0:
+                    rep, w = (-b, -a, -c), -w
+                else:
+                    rep = (b, c, a)
+            lam2 = tuple(map(sub, rep, rho2))
+            if leaf is not None:
+                leaf(v, lam2, w)
+            else:
+                out[lam2] = out.get(lam2, 0) + w
+        for lam2 in [lam2 for lam2, s in out.items() if not s]:
+            del out[lam2]
+        return None if leaf is not None else out
 
     def orbit_size(self, x2):
         """|W x2|, the number of points :meth:`orbit2` lists, counted without walking them.
@@ -409,6 +476,24 @@ class RootDatum(Record):
                 continue
             parts.append(f"w{i}" if c == 1 else f"{c}*w{i}")
         return "+".join(parts) if parts else "0"
+
+
+# The entries a walk of RootDatum.regular_orbit2 has still to place: a tuple
+# holding, once per coordinate left to an entry, the values the entry may take
+# there, in the order of its coset table.  Each such tuple is interned once per
+# process, as its index in _LEFT; _MOVES[i] lists, per distinct entry of
+# _LEFT[i], its values and the id of the entries left after placing it, from
+# the first walk that extends it.
+_LEFT_IDS, _LEFT, _MOVES = {}, [], []
+
+
+def _intern(rem):
+    i = _LEFT_IDS.get(rem)
+    if i is None:
+        i = _LEFT_IDS[rem] = len(_LEFT)
+        _LEFT.append(rem)
+        _MOVES.append(None)
+    return i
 
 
 def _eps(dim, *terms):

@@ -10,15 +10,19 @@ implementations that the combinatorial constructions are checked against.
 
 Brauer-Klimyk sums m_mu(nu) det(w') over the weights nu of V_mu, where w'
 carries lam + rho + nu to lam' + rho with lam' dominant.  It does not expand
-V_mu's weight system: for each dominant nu of the Freudenthal table it
-walks only the points of W nu with lam + rho + w(nu) regular, by
-:meth:`RootDatum.regular_orbit2`, the root data's walk that the recurrence
-rows share.  It places one coordinate of x = lam + rho + w(nu) at a time and
-cuts a branch whose completions all lie on a wall, are fixed by a reflection
-and so contribute nothing; the leaves are the regular terms (21,352 of the
-51,936 cells of V_rho on B5).  Lusztig's signed sum walks W(lam + rho) on
-the same walk at shift 0, where every point is regular, with its own prefix
-test cutting the branches that leave the positive root cone.
+V_mu's weight system: the Freudenthal table of V_mu's dominant weights goes,
+as one weighted table of orbits, to :meth:`RootDatum.regular_orbit2`, the
+root data's walk that the recurrence rows share.  It places one coordinate
+of x = lam + rho + w(nu) at a time, level by level, and cuts a prefix whose
+completions all lie on a wall, are fixed by a reflection and so contribute
+nothing.  Prefixes that reach the same state, from one orbit or from
+several, add their signed multiplicities and are extended once: on B5 the
+21,352 regular terms among the 51,936 cells of V_rho land on 1,192
+components, through at most 3,177 states on a level.  The components come
+back in coordinate order, so no caller sees the order of the merges.
+Lusztig's signed sum walks W(lam + rho) on the same walk at shift 0, where
+every point is regular, as a point reader (nothing merges), with its own
+prefix test cutting the prefixes that leave the positive root cone.
 
 The same reduction at rho decomposes the orbit sum M_kappa of each dominant
 kappa into irreducible characters, sum_lam N[kappa][lam] chi_lam
@@ -33,6 +37,7 @@ each twin pair is walked once.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, sub
 
 from .core import DEFAULT_CELL_CAP, PolyT, Record, ResourceCapError
@@ -160,16 +165,11 @@ def weyl_dim(datum, lam):
 def _klimyk_walk(datum, shifted, table):
     """The signed sum of ``table``'s orbits reduced at ``shifted``, ``{coords2: int}``.
 
-    The walk of the module docstring, :meth:`RootDatum.regular_orbit2`: each
-    leaf adds det(w') * m(nu) at lam' = w'(shifted + v) - rho.
+    The walk of the module docstring, :meth:`RootDatum.regular_orbit2`, over
+    every orbit of the table at once: each regular point adds det(w') * m(nu)
+    at lam' = w'(shifted + v) - rho.  The sums that cancel to 0 are left out.
     """
-    out = {}
-    for nu, m in table.items():
-        def leaf(v, lam2, det):
-            out[lam2] = out.get(lam2, 0) + det * m
-
-        datum.regular_orbit2(nu.coords2, shifted, leaf)
-    return out
+    return datum.regular_orbit2({nu.coords2: m for nu, m in table.items()}, shifted)
 
 
 def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
@@ -177,7 +177,7 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
 
     ``cap`` bounds the cells of V_mu's weight system, counted from the
     orbit sizes of its dominant weights before :func:`_klimyk_walk`
-    walks them.
+    walks them.  The components come in the order of their coordinates.
     """
     datum.require_dominant(lam)
     datum.check_weight(mu)
@@ -186,14 +186,12 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     if cells > cap:
         raise ResourceCapError(f"weight system of {mu} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
-    out = _klimyk_walk(datum, shifted, table)
     result = {}
-    for v, m in out.items():
+    for v, m in sorted(_klimyk_walk(datum, shifted, table).items()):
         w = Weight(datum.family, datum.rank, v)
         if m < 0:
             raise ArithmeticError(f"negative multiplicity {m} at {w} in Klimyk rule")
-        if m:
-            result[w] = m
+        result[w] = m
     return result
 
 
@@ -327,8 +325,8 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
     Only the terms with w(lam+rho) - rho in the positive root cone are
     visited; every other term is zero.  lam + rho is regular, so
     :meth:`RootDatum.regular_orbit2` at shift 0 lists each w(lam+rho) once
-    with det(w), and its prefix test cuts a branch as soon as a prefix sum of
-    the coordinates of beta = w(lam+rho) - rho is negative: each is a
+    with det(w), and its prefix test cuts a prefix as soon as the sum of
+    the coordinates of beta = w(lam+rho) - rho on it is negative: each is a
     simple-root coefficient of beta (A, B, C), the sum a + b of the last two
     (D), twice the last one (the full sum in C and D), or 0 (the full sum in
     A).  beta = (w(lam+rho) - (lam+rho)) + lam lies in the root lattice with
@@ -344,18 +342,17 @@ def lusztig_E(datum, lam, cap=DEFAULT_CELL_CAP):
     order = datum.orbit_size(rho2)    # |W|: rho is regular
     if order > cap:
         raise ResourceCapError(f"|W| = {order} exceeds cap {cap}")
-    prefix = [0] * (datum.dim + 1)    # prefix[pos]: the sum of beta's first pos coordinates
+    floor = list(accumulate(rho2))    # floor[pos]: the sum of rho's first pos + 1 coordinates
 
-    def keep(pos, y):
-        prefix[pos + 1] = p = prefix[pos] + y - rho2[pos]
-        return p >= 0
+    def keep(prefix):
+        return sum(prefix) >= floor[len(prefix) - 1]
 
     terms = []
 
     def leaf(v, lam2, det):
         terms.append(det * q_kostant(datum, datum.weight(tuple(map(sub, v, rho2)))))
 
-    datum.regular_orbit2(tuple(map(add, lam.coords2, rho2)), datum.zero.coords2, leaf, keep)
+    datum.regular_orbit2({tuple(map(add, lam.coords2, rho2)): 1}, datum.zero.coords2, leaf, keep)
     out = sum(terms, PolyT.zero())
     if any(v < 0 for v in out.c.values()):
         raise ArithmeticError(f"negative coefficient in E-polynomial for {lam}")

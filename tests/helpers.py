@@ -37,7 +37,7 @@ def weyl_alternation(datum):
     """
     rho2 = datum.rho.coords2
     pairs = []
-    datum.regular_orbit2(rho2, datum.zero.coords2,
+    datum.regular_orbit2({rho2: 1}, datum.zero.coords2,
                          lambda v, lam2, det: pairs.append((tuple(map(sub, rho2, v)), det)))
     return tuple(sorted(pairs))
 

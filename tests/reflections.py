@@ -1,5 +1,5 @@
-"""Reference Weyl-group kernels for the tests: the simple reflections, the signed sort
-and the plain orbit walk.
+"""Reference Weyl-group kernels for the tests: the simple reflections, the signed sort,
+the plain orbit walk and the depth-first regular-orbit walk.
 
 The library finds a dominant representative by a plain sort, and det(w) and
 every orbit on its one walk of the coset tables, so no module of ``extalg``
@@ -10,7 +10,13 @@ computed the sign.  ``plain_orbit2`` is the walk that listed orbits before
 ``RootDatum.orbit2`` became the uncut walk of ``regular_orbit2``: it reads
 the same tables but none of that walk's cuts, so the references of
 ``regular_orbit2`` and its callers list their points through it.
+``dfs_regular_orbit2`` is the depth-first walk of one orbit that
+``RootDatum.regular_orbit2`` was before it went level by level and merged
+the prefixes that reach the same state; the level walk is checked against it.
 """
+
+from bisect import bisect_left
+from operator import sub
 
 
 def apply_simple(datum, i, x2):
@@ -137,3 +143,82 @@ def plain_orbit2(datum, x2):
 
         walk(0, 0)
     return sorted(orbit)
+
+
+def dfs_regular_orbit2(datum, nu2, shifted2, leaf, keep=None):
+    """Call ``leaf(v, lam2, det)`` for every v in W nu2 with shifted2 + v regular.
+
+    ``lam2`` is the dominant representative of x = shifted2 + v minus rho
+    and ``det`` is det(w) for the w carrying x there; ``v`` is a live list,
+    valid only during the call.  The walk places one coordinate of v, and
+    so of x, at a time from the tables of :meth:`_cosets2`, and cuts a
+    branch as soon as two placed |x_i| coincide (x_i in A and G2) or, in B
+    and C, one is 0: every completion lies on a wall.  Each placed |x_i|
+    goes into a sorted list; the number of smaller values already there is
+    the number of inversions it adds to the descending sort, so their
+    parity and, in B and C, that of the negative entries of x give det(w).
+    In D the sorted x has its last entry negated after an odd number of
+    negative entries.  In G2 a sorted middle entry 0 lies on a long-root
+    wall; one > 0 is flipped as in :meth:`chamber_rep2`, by -1
+    (determinant 1 on the plane) and the reversal of the order, one more
+    transposition, so det changes sign; the rotation (a, b, c) ->
+    (b, c, a) is even.  The body is the library's walk before it went
+    level by level, with ``self`` read as ``datum``.
+
+    ``keep(pos, y)``, if given, is the caller's prefix test: it is asked
+    about each placement of y at coordinate pos that passes the walk's
+    own cuts, after the placements at 0..pos-1 of the current branch, and
+    the walk descends exactly when it returns true, so it may record
+    per-coordinate state.  A leaf is then a v whose every prefix passed.
+    """
+    f = datum.family
+    dim = datum.dim
+    rho2 = datum.rho.coords2
+    signed = f in ("B", "C", "D")
+    flip_det = f in ("B", "C")
+    placed = []
+    v = [0] * dim
+    for choices, left, parity in datum._cosets2(nu2):
+        def walk(pos, det, neg_x, neg_nu):
+            if pos == dim:
+                rep = placed[::-1]
+                if f == "D" and neg_x & 1:
+                    rep[-1] = -rep[-1]
+                elif f == "G2":
+                    a, b, c = rep
+                    if not b:
+                        return
+                    if b > 0:
+                        rep, det = (-b, -a, -c), -det
+                    else:
+                        rep = (b, c, a)
+                leaf(v, tuple(map(sub, rep, rho2)), det)
+                return
+            base = shifted2[pos]
+            last = parity is not None and pos == dim - 1
+            for k, signs in choices:
+                if not left[k]:
+                    continue
+                left[k] -= 1
+                for y in signs:
+                    if last and (neg_nu + (y < 0)) & 1 != parity:
+                        continue
+                    x = base + y
+                    if flip_det and not x:
+                        continue
+                    a = -x if signed and x < 0 else x
+                    i = bisect_left(placed, a)
+                    if i < len(placed) and placed[i] == a:
+                        continue
+                    if keep is not None and not keep(pos, y):
+                        continue
+                    placed.insert(i, a)
+                    v[pos] = y
+                    d = -det if i & 1 else det
+                    if flip_det and x < 0:
+                        d = -d
+                    walk(pos + 1, d, neg_x + (x < 0), neg_nu + (y < 0))
+                    del placed[i]
+                left[k] += 1
+
+        walk(0, 1, 0, 0)

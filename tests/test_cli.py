@@ -313,10 +313,9 @@ def test_recurrence_verify_lists_each_chain_orbit_once(monkeypatch):
     real = extalg.RootDatum.regular_orbit2
     calls = []
 
-    def counting(self, nu2, shifted2, leaf, keep=None):
-        if any(nu2):
-            calls.append(tuple(nu2))
-        return real(self, nu2, shifted2, leaf, keep)
+    def counting(self, table, shifted2, leaf=None, keep=None):
+        calls.extend(tuple(nu2) for nu2 in table if any(nu2))
+        return real(self, table, shifted2, leaf, keep)
 
     monkeypatch.setattr(extalg.RootDatum, "regular_orbit2", counting)
     recurrence._row_cached.cache_clear()

@@ -6,7 +6,7 @@ from extalg.core import ResourceCapError
 from extalg.orders import (coordinatewise_leq, dominance_leq, enumerate_dominant_below,
                            is_small, two_rho_minus_delta)
 from extalg.rootdata import build_root_datum, weight_from_fundamental
-from helpers import weight_from_coords
+from helpers import DATUM_GRID, weight_from_coords
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,29 @@ def test_is_small_examples(c3):
     assert is_small(c3, weight_from_fundamental(c3, [1, 0, 1]))
     assert not is_small(c3, weight_from_fundamental(c3, [1, 0, 0]))   # not in root lattice
     assert not is_small(c3, 2 * c3.theta)
+
+
+def reference_is_small(datum, lam):
+    """The smallness test before it read lam's simple-root coefficients once:
+    the root-lattice test, then one dominance test per dominant root."""
+    if not datum.in_root_lattice(lam):
+        return False
+    for alpha in datum.dominant_roots():
+        if dominance_leq(datum, 2 * alpha, lam):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("family,rank", DATUM_GRID)
+def test_is_small_matches_the_dominance_tests(family, rank):
+    # every dominant weight below 2 rho (256,079 in B8), and in A, whose
+    # gl-style weights may leave the sum-zero plane, the same shifted by e_1
+    datum = build_root_datum(family, rank)
+    below = enumerate_dominant_below(datum, 2 * datum.rho)
+    if family == "A":
+        shift = datum.weight((2 * (rank + 1),) + (0,) * rank)
+        below += [w + shift for w in below[:200]]
+    assert [is_small(datum, w) for w in below] == [reference_is_small(datum, w) for w in below]
 
 
 def test_small_weights_are_coordinatewise_below(c3):

@@ -8,8 +8,9 @@ from extalg.gpartitions import GPartition
 from extalg.orders import enumerate_dominant_below
 from extalg.rootdata import (ConfigurationError, DatumMismatchError,
                              build_root_datum, weight_from_fundamental)
+from extalg.weyl_oracle import dominant_multiplicities
 from helpers import DATUM_GRID, weight_from_coords
-from reflections import apply_simple, chamber2, plain_orbit2, reduce2
+from reflections import apply_simple, chamber2, dfs_regular_orbit2, plain_orbit2, reduce2
 
 
 def test_rho_realizations():
@@ -547,20 +548,37 @@ def reference_regular_leaves(datum, nu2, shift2, ok=None):
 
 
 def walked_leaves(datum, nu2, shift2, ok=None):
-    leaves = Counter()
+    """The leaves (v, lam2, det) of the walk of W nu2, in its order."""
+    leaves = []
+    datum.regular_orbit2({nu2: 1}, shift2,
+                         lambda v, lam2, det: leaves.append((v, lam2, det)), ok)
+    return leaves
+
+
+def dfs_leaves(datum, nu2, shift2, ok=None):
+    """The leaves of the depth-first reference walk of W nu2, in its order."""
+    leaves = []
     path = [None] * datum.dim
 
-    def leaf(v, lam2, det):
-        leaves[(tuple(v), lam2, det)] += 1
-
     def keep(pos, y):
-        # the walk asks about coordinate pos only below the placements that
-        # passed at 0..pos-1, so path holds the current branch
+        # the depth-first walk asks about coordinate pos only below the
+        # placements that passed at 0..pos-1, so path holds its branch
         path[pos] = y
         return ok(tuple(path[:pos + 1]))
 
-    datum.regular_orbit2(nu2, shift2, leaf, None if ok is None else keep)
+    dfs_regular_orbit2(datum, nu2, shift2,
+                       lambda v, lam2, det: leaves.append((tuple(v), lam2, det)),
+                       None if ok is None else keep)
     return leaves
+
+
+def dfs_sums(datum, table, shift2):
+    """``{lam2: sum of m det}`` over the orbits of ``table``, one depth-first walk each."""
+    sums = {}
+    for nu2, m in table.items():
+        for _, lam2, det in dfs_leaves(datum, nu2, shift2):
+            sums[lam2] = sums.get(lam2, 0) + m * det
+    return {lam2: n for lam2, n in sums.items() if n}
 
 
 def cone_test(datum):
@@ -590,7 +608,7 @@ def test_regular_orbit_walk_matches_the_full_scan(family, rank):
         weights = list(datum.fundamental_weights)
     for w in weights:
         for ok in tests:
-            assert walked_leaves(datum, w.coords2, rho2, ok) == \
+            assert Counter(walked_leaves(datum, w.coords2, rho2, ok)) == \
                 reference_regular_leaves(datum, w.coords2, rho2, ok), (w, ok)
     if rank > 4:
         return
@@ -603,6 +621,43 @@ def test_regular_orbit_walk_matches_the_full_scan(family, rank):
                     for shift2 in (rho2, shifted2)}
             for start in (nu2, plain_orbit2(datum, nu2)[0]):
                 for shift2, leaves in want.items():
-                    assert walked_leaves(datum, start, shift2, ok) == leaves, (start, shift2)
-            assert walked_leaves(datum, shifted2, zero2, ok) == \
+                    assert Counter(walked_leaves(datum, start, shift2, ok)) == leaves, \
+                        (start, shift2)
+            assert Counter(walked_leaves(datum, shifted2, zero2, ok)) == \
                 reference_regular_leaves(datum, shifted2, zero2, ok), w
+
+
+@pytest.mark.parametrize("family,rank", DATUM_GRID)
+def test_merged_walk_sums_match_the_depth_first_walk(family, rank):
+    # the Klimyk walk of V_x (x) V_x, all of V_x's orbits in one walk, for x =
+    # rho and rho_s while |W| <= 50,000 (through rank 6, and A7; B6 rho has
+    # 1,459,456 weights); above, the fundamental weights stand in for them
+    datum = build_root_datum(family, rank)
+    rho2 = datum.rho.coords2
+    if datum.orbit_size(rho2) <= 50_000:
+        xs = dict.fromkeys([datum.rho, datum.rho_short])
+    else:
+        xs = datum.fundamental_weights
+    for x in xs:
+        table = {nu.coords2: m for nu, m in dominant_multiplicities(datum, x).items()}
+        shift2 = tuple(a + b for a, b in zip(x.coords2, rho2))
+        assert datum.regular_orbit2(table, shift2) == dfs_sums(datum, table, shift2), x
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r in DATUM_GRID if r <= 4])
+def test_level_walk_matches_the_depth_first_walk(family, rank):
+    # every dominant nu <= 2 rho, also walked from a non-dominant point of W
+    # nu, at shifts rho and nu + rho: the sums of the one orbit, and its
+    # points in the depth-first order, without a prefix test and with the
+    # cone test of lusztig_E
+    datum = build_root_datum(family, rank)
+    rho2 = datum.rho.coords2
+    for w in enumerate_dominant_below(datum, 2 * datum.rho):
+        nu2 = w.coords2
+        for start in (nu2, plain_orbit2(datum, nu2)[0]):
+            for shift2 in (rho2, tuple(a + b for a, b in zip(nu2, rho2))):
+                assert datum.regular_orbit2({start: 1}, shift2) == \
+                    dfs_sums(datum, {start: 1}, shift2), (start, shift2)
+                for ok in (None, cone_test(datum)):
+                    assert walked_leaves(datum, start, shift2, ok) == \
+                        dfs_leaves(datum, start, shift2, ok), (start, shift2, ok)

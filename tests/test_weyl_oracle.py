@@ -292,6 +292,25 @@ def test_klimyk_matches_cell_reduction_on_rho_squares(family):
             assert klimyk_tensor(datum, x, x) == reference_klimyk(datum, x, x), x
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("G2", 2)])
+def test_klimyk_order_does_not_follow_the_multiplicity_table(family, rank, monkeypatch):
+    # the walk merges the orbits of V_mu's table in the table's order; the
+    # components come back in coordinate order, whatever that order is
+    datum = build_root_datum(family, rank)
+    for lam, mu in [(datum.rho, datum.rho), (datum.rho_short, datum.theta),
+                    (datum.theta, datum.rho)]:
+        want = list(klimyk_tensor(datum, lam, mu).items())
+        assert [w.coords2 for w, _ in want] == sorted(w.coords2 for w, _ in want)
+        table = dominant_multiplicities(datum, mu)
+        key = (datum.family, datum.rank, mu.coords2)
+        for seed in range(3):
+            items = list(table.items())
+            random.Random(seed).shuffle(items)
+            monkeypatch.setitem(weyl_oracle._dominant_cache, key, dict(items))
+            assert list(klimyk_tensor(datum, lam, mu).items()) == want, seed
+        monkeypatch.setitem(weyl_oracle._dominant_cache, key, table)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
 def test_orbit_size_counts_the_orbit(family, rank):
     datum = build_root_datum(family, rank)
