@@ -53,8 +53,10 @@ class Weight(Record):
     Weights are built, compared and hashed in every layer, so the record's
     ``__init__``, ``__eq__`` and ``__hash__`` are written out: on ``Record``'s
     generic methods every workload's ``sweep_s`` rose by 3–7 % (notes/decisions.md).
-    The hash is that of ``(family, rank, coords2)``: it fixes the order in which
-    every set of weights iterates.
+    The hash is that of ``(family, rank, coords2)``.  ``family`` is a str,
+    so the hash, and the order in which a set of weights iterates, is fixed
+    for one ``PYTHONHASHSEED`` but changes with the seed; no report may read
+    that order (CI compares the report bytes under two seeds).
     """
 
     __slots__ = ("family", "rank", "coords2")
@@ -233,23 +235,6 @@ class RootDatum(Record):
             tables.append((choices, list(entries.values()), parity))
         return tables
 
-    def orbit2(self, x2):
-        """Full Weyl orbit of a doubled-coordinate vector, sorted for determinism.
-
-        The leaves v of :meth:`regular_orbit2` at the shift K rho, with
-        K = max|x2| + 1.  No point x = K rho + v lies on a wall there, so the
-        walk cuts nothing and lists each point once: in A-D the doubled
-        entries of rho fall by 2 from one coordinate to the next, so the
-        |x_i| differ while K > max|v_i|, and in B and C rho ends in 1 or 2,
-        so no x_i is 0 (the walk of D cuts no zero); in G2, where
-        rho = (-2, -4, 6), the sorted middle entry -2K + v_0 is not 0.
-        """
-        k = max(map(abs, x2)) + 1
-        orbit = []
-        self.regular_orbit2({tuple(x2): 1}, tuple(k * c for c in self.rho.coords2),
-                            lambda v, lam2, det: orbit.append(v))
-        return sorted(orbit)
-
     def regular_orbit2(self, table, shifted2, leaf=None, keep=None):
         """The points v of the orbits W nu2 of ``table`` with x = shifted2 + v regular.
 
@@ -279,15 +264,18 @@ class RootDatum(Record):
         placed (interned, in the order of the table), the set of placed
         |x_i| (a bitmask; in A and G2, whose entries may be negative, bit
         x_i + off) and, in D, the parities of the negative x_i and of the
-        negative v_i still owed to the coset.  A state fixes every completion, every later cut and every
-        later det factor, so the prefixes that reach it, from one orbit or
-        from several, add their signed weights and the state is extended
-        once; a state whose weights cancel is dropped.  A point reader, or a
-        reader with a prefix test, keeps its prefix in the state, so nothing
-        merges for it.  This walk is the
-        only code that computes det(w); :meth:`reduce_to_dominant` is its walk
-        of the orbit {0}, and :meth:`orbit2` its walk at a shift off every
-        wall (notes/decisions.md).
+        negative v_i still owed to the coset.  A state fixes every
+        completion, every later cut and every later det factor, so the
+        prefixes that reach it, from one orbit or from several, add their
+        signed weights and the state is extended once; a state whose weights
+        cancel is dropped.  A point reader, or a reader with a prefix test,
+        keeps its prefix in the state, so nothing merges for it; the two that
+        read v, ``weyl_oracle.lusztig_E`` and ``recurrence.minuscule_row``,
+        are the only point readers.  This walk is the only code that computes
+        det(w); :meth:`reduce_to_dominant` is its walk of the orbit {0}, and
+        ``weyl_oracle.freudenthal`` its sum over a weight system at a shift
+        (c + 1) rho, c >= every |entry|, where each x is strictly dominant,
+        so each key c rho + v is one point v with det 1 (notes/decisions.md).
 
         ``keep(prefix)``, if given, is the caller's prefix test: it is asked
         about each prefix v_0..v_pos that passes the walk's own cuts, and the
@@ -399,7 +387,7 @@ class RootDatum(Record):
         return None if leaf is not None else out
 
     def orbit_size(self, x2):
-        """|W x2|, the number of points :meth:`orbit2` lists, counted without walking them.
+        """|W x2|, the number of points of the orbit, counted without walking them.
 
         Per table of :meth:`_cosets2`, the arrangements of the entries times
         the values each coordinate of an entry may take, halved when a

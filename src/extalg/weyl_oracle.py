@@ -20,9 +20,14 @@ several, add their signed multiplicities and are extended once: on B5 the
 21,352 regular terms among the 51,936 cells of V_rho land on 1,192
 components, through at most 3,177 states on a level.  The components come
 back in coordinate order, so no caller sees the order of the merges.
-Lusztig's signed sum walks W(lam + rho) on the same walk at shift 0, where
-every point is regular, as a point reader (nothing merges), with its own
-prefix test cutting the prefixes that leave the positive root cone.
+
+The full weight system of V_lam is the same sum walk in the stable range:
+at the shift (c + 1) rho, c = max|lam|, every point x = (c + 1) rho + v is
+strictly dominant, so each key c rho + v of the sum is one weight v of
+V_lam with its multiplicity (:func:`freudenthal`).  Lusztig's signed sum
+walks W(lam + rho) on the same walk at shift 0, where every point is
+regular, as a point reader (nothing merges), with its own prefix test
+cutting the prefixes that leave the positive root cone.
 
 The same reduction at rho decomposes the orbit sum M_kappa of each dominant
 kappa into irreducible characters, sum_lam N[kappa][lam] chi_lam
@@ -134,18 +139,28 @@ def dominant_multiplicities(datum, lam):
 
 
 def freudenthal(datum, lam, cap=DEFAULT_CELL_CAP):
-    """Full weight system of V_lam with multiplicities (all Weyl images).
+    """Full weight system of V_lam with multiplicities (all Weyl images), in coordinate order.
 
     ``cap`` bounds its cells, counted from the orbit sizes of the dominant
-    weights before any orbit is listed.
+    weights before any orbit is walked.  The table of
+    :func:`dominant_multiplicities` goes to :meth:`RootDatum.regular_orbit2`
+    in one sum walk at the shift (c + 1) rho, c = max|lam|, the stable range
+    of Brauer-Klimyk: V_{c rho} (x) V_lam = sum_v m_lam(v) V_{c rho + v}.
+    No weight v of V_lam has an entry above c, so every x = (c + 1) rho + v
+    is strictly dominant: det = 1, and the key x - rho = c rho + v gives v
+    back, one orbit point per key (notes/decisions.md).
     """
     table = dominant_multiplicities(datum, lam)
     if sum(datum.orbit_size(mu.coords2) for mu in table) > cap:
         raise ResourceCapError(f"weight system of {lam} exceeds cap {cap}")
-    full = {}
-    for mu, m in table.items():
-        for v in datum.orbit2(mu.coords2):
-            full[Weight(datum.family, datum.rank, v)] = m
+    c = max(map(abs, lam.coords2))
+    rho2 = datum.rho.coords2
+    sums = datum.regular_orbit2({mu.coords2: m for mu, m in table.items()},
+                                tuple((c + 1) * r for r in rho2))
+    back = tuple(c * r for r in rho2)
+    # a shift keeps the lexicographic order, so the keys sort as their weights
+    full = {Weight(datum.family, datum.rank, tuple(map(sub, key, back))): sums[key]
+            for key in sorted(sums)}
     return WeightMultMap(datum.family, datum.rank, lam, full)
 
 
@@ -162,22 +177,14 @@ def weyl_dim(datum, lam):
     return num // den
 
 
-def _klimyk_walk(datum, shifted, table):
-    """The signed sum of ``table``'s orbits reduced at ``shifted``, ``{coords2: int}``.
-
-    The walk of the module docstring, :meth:`RootDatum.regular_orbit2`, over
-    every orbit of the table at once: each regular point adds det(w') * m(nu)
-    at lam' = w'(shifted + v) - rho.  The sums that cancel to 0 are left out.
-    """
-    return datum.regular_orbit2({nu.coords2: m for nu, m in table.items()}, shifted)
-
-
 def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
     """Decomposition of V_lam (x) V_mu by the rho-shifted reduction rule.
 
-    ``cap`` bounds the cells of V_mu's weight system, counted from the
-    orbit sizes of its dominant weights before :func:`_klimyk_walk`
-    walks them.  The components come in the order of their coordinates.
+    The signed sum of :meth:`RootDatum.regular_orbit2` over every orbit of
+    V_mu's Freudenthal table at once: each regular point adds det(w') m(nu)
+    at lam' = w'(lam + rho + v) - rho.  ``cap`` bounds the cells of V_mu's
+    weight system, counted from the orbit sizes of its dominant weights
+    before the walk.  The components come in the order of their coordinates.
     """
     datum.require_dominant(lam)
     datum.check_weight(mu)
@@ -187,7 +194,8 @@ def klimyk_tensor(datum, lam, mu, cap=DEFAULT_CELL_CAP):
         raise ResourceCapError(f"weight system of {mu} exceeds cap {cap}")
     shifted = tuple(a + b for a, b in zip(lam.coords2, datum.rho.coords2))
     result = {}
-    for v, m in sorted(_klimyk_walk(datum, shifted, table).items()):
+    sums = datum.regular_orbit2({nu.coords2: m for nu, m in table.items()}, shifted)
+    for v, m in sorted(sums.items()):
         w = Weight(datum.family, datum.rank, v)
         if m < 0:
             raise ArithmeticError(f"negative multiplicity {m} at {w} in Klimyk rule")
@@ -200,9 +208,9 @@ def orbit_sum_row(datum, kappa2):
 
     ``kappa2`` is a dominant weight's doubled coordinates, and N[kappa][lam]
     the signed count of the nu in W kappa with nu + rho reducing to lam + rho:
-    the row is :func:`_klimyk_walk` of ``{kappa: 1}`` at rho.  Only the
-    lam <= kappa with a nonzero count are keys.  The row is memoised and
-    must not be mutated.
+    the row is the sum walk of :meth:`RootDatum.regular_orbit2` over
+    ``{kappa2: 1}`` at rho.  Only the lam <= kappa with a nonzero count are
+    keys.  The row is memoised and must not be mutated.
 
     In D, rho's last coordinate is 0, so the map sigma that negates the last
     coordinate fixes rho; it normalises W and keeps det, so N[sigma kappa]
@@ -216,7 +224,7 @@ def orbit_sum_row(datum, kappa2):
             twin = orbit_sum_row(datum, _negate_last(kappa2))
             row = {_negate_last(lam2): n for lam2, n in twin.items()}
         else:
-            row = _klimyk_walk(datum, datum.rho.coords2, {datum.weight(kappa2): 1})
+            row = datum.regular_orbit2({kappa2: 1}, datum.rho.coords2)
         _orbit_rows[key] = row
     return row
 

@@ -402,8 +402,7 @@ def test_batteries_leave_the_orbit_rows_whole(monkeypatch):
     assert {key[:2] for key in rows} == {("B", 3), ("D", 4)}
     for (family, rank, kappa2), row in rows.items():
         datum = build_root_datum(family, rank)
-        assert row == weyl_oracle._klimyk_walk(datum, datum.rho.coords2,
-                                               {datum.weight(kappa2): 1})
+        assert row == datum.regular_orbit2({kappa2: 1}, datum.rho.coords2)
 
 
 @pytest.mark.parametrize("family", ["B", "C"])

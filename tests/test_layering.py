@@ -7,9 +7,10 @@ and the package root import both.  The graph is read from the source with
 ``ast``, so those tests need no import of the package.  Every name a module
 exports must resolve, so that moving or deleting a function cannot leave a
 stale export behind.  No module asserts an invariant: ``python -O`` would
-strip the check.  One walk reads the Weyl group's coset tables.  A cold
-import loads neither ``dataclasses`` nor ``fractions``: with the modules they
-pull in, they would take about a fifth of a one-shot ``gexp`` call's set-up.
+strip the check.  One walk reads the Weyl group's coset tables, and two
+callers read its points.  A cold import loads neither ``dataclasses`` nor
+``fractions``: with the modules they pull in, they would take about a fifth
+of a one-shot ``gexp`` call's set-up.
 """
 
 import ast
@@ -98,27 +99,43 @@ def test_the_census_names_no_family():
     assert not named, f"orders.py names a family at lines {named}"
 
 
-def _readers(tree, name):
-    """The top-level functions and methods (``Class.method``) whose code names ``name``;
-    a mention outside them is read as ``<body>``."""
-    out = set()
+def _scopes(tree):
+    """``(name, node)`` per top-level function and method (``Class.method``); a
+    statement outside them is named ``<body>``."""
     for top in tree.body:
-        scopes = top.body if isinstance(top, ast.ClassDef) else [top]
-        for scope in scopes:
+        for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+            qual = getattr(scope, "name", "<body>")
+            yield (f"{top.name}.{qual}" if scope is not top else qual), scope
+
+
+def _readers(tree, name):
+    """The scopes of :func:`_scopes` whose code names ``name``."""
+    return {qual for qual, scope in _scopes(tree)
             if any(getattr(node, "attr", getattr(node, "id", None)) == name
-                   for node in ast.walk(scope)):
-                qual = getattr(scope, "name", "<body>")
-                out.add(f"{top.name}.{qual}" if scope is not top else qual)
-    return out
+                   for node in ast.walk(scope))}
 
 
 def test_one_walk_reads_the_coset_tables():
-    # orbit2 and reduce_to_dominant are walks of regular_orbit2, so the Weyl
-    # action on a vector is written once; orbit_size counts without walking
+    # reduce_to_dominant and the oracles' readers are walks of regular_orbit2,
+    # so the Weyl action on a vector is written once; orbit_size counts
+    # without walking
     readers = {f"{module}.{qual}" for module, tree in _trees().items()
                for qual in _readers(tree, "_cosets2")}
     assert readers == {"rootdata.RootDatum.regular_orbit2",
                        "rootdata.RootDatum.orbit_size"}, sorted(readers)
+
+
+def test_two_point_readers_of_the_walk():
+    # a call of regular_orbit2 that passes a leaf (the third argument) reads
+    # the points v; only Lusztig's sum and the minuscule rows read v, and
+    # every other caller, the weight system of freudenthal among them, reads
+    # the walk's sums
+    readers = {f"{module}.{qual}" for module, tree in _trees().items()
+               for qual, scope in _scopes(tree) for node in ast.walk(scope)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "regular_orbit2"
+               and (len(node.args) > 2 or any(k.arg == "leaf" for k in node.keywords))}
+    assert readers == {"weyl_oracle.lusztig_E", "recurrence.minuscule_row"}, sorted(readers)
 
 
 def test_no_dataclasses_and_fractions_only_inside_a_function():

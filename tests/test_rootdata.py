@@ -462,10 +462,24 @@ def random_vector(datum, rng):
     return tuple(rng.randint(-4, 4) for _ in range(datum.dim))
 
 
+def stable_orbit(datum, x2):
+    """W x2 read off the sum walk in the Brauer-Klimyk stable range, as
+    ``weyl_oracle.freudenthal`` reads a weight system: the keys of
+    ``regular_orbit2({x2: 1}, (c + 1) rho)``, c = max|x2|, shifted back by
+    c rho, sorted; ``ValueError`` if a key's sum is not 1."""
+    c = max(map(abs, x2))
+    rho2 = datum.rho.coords2
+    sums = datum.regular_orbit2({tuple(x2): 1}, tuple((c + 1) * r for r in rho2))
+    if set(sums.values()) - {1}:
+        raise ValueError(f"a stable-range key of {x2} sums to other than 1")
+    return sorted(tuple(k - c * r for k, r in zip(key, rho2)) for key in sums)
+
+
 def edge_vectors(datum, rng):
     """The zero vector and vectors whose every entry is +-max|x2|, the entries
-    x = K rho + v nearest a wall at the shift of ``orbit2``; in G2 a sum-zero
-    vector has no such entries, so (2m, -m, -m) and (m, -m, 0) stand in."""
+    x = (c + 1) rho + v nearest a wall in the stable range of
+    :func:`stable_orbit`; in G2 a sum-zero vector has no such entries, so
+    (2m, -m, -m) and (m, -m, 0) stand in."""
     if datum.family == "G2":
         return [(0, 0, 0), (6, -3, -3), (3, -3, 0)]
     signs = [tuple(rng.choice((1, -1)) * 3 for _ in range(datum.dim)) for _ in range(3)]
@@ -483,9 +497,8 @@ def test_kernel_matches_reflection_references(family, rank):
     rng = random.Random(f"{family}{rank}")
     if rank <= 4:
         for w in below:
-            orbit = datum.orbit2(w.coords2)
-            assert orbit == reference_orbit2(datum, w.coords2) == \
-                plain_orbit2(datum, w.coords2), w
+            orbit = plain_orbit2(datum, w.coords2)
+            assert orbit == reference_orbit2(datum, w.coords2), w
             for x2 in orbit:
                 assert_kernel_matches(datum, x2)
     else:
@@ -497,17 +510,17 @@ def test_kernel_matches_reflection_references(family, rank):
         else:
             orbit_weights = [datum.zero, *datum.fundamental_weights, datum.rho]
         for w in orbit_weights:
-            assert datum.orbit2(w.coords2) == reference_orbit2(datum, w.coords2), w
+            assert plain_orbit2(datum, w.coords2) == reference_orbit2(datum, w.coords2), w
     for _ in range(300):
         x2 = random_vector(datum, rng)
         assert_kernel_matches(datum, x2)
-        # a point the walk cut at its shift off the walls would show here
-        orbit = datum.orbit2(x2)
-        assert len(orbit) == datum.orbit_size(x2), x2
+        # a point the sum walk cut or merged in the stable range would show here
+        orbit = plain_orbit2(datum, x2)
+        assert stable_orbit(datum, x2) == orbit and len(orbit) == datum.orbit_size(x2), x2
         if rank <= 4:
             assert orbit == reference_orbit2(datum, x2), x2
     for x2 in edge_vectors(datum, rng):
-        assert datum.orbit2(x2) == plain_orbit2(datum, x2), x2
+        assert stable_orbit(datum, x2) == plain_orbit2(datum, x2), x2
 
 
 def test_kernel_matches_reflection_references_random():
@@ -529,7 +542,8 @@ def test_kernel_matches_reflection_references_random():
         datum, x2 = case
         assert_kernel_matches(datum, x2)
         if datum.rank <= 4:
-            assert datum.orbit2(x2) == reference_orbit2(datum, x2)
+            assert stable_orbit(datum, x2) == plain_orbit2(datum, x2) == \
+                reference_orbit2(datum, x2)
 
     check()
 

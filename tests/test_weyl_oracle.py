@@ -76,6 +76,14 @@ def reference_klimyk(datum, lam, mu):
     return {Weight(datum.family, datum.rank, v): m for v, m in out.items() if m}
 
 
+def reference_weight_system(datum, lam):
+    """V_lam's weights with multiplicities in coordinate order, each orbit of
+    its dominant weights listed by the plain walk."""
+    cells = {v: m for nu, m in dominant_multiplicities(datum, lam).items()
+             for v in plain_orbit2(datum, nu.coords2)}
+    return [(Weight(datum.family, datum.rank, v), cells[v]) for v in sorted(cells)]
+
+
 def reference_zero_column(datum, top):
     """m_lam(0) read off the Freudenthal table of every dominant lam below top."""
     return {lam: dominant_multiplicities(datum, lam).get(datum.zero, 0)
@@ -141,6 +149,23 @@ def test_freudenthal_weyl_invariance(b3):
         assert fr.mult[b3.weight(image)] == m
 
 
+def test_freudenthal_reads_the_stable_range_sum():
+    # the keys of one sum walk at (c + 1) rho, shifted back by c rho, are the
+    # weight system: every dominant weight below 2 rho of A1-A3, B1-B3,
+    # C1-C3, D3, D4 and G2, and theta and theta_s up to rank 6
+    cases = []
+    for family, ranks in [("A", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)),
+                          ("D", range(3, 7)), ("G2", (2,))]:
+        for rank in ranks:
+            datum = build_root_datum(family, rank)
+            if rank <= 3 or (family, rank) == ("D", 4):
+                cases += [(datum, lam) for lam in enumerate_dominant_below(datum, 2 * datum.rho)]
+            cases += [(datum, lam) for lam in (datum.theta, datum.theta_short) if lam]
+    for datum, lam in cases:
+        assert list(freudenthal(datum, lam).mult.items()) == \
+            reference_weight_system(datum, lam), lam
+
+
 @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
 def test_dominant_zero_multiplicity_matches_full_system(family, rank):
     datum = build_root_datum(family, rank)
@@ -166,7 +191,7 @@ def test_zero_weight_column_matches_freudenthal(family, rank):
 def test_zero_weight_column_cap_counts_orbit_cells(family, rank):
     datum = build_root_datum(family, rank)
     top = 2 * datum.rho
-    cells = sum(len(datum.orbit2(v.coords2))
+    cells = sum(len(plain_orbit2(datum, v.coords2))
                 for v in enumerate_dominant_below(datum, top))
     assert zero_weight_column(datum, top, cap=cells) == reference_zero_column(datum, top)
     with pytest.raises(ResourceCapError, match=f"below .* exceed cap {cells - 1}$"):
@@ -180,15 +205,15 @@ def test_zero_weight_column_cap_counts_orbit_cells(family, rank):
 def test_zero_weight_column_checks_its_solve(monkeypatch, bump, message):
     # a doubled diagonal entry, or an orbit sum with too much of V_0 in it
     b3 = build_root_datum("B", 3)
-    real = weyl_oracle._klimyk_walk
+    real = RootDatum.regular_orbit2
 
-    def corrupted(datum, shifted, table):
-        row = dict(real(datum, shifted, table))
-        for v, n in bump(next(iter(table))).items():
+    def corrupted(datum, table, shifted2):
+        row = dict(real(datum, table, shifted2))
+        for v, n in bump(datum.weight(next(iter(table)))).items():
             row[v] = row.get(v, 0) + n
         return row
 
-    monkeypatch.setattr(weyl_oracle, "_klimyk_walk", corrupted)
+    monkeypatch.setattr(RootDatum, "regular_orbit2", corrupted)
     # an empty memo, so that every row is walked again by the corrupted walk
     monkeypatch.setattr(weyl_oracle, "_orbit_rows", {})
     with pytest.raises(ArithmeticError, match=message):
@@ -202,10 +227,10 @@ def test_d_twin_rows_match_their_own_walks(monkeypatch, rank):
     datum = build_root_datum("D", rank)
     rho2 = datum.rho.coords2
     below = enumerate_dominant_below(datum, 2 * datum.rho)
-    real = weyl_oracle._klimyk_walk
-    want = {kappa.coords2: real(datum, rho2, {kappa: 1}) for kappa in below}
+    real = RootDatum.regular_orbit2
+    want = {kappa.coords2: real(datum, {kappa.coords2: 1}, rho2) for kappa in below}
     walks = []
-    monkeypatch.setattr(weyl_oracle, "_klimyk_walk",
+    monkeypatch.setattr(RootDatum, "regular_orbit2",
                         lambda *args: walks.append(args) or real(*args))
     monkeypatch.setattr(weyl_oracle, "_orbit_rows", {})
     for kappa2, row in want.items():
@@ -316,7 +341,7 @@ def test_orbit_size_counts_the_orbit(family, rank):
     datum = build_root_datum(family, rank)
     below = enumerate_dominant_below(datum, 2 * datum.rho)
     for v in below:
-        assert datum.orbit_size(v.coords2) == len(datum.orbit2(v.coords2)), v
+        assert datum.orbit_size(v.coords2) == len(plain_orbit2(datum, v.coords2)), v
     if family == "D":
         # a zero entry, no zero entry, and a negative last entry all occur
         lasts = {(v.coords2[-1] > 0) - (v.coords2[-1] < 0) for v in below}
